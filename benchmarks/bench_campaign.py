@@ -16,12 +16,7 @@ sweep and writes a machine-readable ``BENCH_campaign.json``:
   path, minus the network);
 - a profiled cold run (``REPRO_PROFILE_PHASES=1``): measures the
   phase profiler's overhead against the plain cold run and reports
-  where the probe sweep's time goes, phase by phase;
-- a vectorized cold run (the same spec pinned to the numpy engine),
-  asserted to render the identical aggregate — engines are
-  bit-identical — plus a beacon-rebuild comparison at paper density
-  (800 nodes, 100 m) that **gates** the vectorized core at >= 3x the
-  reference rebuild.
+  where the probe sweep's time goes, phase by phase.
 
 CI runs this per push and uploads the JSON as an artifact, so the
 engine's overheads become a tracked trajectory instead of anecdotes.
@@ -35,9 +30,7 @@ Run:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import math
 import os
 import platform
 import sys
@@ -74,65 +67,6 @@ def timed(fn) -> tuple[object, float]:
     start = time.perf_counter()
     value = fn()
     return value, time.perf_counter() - start
-
-
-#: The vectorized rebuild must beat the reference by this factor at
-#: paper density; below it the numpy core has regressed.
-REBUILD_SPEEDUP_FLOOR = 3.0
-
-
-def rebuild_speedup(
-    n: int = 800, radius: float = 100.0, ticks: int = 30, repeats: int = 3
-) -> dict:
-    """Beacon-rebuild wall time, reference vs vectorized engine.
-
-    Times the engine-differentiated hot path — evaluate mobility, build
-    the beacon UDG snapshot, count its edges — over ``ticks`` advancing
-    beacon intervals at the paper's node density scaled to ``n`` nodes
-    (region sides grow by sqrt(n/50) from 1500 x 300).  Best of
-    ``repeats`` per engine, so a scheduler hiccup cannot fail the gate.
-
-    The two loops are checked to produce identical edge counts every
-    tick: the speedup is for *the same* computation.
-    """
-    from repro.graphs.udg import unit_disk_graph
-    from repro.mobility.base import Region
-    from repro.mobility.random_waypoint import RandomWaypointMobility
-    from repro.sim.arraystate import ArrayState
-
-    scale = math.sqrt(n / 50)
-    region = Region(1500.0 * scale, 300.0 * scale)
-    times = [float(t) for t in range(1, ticks + 1)]
-
-    def reference_pass():
-        mobility = RandomWaypointMobility(list(range(n)), region, seed=11)
-        return [
-            unit_disk_graph(mobility.positions(t), radius).edge_count()
-            for t in times
-        ]
-
-    def vectorized_pass():
-        mobility = RandomWaypointMobility(list(range(n)), region, seed=11)
-        return [
-            ArrayState.from_mobility(mobility, t)
-            .unit_disk_snapshot(radius)
-            .edge_count()
-            for t in times
-        ]
-
-    reference_s, vectorized_s = math.inf, math.inf
-    reference_edges = vectorized_edges = None
-    for _ in range(repeats):
-        reference_edges, elapsed = timed(reference_pass)
-        reference_s = min(reference_s, elapsed)
-        vectorized_edges, elapsed = timed(vectorized_pass)
-        vectorized_s = min(vectorized_s, elapsed)
-    assert vectorized_edges == reference_edges, "engines diverged"
-    return {
-        "rebuild_reference_s": round(reference_s, 4),
-        "rebuild_vectorized_s": round(vectorized_s, 4),
-        "rebuild_speedup_x": round(reference_s / vectorized_s, 2),
-    }
 
 
 def run(workers: int, shards: int) -> dict:
@@ -209,21 +143,6 @@ def run(workers: int, shards: int) -> dict:
             for phase in PHASES
         }
 
-        # The same cold sweep pinned to the vectorized numpy engine.
-        # Engines are bit-identical, so its aggregate must render the
-        # same; its wall time tracks the end-to-end payoff of the
-        # vectorized core on the probe sweep.
-        vectorized_spec = dataclasses.replace(
-            spec, base=spec.base.but(engine="vectorized")
-        )
-        vectorized, vectorized_s = timed(
-            lambda: run_campaign(
-                vectorized_spec,
-                workers=workers,
-                stream_path=workdir / "vectorized.jsonl",
-            )
-        )
-
         assert stream_resumed.stream_hits == total
         assert cache_resumed.cache_hits == total
         for other in (
@@ -232,15 +151,8 @@ def run(workers: int, shards: int) -> dict:
             orchestrated.result,
             distributed.result,
             profiled,
-            vectorized,
         ):
             assert other.render() == cold.render(), "fixed seed drifted"
-
-    rebuild = rebuild_speedup()
-    assert rebuild["rebuild_speedup_x"] >= REBUILD_SPEEDUP_FLOOR, (
-        f"vectorized rebuild regressed: {rebuild['rebuild_speedup_x']}x "
-        f"< {REBUILD_SPEEDUP_FLOOR}x at paper density"
-    )
 
     return {
         "benchmark": "campaign-engine",
@@ -260,8 +172,6 @@ def run(workers: int, shards: int) -> dict:
         "profiler_overhead_pct": round(
             (profiled_s - cold_s) / cold_s * 100, 2
         ),
-        "vectorized_wall_s": round(vectorized_s, 4),
-        **rebuild,
         "phase_totals_s": phase_totals,
         "python": platform.python_version(),
         "platform": platform.platform(),
@@ -303,13 +213,6 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"  profiled      {report['profiled_wall_s']:8.3f} s "
         f"({report['profiler_overhead_pct']:+.1f}% profiler overhead)"
-    )
-    print(f"  vectorized    {report['vectorized_wall_s']:8.3f} s")
-    print(
-        f"  rebuild       {report['rebuild_reference_s']:.3f} s reference "
-        f"vs {report['rebuild_vectorized_s']:.3f} s vectorized "
-        f"({report['rebuild_speedup_x']}x, floor "
-        f"{REBUILD_SPEEDUP_FLOOR}x)"
     )
     breakdown = ", ".join(
         f"{phase}={seconds:.3f}s"

@@ -84,12 +84,10 @@ def _paper_density_mobility(n=800, seed=11):
 
 
 def test_reference_rebuild_paper_density(benchmark):
-    """Beacon rebuild (mobility + UDG) on the pure-Python engine.
+    """Beacon rebuild (mobility + UDG) at paper density.
 
-    800 nodes at paper density, 100 m range — the reference half of the
-    engine comparison; ``test_vectorized_rebuild_paper_density`` times
-    the identical work on the numpy core.  Each call advances the clock
-    one beacon interval, as the simulator does.
+    800 nodes at paper density, 100 m range.  Each call advances the
+    clock one beacon interval, as the simulator does.
     """
     mobility = _paper_density_mobility()
     clock = {"t": 0.0}
@@ -100,41 +98,6 @@ def test_reference_rebuild_paper_density(benchmark):
         return graph.edge_count()
 
     assert benchmark(rebuild) > 0
-
-
-def test_vectorized_rebuild_paper_density(benchmark):
-    """Beacon rebuild (batch mobility + array UDG) on the numpy engine.
-
-    The vectorized counterpart of
-    ``test_reference_rebuild_paper_density``: same population, same
-    radius, same advancing clock.  The ratio between the two is the
-    engine speedup; ``bench_campaign.py`` gates it at paper density.
-    """
-    from repro.sim.arraystate import ArrayState
-
-    mobility = _paper_density_mobility()
-    clock = {"t": 0.0}
-
-    def rebuild():
-        clock["t"] += 1.0
-        state = ArrayState.from_mobility(mobility, clock["t"])
-        return state.unit_disk_snapshot(100.0).edge_count()
-
-    assert benchmark(rebuild) > 0
-
-
-def test_engines_rebuild_identical_graphs():
-    """The two rebuild benchmarks above time *the same* computation."""
-    from repro.sim.arraystate import ArrayState
-
-    reference_mobility = _paper_density_mobility(n=200)
-    vectorized_mobility = _paper_density_mobility(n=200)
-    for t in (1.0, 2.0, 3.0):
-        reference = unit_disk_graph(reference_mobility.positions(t), 100.0)
-        state = ArrayState.from_mobility(vectorized_mobility, t)
-        snapshot = state.unit_disk_snapshot(100.0)
-        assert snapshot.positions == reference.positions
-        assert snapshot.edges() == reference.edges()
 
 
 def test_ldtg_50_nodes(benchmark):

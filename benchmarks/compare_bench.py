@@ -49,8 +49,6 @@ METRICS = (
     ("distributed_wall_s", "distributed wall (s)", True),
     ("profiled_wall_s", "profiled wall (s)", True),
     ("profiler_overhead_pct", "profiler overhead (%)", True),
-    ("vectorized_wall_s", "vectorized wall (s)", True),
-    ("rebuild_speedup_x", "rebuild speedup (x)", False),
 )
 
 #: The gating metric: cold-campaign throughput.
@@ -64,7 +62,6 @@ TREND_FIELDS = (
     ("orchestrated_wall_s", "orchestrated (s)"),
     ("distributed_wall_s", "distributed (s)"),
     ("profiled_wall_s", "profiled (s)"),
-    ("vectorized_wall_s", "vectorized (s)"),
 )
 
 

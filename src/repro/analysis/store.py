@@ -91,9 +91,6 @@ class CellInfo:
     adversary: str | None
     #: The adversary mode alone, or ``None`` for honest cells.
     adversary_mode: str | None
-    #: Explicit simulation engine, or ``None`` (deferred to the
-    #: ``REPRO_ENGINE`` environment at run time).
-    engine: str | None
     #: Grid-axis assignments of this cell's scenario, as
     #: ``(field, value)`` pairs in grid order (empty off-grid).
     axes: tuple[tuple[str, object], ...]
@@ -148,7 +145,6 @@ def _index_cells(spec: CampaignSpec) -> list[CellInfo]:
                     if scenario.adversary is not None
                     else None
                 ),
-                engine=scenario.engine,
                 axes=overrides_by_name.get(name, ()),
                 scenario=scenario,
             )
@@ -289,7 +285,6 @@ class ResultStore:
         protocol: str | None = None,
         mobility: str | None = None,
         adversary: str | None = None,
-        engine: str | None = None,
         metric: str | None = None,
     ) -> "Query":
         """A filtered view of the grid (``None`` = don't care).
@@ -304,8 +299,6 @@ class ResultStore:
         - ``adversary``: ``"none"`` for honest cells, a mode name for
           any fraction of that mode, or a full ``mode:fraction`` spec
           for one exact cell value;
-        - ``engine``: ``"reference"``/``"vectorized"`` (explicitly
-          pinned cells only);
         - ``metric``: default metric for :meth:`Query.values`, validated
           against :data:`QUERYABLE_METRICS`.
 
@@ -330,8 +323,6 @@ class ResultStore:
             if adversary is not None and not _match_adversary(
                 cell, adversary
             ):
-                continue
-            if engine is not None and cell.engine != engine:
                 continue
             selected.append(cell)
         return Query(store=self, cells=tuple(selected), metric=metric)

@@ -115,7 +115,6 @@ from repro.experiments.common import (
     Effort,
 )
 from repro.experiments.runner import available_protocols, run_single
-from repro.sim.arraystate import VectorizedEngineUnavailableError
 from repro.experiments.scenarios import Scenario
 from repro.experiments.suites import (
     available_suites,
@@ -229,13 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="compromise a seed-chosen node fraction with this Byzantine "
         f"behaviour (modes: {','.join(available_adversary_modes())}; "
         "'none' or fraction 0 runs honest)",
-    )
-    run_p.add_argument(
-        "--engine",
-        default=None,
-        choices=("reference", "vectorized"),
-        help="simulation core (default: the REPRO_ENGINE environment "
-        "variable, else reference); results are bit-identical",
     )
 
     exp_p = sub.add_parser("experiment", help="regenerate a figure/table")
@@ -715,13 +707,6 @@ def _add_campaign_shape_args(parser: argparse.ArgumentParser) -> None:
         "validated against the registry before anything runs)",
     )
     parser.add_argument(
-        "--engines",
-        default=None,
-        help="comma-separated simulation-engine grid "
-        "(reference,vectorized); engines are bit-identical, so this "
-        "axis is a cross-check/benchmark sweep",
-    )
-    parser.add_argument(
         "--adversary",
         action="append",
         type=_adversary_argument,
@@ -754,7 +739,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         message_count=args.messages,
         sim_time=args.sim_time,
         seed=args.seed,
-        engine=args.engine,
         adversary=args.adversary,
     )
     metrics = run_single(
@@ -904,7 +888,6 @@ def _reject_conflicting_shape_flags(
             ("--mobility", args.mobility),
             ("--protocol-param", args.protocol_param),
             ("--mobility-param", args.mobility_param),
-            ("--engines", args.engines),
             ("--adversary", args.adversary),
             ("--messages", args.messages),
             ("--sim-time", args.sim_time),
@@ -999,8 +982,6 @@ def _campaign_spec_from_args(args: argparse.Namespace) -> CampaignSpec:
             "--mobility-param needs --mobility to name the model(s) it "
             "parameterises"
         )
-    if args.engines:
-        grid.append(("engine", _csv(args.engines, str)))
     if args.adversary:
         if len(args.adversary) == 1:
             # One spec compromises the base scenario itself — no axis,
@@ -1697,12 +1678,6 @@ def main(argv: list[str] | None = None) -> int:
         # supervisor (or operator) pointed it at the wrong campaign.
         print(f"scheduler error: {exc}", file=sys.stderr)
         return 3
-    except VectorizedEngineUnavailableError as exc:
-        # The vectorized engine was selected (flag, grid, or
-        # REPRO_ENGINE) but numpy is missing: a setup problem the
-        # message tells the user how to fix, not a crash.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         # Bad user input (unknown protocol, malformed spec/grid, missing
         # file); json.JSONDecodeError is a ValueError subclass.

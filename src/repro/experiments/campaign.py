@@ -106,14 +106,10 @@ __all__ = [
 #: 2: Scenario grew the ``mobility`` field (cache keys now cover the
 #:    movement model configuration).
 #: 3: tasks grew the ``protocol_config`` axis, and trace mobility keys
-#:    switched from the path string to the file's content hash.  v2
-#:    entries for tasks unaffected by either change (no protocol
-#:    config, no trace mobility) are migrated on read — see
-#:    :meth:`ResultCache.load`.
+#:    switched from the path string to the file's content hash.
+#: Entries written under an older format are never read back: their
+#: keys differ, so they are ordinary cache misses and get recomputed.
 CACHE_FORMAT = 3
-
-#: The previous format, still readable via the migration path.
-_LEGACY_CACHE_FORMAT = 2
 
 
 # ---------------------------------------------------------------------------
@@ -234,32 +230,22 @@ def _is_trace_mobility(scenario: Scenario) -> bool:
     return scenario.mobility is not None and scenario.mobility.model == "trace"
 
 
-def _canonical_scenario(task: ReplicateTask, content_hash: bool) -> dict:
+def _canonical_scenario(task: ReplicateTask) -> dict:
     """The scenario part of a cache key payload.
 
-    With ``content_hash`` (the v3 behaviour), trace mobility is keyed
-    on the trace *file content* instead of its path string: editing a
-    trace in place invalidates cached simulations, while renaming or
-    copying an identical file still hits.
+    Trace mobility is keyed on the trace *file content* instead of its
+    path string: editing a trace in place invalidates cached
+    simulations, while renaming or copying an identical file still hits.
     """
     scenario = _canonical(task.scenario)
     scenario.pop("name", None)
-    # Engines are bit-identical, so an unset engine (= whatever
-    # REPRO_ENGINE picks at run time) keys exactly like it did before
-    # the field existed — pre-existing caches stay valid, and results
-    # computed under either env default are interchangeable.  An
-    # *explicit* engine stays in the key: pinning it is a deliberate
-    # part of the task's identity (e.g. an --engines cross-check grid
-    # must not collapse to one cell).
-    if scenario.get("engine") is None:
-        scenario.pop("engine", None)
     # No adversary keys exactly like the field never existed, so
     # pre-axis caches stay valid — and since a zero fraction coerces to
     # None at scenario construction, "no adversary" has exactly one key
     # however it was spelled.
     if scenario.get("adversary") is None:
         scenario.pop("adversary", None)
-    if content_hash and _is_trace_mobility(task.scenario):
+    if _is_trace_mobility(task.scenario):
         params = dict(scenario["mobility"]["params"])
         path = params.pop("path", None)
         if path is not None:
@@ -278,42 +264,13 @@ def task_payload(task: ReplicateTask) -> dict:
     """
     return {
         "format": CACHE_FORMAT,
-        "scenario": _canonical_scenario(task, content_hash=True),
+        "scenario": _canonical_scenario(task),
         "protocol": task.protocol,
         "glr_config": _canonical(task.glr_config),
         "epidemic_config": _canonical(task.epidemic_config),
         "spray_config": _canonical(task.spray_config),
         "buffer_limit": task.buffer_limit,
         "protocol_config": _canonical(task.protocol_config),
-    }
-
-
-def legacy_task_payload(task: ReplicateTask) -> dict | None:
-    """The v2 (``CACHE_FORMAT == 2``) payload of a task, if one exists.
-
-    Only tasks untouched by the v3 key changes have a legacy identity:
-    no protocol config, and no trace mobility (v2 keyed traces on the
-    path string, which says nothing about the file's content — those
-    entries are untrustworthy by construction and are never migrated).
-    """
-    if task.protocol_config is not None:
-        return None
-    if _is_trace_mobility(task.scenario):
-        return None
-    if task.scenario.engine is not None:
-        # Explicit engine pins postdate v2 keys; nothing to migrate.
-        return None
-    if task.scenario.adversary is not None:
-        # Adversary injection postdates v2 keys too.
-        return None
-    return {
-        "format": _LEGACY_CACHE_FORMAT,
-        "scenario": _canonical_scenario(task, content_hash=False),
-        "protocol": task.protocol,
-        "glr_config": _canonical(task.glr_config),
-        "epidemic_config": _canonical(task.epidemic_config),
-        "spray_config": _canonical(task.spray_config),
-        "buffer_limit": task.buffer_limit,
     }
 
 
@@ -327,21 +284,13 @@ def task_key(task: ReplicateTask) -> str:
     return _payload_key(task_payload(task))
 
 
-def legacy_task_key(task: ReplicateTask) -> str | None:
-    """The v2-era content hash of a task, or ``None`` (no v2 identity)."""
-    payload = legacy_task_payload(task)
-    return _payload_key(payload) if payload is not None else None
-
-
 def _decode_metrics(
-    payload: object,
-    task: ReplicateTask,
-    expected_format: int = CACHE_FORMAT,
+    payload: object, task: ReplicateTask
 ) -> SimulationMetrics | None:
     """Rebuild metrics from a cache payload; ``None`` if anything is off."""
     if not isinstance(payload, dict):
         return None
-    if payload.get("format") != expected_format:
+    if payload.get("format") != CACHE_FORMAT:
         return None
     try:
         metrics = SimulationMetrics.from_json(payload.get("metrics"))
@@ -397,24 +346,8 @@ class ResultCache:
             return None
 
     def load(self, task: ReplicateTask) -> SimulationMetrics | None:
-        """Cached metrics for ``task``, or ``None`` (counted as a miss).
-
-        Falls back to the task's v2-era key when the v3 entry is
-        missing (read-path migration): a valid legacy entry is
-        re-stored under the current key so the next lookup is a direct
-        hit, and old caches keep their value across the format bump.
-        """
+        """Cached metrics for ``task``, or ``None`` (counted as a miss)."""
         metrics = _decode_metrics(self._read(self._key(task)), task)
-        if metrics is None:
-            legacy_key = legacy_task_key(task)
-            if legacy_key is not None:
-                metrics = _decode_metrics(
-                    self._read(legacy_key),
-                    task,
-                    expected_format=_LEGACY_CACHE_FORMAT,
-                )
-                if metrics is not None:
-                    self.store(task, metrics)
         if metrics is None:
             self.misses += 1
             return None
@@ -804,13 +737,10 @@ class CampaignSpec:
         base.pop("mobility")
         if self.base.mobility is not None:
             base["mobility"] = self.base.mobility.to_json()
-        # Unset engine is omitted (like unset mobility) so spec hashes
-        # — and therefore existing stream headers — are unchanged from
-        # before the field existed.
-        if base.get("engine") is None:
-            base.pop("engine", None)
-        # Same rule for the adversary axis: unset is omitted, set is
-        # serialised via its own JSON form.
+        # Unset adversary is omitted (like unset mobility) so spec
+        # hashes — and therefore existing stream headers — are unchanged
+        # from before the field existed; a set one is serialised via
+        # its own JSON form.
         base.pop("adversary", None)
         if self.base.adversary is not None:
             base["adversary"] = self.base.adversary.to_json()

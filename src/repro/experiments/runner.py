@@ -33,7 +33,6 @@ from repro.mobility.random_waypoint import RandomWaypointMobility
 from repro.mobility.registry import build_mobility
 from repro.seeding import replicate_seed
 from repro.sim.adversary import build_adversary_plan
-from repro.sim.arraystate import resolve_engine
 from repro.sim.mac import MacConfig
 from repro.sim.radio import RadioConfig
 from repro.sim.stats import SimulationMetrics
@@ -166,11 +165,6 @@ def build_world(
         mac=MacConfig(queue_limit=scenario.queue_limit),
         beacon_interval=scenario.beacon_interval,
         seed=scenario.seed,
-        # Resolved here (explicit scenario value > REPRO_ENGINE > the
-        # reference default) so the world is pinned to one engine no
-        # matter where it later runs; raises the clear engine error
-        # up front when "vectorized" is requested without numpy.
-        engine=resolve_engine(scenario.engine),
     )
     factory = protocol_factory(
         canonical, config=config, buffer_limit=buffer_limit

@@ -43,12 +43,6 @@ class Scenario:
             the paper's random waypoint driven by ``min_speed`` /
             ``max_speed`` / ``pause_time`` above, byte-identical to the
             pre-registry behaviour.
-        engine: simulation core, ``"reference"`` or ``"vectorized"``.
-            ``None`` — the default — defers to the ``REPRO_ENGINE``
-            environment variable at run time.  Engines are
-            bit-identical, so the engine is a performance knob, not a
-            modelling one; it is sweepable (``--engines``) for
-            cross-checking exactly that.
         adversary: Byzantine adversary in force
             (:class:`~repro.sim.adversary.AdversaryConfig`; strings
             like ``"blackhole:0.2"`` and mappings are coerced).
@@ -77,7 +71,6 @@ class Scenario:
     data_rate_bps: float = 1_000_000.0
     seed: int = 1
     mobility: MobilityConfig | None = None
-    engine: str | None = None
     adversary: AdversaryConfig | None = None
 
     def __post_init__(self) -> None:
@@ -107,14 +100,6 @@ class Scenario:
             raise ValueError("beacon interval must be positive")
         if self.queue_limit < 1:
             raise ValueError("queue limit must be >= 1")
-        if self.engine is not None and self.engine not in (
-            "reference",
-            "vectorized",
-        ):
-            raise ValueError(
-                f"unknown engine {self.engine!r}; choose 'reference' "
-                "or 'vectorized'"
-            )
         # Coerce strings / mappings ("gauss-markov", {"model": ...}) so
         # sweep grids and JSON specs can name models directly.
         object.__setattr__(self, "mobility", as_mobility_config(self.mobility))

@@ -222,262 +222,3 @@ def unit_disk_graph(
         adjacency[v].add(u)
     return graph
 
-
-# ----------------------------------------------------------------------
-# Vectorized kernel (numpy) — the array engine's replacement for
-# GridIndex.iter_pairs_within.  numpy is imported lazily so the module
-# (and the reference engine) keeps working without it installed.
-# ----------------------------------------------------------------------
-
-#: Forward neighbour cell offsets for cell_size == radius (reach 1),
-#: as (dx, dy) — the same cells iter_pairs_within pairs against.
-_FORWARD_OFFSETS = ((0, 1), (1, -1), (1, 0), (1, 1))
-
-
-def unit_disk_edge_indices(positions, radius: float):
-    """Row-index pairs ``(i, j)`` with ``distance(i, j) <= radius``.
-
-    ``positions`` is an ``(N, 2)`` float64 array; the result is an
-    ``(E, 2)`` integer array of row indices with ``i != j``, each
-    unordered pair appearing exactly once (in no particular order).
-
-    Same cell binning as :class:`GridIndex` with ``cell_size=radius``:
-    bin rows into radius-sized cells, pair each occupied cell against
-    itself and its four forward neighbours, then keep pairs passing the
-    exact ``dx*dx + dy*dy <= radius*radius`` test — bitwise the same
-    predicate as :func:`~repro.geometry.primitives.distance_sq`, so the
-    edge set matches the reference path exactly (the differential suite
-    pins this, coincident/boundary/exact-radius cases included).
-    """
-    import numpy as np
-
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    pos = np.asarray(positions, dtype=np.float64)
-    if pos.ndim != 2 or pos.shape[1] != 2:
-        raise ValueError(f"positions must have shape (N, 2), got {pos.shape}")
-    n = pos.shape[0]
-    if n < 2:
-        return np.empty((0, 2), dtype=np.intp)
-    if n <= 64:
-        # Dense path for small populations: the all-pairs distance
-        # matrix needs a handful of numpy calls, while cell binning
-        # needs dozens — at paper-scale 50-node scenarios the fixed
-        # per-call overhead, not the O(n^2) work, is what dominates.
-        # dx*dx then += dy*dy is the same two-operand float64 sum as
-        # the predicate below, so the edge set is unchanged.
-        dx = pos[:, 0, None] - pos[None, :, 0]
-        dy = pos[:, 1, None] - pos[None, :, 1]
-        dist_sq = dx * dx
-        dist_sq += dy * dy
-        within = dist_sq <= radius * radius
-        u, v = np.nonzero(np.triu(within, k=1))
-        return np.stack((u, v), axis=1)
-
-    cells = np.floor(pos / radius).astype(np.int64)
-    cx = cells[:, 0] - cells[:, 0].min()
-    cy = cells[:, 1] - cells[:, 1].min()
-    # Pack (cx, cy) into one sortable key, leaving one row of slack on
-    # either side of the cy range so forward offsets with dy = ±1 can
-    # never wrap into a neighbouring cx column.
-    stride = int(cy.max()) + 3
-    keys = cx * stride + cy + 1
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    unique_keys, starts, counts = np.unique(
-        sorted_keys, return_index=True, return_counts=True
-    )
-
-    chunks_u: list = []
-    chunks_v: list = []
-    for offset_key, self_pair in (
-        (0, True),
-        *(((dx * stride + dy), False) for dx, dy in _FORWARD_OFFSETS),
-    ):
-        if self_pair:
-            src = np.nonzero(counts > 1)[0]
-            dst = src
-        else:
-            target = unique_keys + offset_key
-            idx = np.searchsorted(unique_keys, target)
-            idx = np.minimum(idx, len(unique_keys) - 1)
-            src = np.nonzero(unique_keys[idx] == target)[0]
-            dst = idx[src]
-        if src.size == 0:
-            continue
-        count_a = counts[src]
-        count_b = counts[dst]
-        pair_counts = count_a * count_b
-        total = int(pair_counts.sum())
-        if total == 0:
-            continue
-        # Enumerate the cross product of every (cell A, cell B) pair:
-        # local pair rank k within its cell pair maps to member
-        # (k // |B|) of A and (k % |B|) of B.
-        base = np.repeat(np.cumsum(pair_counts) - pair_counts, pair_counts)
-        k = np.arange(total) - base
-        count_b_rep = np.repeat(count_b, pair_counts)
-        ia = k // count_b_rep
-        ib = k % count_b_rep
-        u = order[np.repeat(starts[src], pair_counts) + ia]
-        v = order[np.repeat(starts[dst], pair_counts) + ib]
-        if self_pair:
-            keep = ia < ib
-            u, v = u[keep], v[keep]
-        chunks_u.append(u)
-        chunks_v.append(v)
-
-    if not chunks_u:
-        return np.empty((0, 2), dtype=np.intp)
-    u = np.concatenate(chunks_u)
-    v = np.concatenate(chunks_v)
-    dx = pos[u, 0] - pos[v, 0]
-    dy = pos[u, 1] - pos[v, 1]
-    within = dx * dx + dy * dy <= radius * radius
-    return np.stack((u[within], v[within]), axis=1)
-
-
-class ArraySpatialGraph(SpatialGraph):
-    """A read-only :class:`SpatialGraph` view over array state.
-
-    Construction runs only the vectorized edge kernel; every Python
-    object the :class:`SpatialGraph` interface exposes — the
-    ``positions`` dict of :class:`Point`, per-node neighbour ``set``\\ s,
-    the full ``adjacency`` dict — materializes lazily on first access
-    and is cached.  The beacon rebuild thus pays C-speed array work
-    per epoch, while nodes nobody queries (idle nodes in a sparse DTN)
-    never materialize their neighbour sets at all.
-
-    The view is a *snapshot*: mutating it (``add_node``/``add_edge``/
-    ``remove_edge``) is unsupported — mutations would only touch the
-    materialized caches, not the backing arrays.
-    """
-
-    def __init__(self, ids, positions, radius: float):
-        # No super().__init__(): positions/adjacency are properties
-        # here, materialized from the arrays below.
-        self._ids = tuple(ids)
-        self._array = positions
-        if len(self._ids) != positions.shape[0]:
-            raise ValueError(
-                f"{len(self._ids)} ids but {positions.shape[0]} "
-                "position rows"
-            )
-        self.edge_indices = unit_disk_edge_indices(positions, radius)
-        self._positions_cache: dict[NodeId, Point] | None = None
-        self._adjacency_cache: dict[NodeId, set[NodeId]] | None = None
-        self._neighbor_cache: dict[NodeId, set[NodeId]] = {}
-        self._csr: tuple[list[int], list[int]] | None = None
-        self._row_map: dict[NodeId, int] | None = None
-        self._identity: bool | None = None
-
-    @property
-    def ids(self) -> tuple:
-        """Node ids, in position-row order."""
-        return self._ids
-
-    @property
-    def positions(self) -> dict[NodeId, Point]:
-        cache = self._positions_cache
-        if cache is None:
-            cache = self._positions_cache = {
-                node: Point(row[0], row[1])
-                for node, row in zip(self._ids, self._array.tolist())
-            }
-        return cache
-
-    def _rows_identity(self) -> bool:
-        """Whether ids are exactly their row indices (int populations)."""
-        if self._identity is None:
-            n = len(self._ids)
-            self._identity = self._ids == tuple(range(n))
-        return self._identity
-
-    def _ensure_csr(self) -> tuple[list[int], list[int]]:
-        """Neighbour rows grouped by source row: (bounds, targets)."""
-        if self._csr is None:
-            import numpy as np
-
-            n = len(self._ids)
-            edges = self.edge_indices
-            if len(edges) == 0:
-                self._csr = ([0] * (n + 1), [])
-            else:
-                mirrored = np.concatenate((edges, edges[:, ::-1]))
-                order = np.argsort(mirrored[:, 0], kind="stable")
-                src = mirrored[order, 0]
-                dst = mirrored[order, 1].tolist()
-                bounds = np.searchsorted(src, np.arange(n + 1)).tolist()
-                self._csr = (bounds, dst)
-        return self._csr
-
-    def _neighbor_rows(self, row: int) -> list[int]:
-        bounds, dst = self._ensure_csr()
-        return dst[bounds[row] : bounds[row + 1]]
-
-    def neighbors(self, node: NodeId) -> set[NodeId]:
-        adjacency = self._adjacency_cache
-        if adjacency is not None:
-            return adjacency.get(node, set())
-        cached = self._neighbor_cache.get(node)
-        if cached is None:
-            if self._rows_identity():
-                row = node if isinstance(node, int) else None
-                if row is None or not 0 <= row < len(self._ids):
-                    return set()
-                cached = set(self._neighbor_rows(row))
-            else:
-                row_map = self._row_map
-                if row_map is None:
-                    row_map = self._row_map = {
-                        n: i for i, n in enumerate(self._ids)
-                    }
-                row = row_map.get(node)
-                if row is None:
-                    return set()
-                ids = self._ids
-                cached = {ids[k] for k in self._neighbor_rows(row)}
-            self._neighbor_cache[node] = cached
-        return cached
-
-    @property
-    def adjacency(self) -> dict[NodeId, set[NodeId]]:
-        cache = self._adjacency_cache
-        if cache is None:
-            bounds, dst = self._ensure_csr()
-            ids = self._ids
-            if self._rows_identity():
-                cache = {
-                    node: set(dst[bounds[i] : bounds[i + 1]])
-                    for i, node in enumerate(ids)
-                }
-            else:
-                cache = {
-                    node: {ids[k] for k in dst[bounds[i] : bounds[i + 1]]}
-                    for i, node in enumerate(ids)
-                }
-            self._adjacency_cache = cache
-            self._neighbor_cache = {}
-        return cache
-
-    def edge_count(self) -> int:
-        return len(self.edge_indices)
-
-    def degree(self, node: NodeId) -> int:
-        return len(self.neighbors(node))
-
-
-def unit_disk_graph_from_array(
-    ids: "tuple[NodeId, ...] | list[NodeId]", positions, radius: float
-) -> ArraySpatialGraph:
-    """Build the UDG over array state via the vectorized kernel.
-
-    ``ids[i]`` labels row ``i`` of the ``(N, 2)`` ``positions`` array.
-    The resulting :class:`ArraySpatialGraph` exposes the same nodes,
-    the same :class:`~repro.geometry.primitives.Point` values, and the
-    same edge set as :func:`unit_disk_graph` over the equivalent
-    position mapping — the differential suite pins the equality.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return ArraySpatialGraph(ids, positions, radius)

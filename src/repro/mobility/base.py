@@ -70,25 +70,6 @@ class MobilityModel(abc.ABC):
         """Positions of every node at time ``t``."""
         return {n: self.position(n, t) for n in self._node_ids}
 
-    def positions_array(self, t: float):
-        """Positions at ``t`` as an ``(N, 2)`` float64 array.
-
-        Rows follow ``node_ids`` order.  This fallback evaluates
-        per-node :meth:`position` (so any model is batch-queryable and
-        trivially agrees with the scalar path); subclasses with
-        analytic-leg trajectories override it with a true batch
-        evaluation.  Requires numpy — only the vectorized engine calls
-        it, and engine selection already guarantees numpy is present.
-        """
-        import numpy as np
-
-        out = np.empty((len(self._node_ids), 2), dtype=np.float64)
-        for i, node in enumerate(self._node_ids):
-            p = self.position(node, t)
-            out[i, 0] = p.x
-            out[i, 1] = p.y
-        return out
-
     def validate_time(self, t: float) -> None:
         """Raise ValueError for negative query times."""
         if t < 0:

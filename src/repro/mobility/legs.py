@@ -59,8 +59,6 @@ class LegMobility(MobilityModel):
         super().__init__(node_ids, region)
         self._legs: dict[NodeId, list[Leg]] = {}
         self._leg_ends: dict[NodeId, list[float]] = {}
-        # Lazy numpy leg-selection cache for positions_array.
-        self._batch_cache: dict | None = None
 
     def _seed_legs(self, node: NodeId, start: Point) -> None:
         """Initialize ``node``'s trajectory with a zero-length leg.
@@ -108,74 +106,6 @@ class LegMobility(MobilityModel):
         index = bisect.bisect_left(ends, t)
         index = min(index, len(ends) - 1)
         return self._legs[node][index].position_at(t)
-
-    def positions_array(self, t: float):
-        """Batch :meth:`position` over all nodes into an ``(N, 2)`` array.
-
-        Legs are extended and selected per node exactly as the scalar
-        path does (same RNG draw order — every model draws from
-        per-node RNGs, so trajectories are unchanged), then the active
-        legs are interpolated in one vectorized pass evaluating the
-        same float64 expressions as :meth:`Leg.position_at`.  IEEE 754
-        elementwise arithmetic makes the results bit-identical to the
-        scalar path; the batch-mobility golden tests pin that for every
-        registered model.
-
-        The per-node leg selection is cached between calls: a node's
-        leg stays selected while the query time remains inside it
-        (``prev_end < t <= t_end``, the bisect_left choice), so
-        successive beacon ticks only re-run Python selection for the
-        few nodes whose leg actually changed.
-        """
-        import numpy as np
-
-        self.validate_time(t)
-        n = len(self._node_ids)
-        cache = self._batch_cache
-        if cache is None:
-            cache = self._batch_cache = {
-                # t_start, t_end, x0, y0, x1, y1 of each node's leg.
-                "segments": np.full((n, 6), np.nan, dtype=np.float64),
-                # End of the previous leg: the selected leg is valid
-                # for query times in (prev_end, t_end].
-                "prev_end": np.full(n, np.inf, dtype=np.float64),
-                # True when the trajectory is exhausted (finite traces)
-                # and the selected final leg also covers any later t.
-                "final": np.zeros(n, dtype=bool),
-            }
-        segments = cache["segments"]
-        prev_end = cache["prev_end"]
-        final = cache["final"]
-        stale = np.nonzero(
-            (t <= prev_end) | ((t > segments[:, 1]) & ~final)
-        )[0]
-        for i in stale.tolist():
-            node = self._node_ids[i]
-            self._extend(node, t)
-            ends = self._leg_ends[node]
-            index = bisect.bisect_left(ends, t)
-            index = min(index, len(ends) - 1)
-            leg = self._legs[node][index]
-            segments[i, 0] = leg.t_start
-            segments[i, 1] = leg.t_end
-            segments[i, 2] = leg.p_start.x
-            segments[i, 3] = leg.p_start.y
-            segments[i, 4] = leg.p_end.x
-            segments[i, 5] = leg.p_end.y
-            prev_end[i] = ends[index - 1] if index > 0 else -np.inf
-            final[i] = ends[index] < t
-        t_start, t_end = segments[:, 0], segments[:, 1]
-        start, end = segments[:, 2:4], segments[:, 4:6]
-        # Mirror Leg.position_at: degenerate legs (t_end <= t_start)
-        # hold p_start; real legs interpolate with clamped alpha.  The
-        # guarded denominator keeps the degenerate lanes off the
-        # divide; np.where then discards them for p_start exactly.
-        span = t_end - t_start
-        moving = span > 0.0
-        alpha = (t - t_start) / np.where(moving, span, 1.0)
-        np.clip(alpha, 0.0, 1.0, out=alpha)
-        interp = start + alpha[:, None] * (end - start)
-        return np.where(moving[:, None], interp, start)
 
     def waypoints_until(self, node: NodeId, until: float) -> list[Leg]:
         """Materialized legs covering ``[0, until]`` — used by trace export."""

@@ -132,28 +132,3 @@ class ReferencePointGroupMobility(MobilityModel):
         return self.region.clamp(
             Point(center.x + offset.x, center.y + offset.y)
         )
-
-    def positions_array(self, t: float):
-        """Batch centre + offset + clamp, matching :meth:`position`.
-
-        Both component models are leg-based, so their batch paths are
-        bit-identical to their scalar paths; the add and the clamp use
-        the same float64 operations as the scalar composition.
-        """
-        import numpy as np
-
-        self.validate_time(t)
-        centers = self._centers.positions_array(t)
-        offsets = self._offsets.positions_array(t)
-        rows = np.fromiter(
-            (self._group[node] for node in self._node_ids),
-            dtype=np.intp,
-            count=len(self._node_ids),
-        )
-        combined = centers[rows] + offsets
-        np.minimum(
-            np.maximum(combined, 0.0, out=combined),
-            (self.region.width, self.region.height),
-            out=combined,
-        )
-        return combined

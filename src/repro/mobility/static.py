@@ -53,19 +53,3 @@ class StaticMobility(MobilityModel):
     def position(self, node: NodeId, t: float) -> Point:
         self.validate_time(t)
         return self._placements[node]
-
-    def positions_array(self, t: float):
-        """Static placements as a cached read-only ``(N, 2)`` array."""
-        import numpy as np
-
-        self.validate_time(t)
-        cached = getattr(self, "_array", None)
-        if cached is None:
-            cached = np.empty((len(self._node_ids), 2), dtype=np.float64)
-            for i, node in enumerate(self._node_ids):
-                p = self._placements[node]
-                cached[i, 0] = p.x
-                cached[i, 1] = p.y
-            cached.setflags(write=False)
-            self._array = cached
-        return cached

@@ -38,17 +38,12 @@ from repro.geometry.primitives import Point
 from repro.graphs.ldt import local_delaunay_graph
 from repro.graphs.udg import NodeId, SpatialGraph, unit_disk_graph
 from repro.mobility.base import MobilityModel
-from repro.sim.arraystate import (
-    ENGINE_REFERENCE,
-    ENGINE_VECTORIZED,
-    ArrayState,
-    resolve_engine,
-)
 from repro.sim.engine import PeriodicTask, Simulator
 from repro.sim.radio import RadioConfig
 from repro.telemetry.profile import (
     NULL_PROFILER,
     PHASE_MOBILITY,
+    PHASE_PLANARIZE,
     PHASE_UDG,
 )
 
@@ -76,7 +71,6 @@ class NeighborService:
         ldt_k: int = 2,
         on_control_bytes: Callable[[int], None] | None = None,
         profiler=NULL_PROFILER,
-        engine: str | None = None,
     ):
         if beacon_interval <= 0:
             raise ValueError("beacon interval must be positive")
@@ -87,16 +81,9 @@ class NeighborService:
         self.ldt_k = ldt_k
         self._on_control_bytes = on_control_bytes
         self._profiler = profiler
-        # ``None`` falls back to REPRO_ENGINE (then "reference"), so an
-        # env-flipped run covers directly constructed worlds too.
-        # resolve_engine also checks numpy imports for "vectorized" — a
-        # world built on a numpy-less box fails here with the clear
-        # engine error instead of an ImportError mid-run.
-        self.engine = resolve_engine(engine)
 
         self.epoch = 0
         self._snapshot: SpatialGraph = SpatialGraph()
-        self._array_state: ArrayState | None = None
         self._ldt_cache: SpatialGraph | None = None
         self._location_tables: dict[NodeId, dict[NodeId, LocationRecord]] = {
             node: {} for node in mobility.node_ids
@@ -119,60 +106,28 @@ class NeighborService:
 
     def _rebuild(self) -> None:
         now = self._sim.now
-        if self.engine == ENGINE_VECTORIZED:
-            t0 = self._profiler.start()
-            state = ArrayState.from_mobility(self._mobility, now)
-            self._profiler.add(PHASE_MOBILITY, t0)
-            t0 = self._profiler.start()
-            self._array_state = state
-            snapshot = state.unit_disk_snapshot(self._radio.range_m)
-            self._snapshot = snapshot
-            self._ldt_cache = None
-            positions = snapshot.positions
-            tables = self._location_tables
-            ids = snapshot.ids
-            # Location diffusion leg 1, driven by the edge-index array
-            # so the lazy snapshot's per-node neighbour sets stay
-            # unmaterialized until a protocol actually queries them.
-            # Same records in the same tables as the reference loop;
-            # only dict insertion order differs, and location tables
-            # are only ever read by key.
-            records = {
-                node: LocationRecord(position=positions[node], timestamp=now)
-                for node in ids
-            }
-            for i, j in snapshot.edge_indices.tolist():
-                a = ids[i]
-                b = ids[j]
-                tables[b][a] = records[a]
-                tables[a][b] = records[b]
-            for node in ids:
-                # A node always knows its own current position (GPS).
-                tables[node][node] = records[node]
-            beacons = len(ids)
-        else:
-            t0 = self._profiler.start()
-            scalar_positions = self._mobility.positions(now)
-            self._profiler.add(PHASE_MOBILITY, t0)
-            t0 = self._profiler.start()
-            self._snapshot = unit_disk_graph(
-                scalar_positions, self._radio.range_m
+        t0 = self._profiler.start()
+        scalar_positions = self._mobility.positions(now)
+        self._profiler.add(PHASE_MOBILITY, t0)
+        t0 = self._profiler.start()
+        self._snapshot = unit_disk_graph(
+            scalar_positions, self._radio.range_m
+        )
+        positions = self._snapshot.positions
+        self._ldt_cache = None
+        # Location diffusion leg 1: beacon exchange between
+        # neighbours.
+        beacons = 0
+        for node in self._snapshot.nodes():
+            record = LocationRecord(
+                position=positions[node], timestamp=now
             )
-            positions = self._snapshot.positions
-            self._ldt_cache = None
-            # Location diffusion leg 1: beacon exchange between
-            # neighbours.
-            beacons = 0
-            for node in self._snapshot.nodes():
-                record = LocationRecord(
-                    position=positions[node], timestamp=now
-                )
-                table_updates = self._snapshot.neighbors(node)
-                beacons += 1
-                for nbr in table_updates:
-                    self._location_tables[nbr][node] = record
-                # A node always knows its own current position (GPS).
-                self._location_tables[node][node] = record
+            table_updates = self._snapshot.neighbors(node)
+            beacons += 1
+            for nbr in table_updates:
+                self._location_tables[nbr][node] = record
+            # A node always knows its own current position (GPS).
+            self._location_tables[node][node] = record
         if self._on_control_bytes is not None:
             self._on_control_bytes(beacons * BEACON_BYTES)
         self._profiler.add(PHASE_UDG, t0)
@@ -184,15 +139,6 @@ class NeighborService:
     def snapshot_graph(self) -> SpatialGraph:
         """The beacon-epoch unit-disk graph."""
         return self._snapshot
-
-    def array_state(self) -> ArrayState | None:
-        """The epoch's read-only ``(N, 2)`` position array state.
-
-        ``None`` on the reference engine, which never materializes
-        arrays.  The array is write-protected, so stats/analysis code
-        can hold views without risking the snapshot.
-        """
-        return self._array_state
 
     def neighbors(self, node: NodeId) -> set[NodeId]:
         """One-hop neighbours as of the last beacon."""
@@ -221,8 +167,6 @@ class NeighborService:
         k-local construction on consistent beacon data.
         """
         if self._ldt_cache is None:
-            # Charged to the UDG/graph-rebuild phase: the LDTG is the
-            # other per-epoch graph construction over the same snapshot.
             t0 = self._profiler.start()
             self._ldt_cache = local_delaunay_graph(
                 self._snapshot.positions,
@@ -230,7 +174,7 @@ class NeighborService:
                 k=self.ldt_k,
                 udg=self._snapshot,
             )
-            self._profiler.add(PHASE_UDG, t0)
+            self._profiler.add(PHASE_PLANARIZE, t0)
         return set(self._ldt_cache.neighbors(node))
 
     def ldt_graph(self) -> SpatialGraph:

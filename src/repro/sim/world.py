@@ -20,7 +20,6 @@ from repro.geometry.primitives import Point
 from repro.graphs.udg import NodeId
 from repro.mobility.base import MobilityModel
 from repro.sim.engine import PeriodicTask, Simulator
-from repro.sim.arraystate import ENGINES
 from repro.sim.mac import MacConfig, MacStats, Medium, NodeMac
 from repro.sim.messages import Frame, Message
 from repro.sim.neighbors import LocationRecord, NeighborService
@@ -45,8 +44,6 @@ class WorldConfig:
         ldt_k: locality parameter of the LDTG construction (paper: 2).
         seed: master seed; per-node RNGs derive from it.
         storage_sample_interval: cadence of occupancy sampling.
-        engine: simulation core ("reference"/"vectorized"); ``None``
-            defers to the ``REPRO_ENGINE`` environment variable.
     """
 
     radio: RadioConfig = field(default_factory=RadioConfig)
@@ -55,7 +52,6 @@ class WorldConfig:
     ldt_k: int = 2
     seed: int = 0
     storage_sample_interval: float = 5.0
-    engine: str | None = None
 
     def __post_init__(self) -> None:
         if self.beacon_interval <= 0:
@@ -64,11 +60,6 @@ class WorldConfig:
             raise ValueError("ldt_k must be >= 1")
         if self.storage_sample_interval <= 0:
             raise ValueError("storage sample interval must be positive")
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; choose one of "
-                + ", ".join(ENGINES)
-            )
 
 
 class Protocol(abc.ABC):
@@ -258,11 +249,7 @@ class World:
             ldt_k=self.config.ldt_k,
             on_control_bytes=self.metrics.on_control_bytes,
             profiler=self.profiler,
-            engine=self.config.engine,
         )
-        #: The resolved engine actually driving rebuilds ("reference"
-        #: or "vectorized"), after env-var fallback.
-        self.engine = self.neighbor_service.engine
 
         self.protocols: dict[NodeId, Protocol] = {}
         self.macs: dict[NodeId, NodeMac] = {}

@@ -30,6 +30,7 @@ from repro.telemetry.profile import (
     PHASE_DELIVERY,
     PHASE_MAC,
     PHASE_MOBILITY,
+    PHASE_PLANARIZE,
     PHASE_PROTOCOL,
     PHASE_UDG,
     PHASES,
@@ -57,6 +58,7 @@ __all__ = [
     "PHASE_DELIVERY",
     "PHASE_MAC",
     "PHASE_MOBILITY",
+    "PHASE_PLANARIZE",
     "PHASE_PROTOCOL",
     "PHASE_UDG",
     "PHASES",

@@ -663,7 +663,7 @@ class TestProtocolAxis:
 
     def test_bare_variant_tasks_have_no_protocol_config(self):
         # ProtocolConfig with no params must key identically to the
-        # pre-axis engine (and stay eligible for v2 cache migration).
+        # pre-axis engine.
         spec = CampaignSpec(
             name="bare", base=TINY, protocols=("glr",), replicates=1
         )

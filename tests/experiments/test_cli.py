@@ -246,67 +246,6 @@ class TestMobilityCli:
         assert main(["campaign", "--mobility", "teleport"]) == 2
         assert "unknown mobility model" in capsys.readouterr().err
 
-    def test_campaign_engine_grid(self, capsys):
-        code = main(
-            [
-                "campaign",
-                "--name",
-                "cli-engines",
-                "--engines",
-                "reference,vectorized",
-                "--node-counts",
-                "10",
-                "--protocols",
-                "glr",
-                "--replicates",
-                "1",
-                "--messages",
-                "2",
-                "--sim-time",
-                "15",
-                "--quiet",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "2 simulations" in out
-        assert "engine=reference" in out
-        assert "engine=vectorized" in out
-
-    def test_campaign_unknown_engine_exits_2(self, capsys):
-        assert main(["campaign", "--engines", "warp"]) == 2
-        assert "engine" in capsys.readouterr().err
-
-    def test_run_engine_flag(self, capsys):
-        code = main(
-            [
-                "run",
-                "--protocol",
-                "glr",
-                "--engine",
-                "vectorized",
-                "--messages",
-                "3",
-                "--sim-time",
-                "20",
-            ]
-        )
-        assert code == 0
-        assert "delivery ratio" in capsys.readouterr().out
-
-    def test_run_vectorized_without_numpy_exits_2(self, capsys, monkeypatch):
-        from repro.sim import arraystate
-
-        monkeypatch.setattr(arraystate, "_numpy_cache", None)
-        code = main(
-            ["run", "--protocol", "glr", "--engine", "vectorized", "--messages", "2"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "numpy" in err
-        assert "reference" in err
-
     def test_campaign_suite(self, capsys, monkeypatch):
         from repro.experiments.common import Effort
         from repro.cli import EFFORTS
@@ -418,6 +357,65 @@ class TestMobilityCli:
             ["experiment", "fig1", "--mobility", "gauss-markov"]
         ) == 2
         assert "static-topology" in capsys.readouterr().err
+
+
+class TestPinnedEngineRejected:
+    """Specs and stream headers that pin the removed ``engine`` field
+    fail at load with a clean error, not a traceback."""
+
+    BASE = {"n_nodes": 10, "active_nodes": 5, "message_count": 2,
+            "sim_time": 15.0}
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"name": "pinned", "base": {**BASE, "engine": "reference"}},
+            {"name": "pinned", "base": BASE,
+             "grid": [["engine", ["reference", "vectorized"]]]},
+        ],
+        ids=["base", "grid"],
+    )
+    def test_campaign_spec_pinning_engine_exits_2(
+        self, document, tmp_path, capsys
+    ):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(document))
+        assert main(["campaign", "--spec", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "engine" in err
+        assert "Traceback" not in err
+
+    def test_aggregate_stream_pinning_engine_exits_2(self, tmp_path, capsys):
+        import hashlib
+
+        from repro.experiments.campaign import CACHE_FORMAT
+        from repro.experiments.stream import init_stream
+
+        stream = tmp_path / "pinned.jsonl"
+        doc = {"name": "pinned", "base": {**self.BASE, "engine": "reference"},
+               "grid": [], "protocols": ["glr"], "replicates": 1,
+               "buffer_limit": None}
+        # A self-consistent header, hashed the way campaign_spec_hash
+        # hashed specs that still carried the field.
+        blob = json.dumps({"format": CACHE_FORMAT, "spec": doc},
+                          sort_keys=True, separators=(",", ":"))
+        init_stream(stream, hashlib.sha256(blob.encode()).hexdigest(), doc)
+        assert main(["campaign", "aggregate", "--stream", str(stream)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "engine" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["run"], ["campaign"], ["campaign", "orchestrate"]],
+        ids=" ".join,
+    )
+    def test_no_engine_flags(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([*command, "--help"])
+        assert "--engine" not in capsys.readouterr().out
 
 
 class TestCampaignV2Cli:

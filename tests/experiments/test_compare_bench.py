@@ -127,6 +127,26 @@ class TestGate:
         )
         assert "WARNING" in result.stdout
 
+    def test_rows_missing_on_either_side_are_skipped(self, tmp_path):
+        # A baseline from before a metric was retired still carries it,
+        # and a new metric has no baseline yet: both rows are skipped,
+        # so old and new datapoints keep comparing.
+        baseline = write(
+            tmp_path / "baseline.json",
+            {**datapoint(), "vectorized_wall_s": 9.0, "rebuild_speedup_x": 3.3},
+        )
+        current = write(
+            tmp_path / "current.json", {**datapoint(), "profiled_wall_s": 11.0}
+        )
+        result = run_gate(
+            "--current", str(current), "--baseline", str(baseline)
+        )
+        assert result.returncode == 0
+        assert "| cold tasks/s | 2.000 | 2.000 | +0.0% |" in result.stdout
+        assert "vectorized" not in result.stdout
+        assert "rebuild" not in result.stdout
+        assert "profiled" not in result.stdout
+
     def test_summary_file_appended(self, tmp_path):
         current = write(tmp_path / "current.json", datapoint())
         summary = tmp_path / "summary.md"

@@ -15,8 +15,9 @@ Locks down the properties every v2 surface must preserve:
 - a campaign killed after K tasks resumes from its stream alone (no
   result cache), runs exactly the remaining tasks, and converges to
   the uninterrupted stream;
-- v2-format cache entries migrate to v3 keys on read;
-- trace mobility cache keys follow file *content*, not the path.
+- trace mobility cache keys follow file *content*, not the path;
+- spec hashes and task keys of a fixed campaign never drift;
+- the phase profiler attributes time without changing results.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import json
 import pytest
 
 from repro.experiments.campaign import (
-    CACHE_FORMAT,
     CampaignSpec,
     ReplicateSpec,
     ReplicateTask,
@@ -35,7 +35,6 @@ from repro.experiments.campaign import (
     campaign_result_from_stream,
     campaign_spec_hash,
     execute_tasks,
-    legacy_task_key,
     run_campaign,
     task_key,
 )
@@ -583,72 +582,6 @@ class TestStreamBackedResume:
         assert stream_essence(interrupted) == stream_essence(full)
 
 
-class TestCacheFormatMigration:
-    def _task(self):
-        return ReplicateSpec(
-            scenario=TINY, protocol="glr", runs=1
-        ).tasks()[0]
-
-    def test_v2_entry_migrates_on_read(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        task = self._task()
-        [metrics] = execute_tasks([task], cache=cache)
-
-        # Rewrite the entry as a v2-era cache would have stored it:
-        # format 2, no protocol_config field, at the legacy key path.
-        v3_path = cache.path_for(task_key(task))
-        payload = json.loads(v3_path.read_text())
-        payload["format"] = 2
-        payload["key"].pop("protocol_config")
-        payload["key"]["format"] = 2
-        legacy_path = cache.path_for(legacy_task_key(task))
-        legacy_path.parent.mkdir(parents=True, exist_ok=True)
-        legacy_path.write_text(json.dumps(payload))
-        v3_path.unlink()
-
-        fresh = ResultCache(tmp_path)
-        loaded = fresh.load(task)
-        assert loaded == metrics
-        assert fresh.hits == 1 and fresh.misses == 0
-        # ... and the entry was re-stored under the v3 key.
-        assert v3_path.exists()
-        assert json.loads(v3_path.read_text())["format"] == CACHE_FORMAT
-
-    def test_legacy_key_differs_from_v3_key(self):
-        task = self._task()
-        assert legacy_task_key(task) is not None
-        assert legacy_task_key(task) != task_key(task)
-
-    def test_no_legacy_identity_for_v3_only_features(self, tmp_path):
-        with_config = ReplicateTask(
-            TINY, "glr", 0,
-            protocol_config=ProtocolConfig.of("glr", custody=False),
-        )
-        assert legacy_task_key(with_config) is None
-
-        trace_path = tmp_path / "trace.ns2"
-        trace_path.write_text(
-            "$node_(0) set X_ 10.0\n$node_(0) set Y_ 10.0\n"
-        )
-        traced = ReplicateTask(
-            TINY.but(
-                mobility=MobilityConfig.of("trace", path=str(trace_path))
-            ),
-            "glr",
-            0,
-        )
-        assert legacy_task_key(traced) is None
-
-    def test_corrupt_legacy_entry_recomputed(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        task = self._task()
-        legacy_path = cache.path_for(legacy_task_key(task))
-        legacy_path.parent.mkdir(parents=True, exist_ok=True)
-        legacy_path.write_text("{ not json !!!")
-        assert cache.load(task) is None
-        assert cache.misses == 1
-
-
 class TestTraceContentHashKeys:
     def _write_trace(self, path, x=10.0):
         path.write_text(
@@ -811,123 +744,70 @@ class TestHostedEquivalence:
         )
 
 
-class TestVectorizedEquivalence:
-    """Engine choice must be invisible in results.
+class TestPhaseAttribution:
+    """The profiler charges each per-epoch layer to its own phase and
+    leaves the metrics untouched."""
 
-    The vectorized numpy core and the pure-Python reference core are
-    two implementations of the same simulation: every probe scenario,
-    every execution surface (serial, campaign grid, stealing
-    orchestration), profiled or not, must produce **bit-identical**
-    metrics.  These tests compose the engine switch with the other
-    equivalence surfaces above."""
+    def _profiled(self, scenario, protocol):
+        from repro.telemetry.profile import PhaseProfiler
 
-    @pytest.mark.parametrize(
-        "scenario,protocol", PROBES,
-        ids=[s.name for s, _ in PROBES],
-    )
-    def test_probes_bit_identical_across_engines(self, scenario, protocol):
-        reference = run_single(scenario.but(engine="reference"), protocol)
-        vectorized = run_single(scenario.but(engine="vectorized"), protocol)
-        assert fingerprint(vectorized) == fingerprint(reference)
+        bare = run_single(scenario, protocol)
+        profiler = PhaseProfiler()
+        profiled = run_single(scenario, protocol, profiler=profiler)
+        assert fingerprint(profiled) == fingerprint(bare)
+        return profiler.snapshot()
 
-    def test_large_population_probe_bit_identical(self):
-        """A population above the kernel's dense-path cutoff (64): the
-        cell-binning path must also be bit-identical end to end."""
-        scenario = TINY.but(
-            name="probe-binned", n_nodes=80, active_nodes=10, radius=120.0
-        )
-        reference = run_single(scenario.but(engine="reference"), "glr")
-        vectorized = run_single(scenario.but(engine="vectorized"), "glr")
-        assert fingerprint(vectorized) == fingerprint(reference)
-
-    def test_env_variable_selection_is_equivalent(self, monkeypatch):
-        scenario, protocol = PROBES[0]
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        reference = run_single(scenario, protocol)
-        monkeypatch.setenv("REPRO_ENGINE", "vectorized")
-        flipped = run_single(scenario, protocol)
-        assert fingerprint(flipped) == fingerprint(reference)
-
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
-    def test_profiler_composes_with_engines(self, engine):
-        """Profiling must neither change metrics nor lose phases on
-        either engine: the vectorized mobility/UDG phases are timed by
-        the same hooks the reference engine uses."""
+    def test_glr_probe_charges_planarization_separately(self):
         from repro.telemetry.profile import (
             PHASE_MOBILITY,
+            PHASE_PLANARIZE,
             PHASE_UDG,
-            PhaseProfiler,
         )
 
-        scenario, protocol = PROBES[0]
-        bare = run_single(scenario.but(engine=engine), protocol)
-        profiler = PhaseProfiler()
-        profiled = run_single(
-            scenario.but(engine=engine), protocol, profiler=profiler
-        )
-        assert fingerprint(profiled) == fingerprint(bare)
-        snapshot = profiler.snapshot()
-        assert snapshot[PHASE_MOBILITY] > 0.0
+        snapshot = self._profiled(*PROBES[0])
+        assert snapshot[PHASE_PLANARIZE] > 0.0
         assert snapshot[PHASE_UDG] > 0.0
+        assert snapshot[PHASE_MOBILITY] > 0.0
 
-    def test_engine_grid_axis_produces_identical_cells(self, tmp_path):
-        """The ``--engines`` sweep axis: both cells of an engine grid
-        hold the same metrics, proving the axis is a cross-check knob
-        rather than a modelling one."""
-        spec = CampaignSpec(
-            name="engine-sweep",
-            base=TINY,
-            grid=(("engine", ("reference", "vectorized")),),
-            protocols=("glr",),
-            replicates=2,
-        )
-        result = run_campaign(spec, stream_path=tmp_path / "s.jsonl")
-        cells = cell_fingerprints(result)
-        assert len(cells) == 2
-        first, second = cells.values()
-        assert first == second
+    def test_epidemic_probe_never_planarizes(self):
+        from repro.telemetry.profile import PHASE_PLANARIZE
 
-    def test_stealing_orchestrated_vectorized_run_equals_reference(
-        self, v2_spec, tmp_path, monkeypatch
-    ):
-        """The full composition: a REPRO_ENGINE=vectorized, profiled,
-        work-stealing orchestrated campaign (worker subprocesses
-        inherit both env vars) merges to the reference-engine serial
-        aggregate bit for bit."""
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        serial = run_campaign(
-            v2_spec, workers=1, stream_path=tmp_path / "serial.jsonl"
-        )
-        monkeypatch.setenv("REPRO_ENGINE", "vectorized")
-        monkeypatch.setenv("REPRO_PROFILE_PHASES", "1")
-        stolen = orchestrate_campaign(
-            v2_spec,
-            shards=2,
-            workers_per_shard=2,
-            run_dir=tmp_path / "vectorized",
-            poll_interval=0.05,
-            scheduler="stealing",
-            steal_threshold=1,
-            lease_batch=1,
-        )
-        assert cell_fingerprints(stolen.result) == cell_fingerprints(serial)
-        assert stolen.result.render() == serial.render()
+        snapshot = self._profiled(*PROBES[2])
+        assert snapshot[PHASE_PLANARIZE] == 0.0
 
-    def test_explicit_engine_changes_cache_key_default_does_not(
-        self, tmp_path
-    ):
-        """Engine=None tasks keep their pre-engine cache identity (the
-        field is popped from canonical payloads), while pinned engines
-        key separately — a vectorized result can never shadow a
-        reference-keyed entry or vice versa."""
-        default = ReplicateTask(TINY, "glr", 0)
-        pinned_ref = ReplicateTask(TINY.but(engine="reference"), "glr", 0)
-        pinned_vec = ReplicateTask(TINY.but(engine="vectorized"), "glr", 0)
-        assert task_key(default) != task_key(pinned_ref)
-        assert task_key(pinned_ref) != task_key(pinned_vec)
-        # Engines are bit-identical, so a cache primed by a vectorized
-        # run serves the same metrics a reference run would compute.
-        cache = ResultCache(tmp_path / "cache")
-        [vec_metrics] = execute_tasks([pinned_vec], cache=cache)
-        [ref_metrics] = execute_tasks([pinned_ref], cache=cache)
-        assert fingerprint(vec_metrics) == fingerprint(ref_metrics)
+
+class TestPinnedIdentities:
+    """Spec hashes and task keys are the identity of every stream and
+    cache entry; these values were computed before the ``engine`` field
+    was removed and must never drift."""
+
+    SPEC = CampaignSpec(
+        name="identity",
+        base=Scenario(name="identity", sim_time=90.0, seed=1),
+        grid=(("radius", (60.0, 100.0)),),
+        protocols=("one_hop", "spray_and_wait"),
+        replicates=2,
+    )
+
+    def test_spec_hash_and_task_keys_are_pinned(self):
+        tasks = [task for cell in self.SPEC.specs() for task in cell.tasks()]
+        assert campaign_spec_hash(self.SPEC) == (
+            "db7e9090acb37b7f8f8af15f97d14c07fc58863ba437a5f67de6b32a39bb462d"
+        )
+        assert len(tasks) == 8
+        assert task_key(tasks[0]) == (
+            "e8ff95c39df640447526b9c45f342ec2666b7b3a5767c6b5bde4deb59c29bfbf"
+        )
+        assert task_key(tasks[-1]) == (
+            "fd64644194d429c89ff544cc3e21cc29cd48d587bab4e9f427efa3a52e4a0b35"
+        )
+
+    @pytest.mark.parametrize("where", ["base", "grid"])
+    def test_spec_pinning_an_engine_is_rejected(self, where):
+        document = self.SPEC.to_dict()
+        if where == "base":
+            document["base"]["engine"] = "reference"
+        else:
+            document["grid"].append(["engine", ["reference"]])
+        with pytest.raises(ValueError, match="engine"):
+            CampaignSpec.from_dict(document)
