@@ -386,22 +386,73 @@ class TestPinnedEngineRejected:
         assert "engine" in err
         assert "Traceback" not in err
 
-    def test_aggregate_stream_pinning_engine_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("where", ["base", "grid"])
+    def test_orchestrate_spec_pinning_engine_exits_2(
+        self, where, tmp_path, capsys
+    ):
+        document = {"name": "pinned", "base": dict(self.BASE)}
+        if where == "base":
+            document["base"]["engine"] = "reference"
+        else:
+            document["grid"] = [["engine", ["reference"]]]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(document))
+        run_dir = tmp_path / "run"
+        code = main(
+            ["campaign", "orchestrate", "--spec", str(spec_path),
+             "--shards", "2", "--dir", str(run_dir)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "engine" in err
+        assert "Traceback" not in err
+        # Rejected at load: no worker was ever launched.
+        assert not list(run_dir.glob("*.jsonl"))
+
+    def _pinned_stream(self, tmp_path, base, grid):
         import hashlib
 
         from repro.experiments.campaign import CACHE_FORMAT
         from repro.experiments.stream import init_stream
 
         stream = tmp_path / "pinned.jsonl"
-        doc = {"name": "pinned", "base": {**self.BASE, "engine": "reference"},
-               "grid": [], "protocols": ["glr"], "replicates": 1,
-               "buffer_limit": None}
+        doc = {"name": "pinned", "base": base, "grid": grid,
+               "protocols": ["glr"], "replicates": 1, "buffer_limit": None}
         # A self-consistent header, hashed the way campaign_spec_hash
         # hashed specs that still carried the field.
         blob = json.dumps({"format": CACHE_FORMAT, "spec": doc},
                           sort_keys=True, separators=(",", ":"))
         init_stream(stream, hashlib.sha256(blob.encode()).hexdigest(), doc)
+        return stream
+
+    def test_aggregate_stream_pinning_engine_exits_2(self, tmp_path, capsys):
+        stream = self._pinned_stream(
+            tmp_path, {**self.BASE, "engine": "reference"}, []
+        )
         assert main(["campaign", "aggregate", "--stream", str(stream)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "engine" in err
+        assert "Traceback" not in err
+
+    def test_aggregate_stream_with_engine_grid_axis_exits_2(
+        self, tmp_path, capsys
+    ):
+        stream = self._pinned_stream(
+            tmp_path, self.BASE, [["engine", ["reference", "vectorized"]]]
+        )
+        assert main(["campaign", "aggregate", "--stream", str(stream)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "engine" in err
+        assert "Traceback" not in err
+
+    def test_report_on_stream_pinning_engine_exits_2(self, tmp_path, capsys):
+        stream = self._pinned_stream(
+            tmp_path, {**self.BASE, "engine": "reference"}, []
+        )
+        assert main(["report", str(stream)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "engine" in err

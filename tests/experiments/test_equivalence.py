@@ -16,6 +16,7 @@ Locks down the properties every v2 surface must preserve:
   result cache), runs exactly the remaining tasks, and converges to
   the uninterrupted stream;
 - trace mobility cache keys follow file *content*, not the path;
+- entries of an older cache format are recomputed, never read;
 - spec hashes and task keys of a fixed campaign never drift;
 - the phase profiler attributes time without changing results.
 """
@@ -23,11 +24,13 @@ Locks down the properties every v2 surface must preserve:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
 from repro.experiments.campaign import (
+    CACHE_FORMAT,
     CampaignSpec,
     ReplicateSpec,
     ReplicateTask,
@@ -37,6 +40,7 @@ from repro.experiments.campaign import (
     execute_tasks,
     run_campaign,
     task_key,
+    task_payload,
 )
 from repro.experiments.orchestrator import orchestrate_campaign
 from repro.experiments.protocols import ProtocolConfig
@@ -775,6 +779,77 @@ class TestPhaseAttribution:
         snapshot = self._profiled(*PROBES[2])
         assert snapshot[PHASE_PLANARIZE] == 0.0
 
+    @pytest.mark.parametrize(
+        "scenario,protocol", PROBES,
+        ids=[s.name for s, _ in PROBES],
+    )
+    def test_profiler_leaves_every_probe_unchanged(self, scenario, protocol):
+        from repro.telemetry.profile import PHASES
+
+        snapshot = self._profiled(scenario, protocol)
+        assert set(snapshot) == set(PHASES)
+        assert sum(snapshot.values()) > 0.0
+
+
+class TestLargePopulationProbe:
+    """A population spread over many grid cells (80 nodes, radius 120 on
+    the paper's 1500 m x 300 m region): the campaign path through a
+    worker pool reproduces the serial reference run bit for bit."""
+
+    SCENARIO = TINY.but(
+        name="probe-large", n_nodes=80, active_nodes=10, radius=120.0
+    )
+
+    def test_pool_execution_equals_serial_reference(self):
+        reference = run_single(self.SCENARIO, "glr")
+        task = ReplicateTask(self.SCENARIO, "glr", 0)
+        [pooled, again] = execute_tasks([task, task], workers=2)
+        assert fingerprint(pooled) == fingerprint(reference)
+        assert fingerprint(again) == fingerprint(reference)
+
+
+class TestOlderCacheFormats:
+    """Entries from an older ``CACHE_FORMAT`` are ordinary misses."""
+
+    def test_cache_format_is_three(self):
+        task = ReplicateTask(TINY, "glr", 0)
+        assert CACHE_FORMAT == 3
+        assert task_payload(task)["format"] == CACHE_FORMAT
+
+    def test_v2_era_entry_is_recomputed_not_read(self, tmp_path):
+        task = ReplicateTask(TINY, "glr", 0)
+        # Lay the entry out the way a format-2 cache stored it: no
+        # protocol_config field, format 2, at the key of that payload.
+        legacy_payload = task_payload(task)
+        legacy_payload.pop("protocol_config")
+        legacy_payload["format"] = 2
+        legacy_key = hashlib.sha256(
+            json.dumps(
+                legacy_payload, sort_keys=True, separators=(",", ":")
+            ).encode("utf-8")
+        ).hexdigest()
+        reference = run_single(task.scenario, "glr")
+        cache = ResultCache(tmp_path)
+        legacy_path = cache.path_for(legacy_key)
+        legacy_path.parent.mkdir(parents=True)
+        legacy_text = json.dumps(
+            {
+                "format": 2,
+                "key": legacy_payload,
+                "metrics": reference.to_json(),
+            }
+        )
+        legacy_path.write_text(legacy_text)
+
+        assert cache.load(task) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        [metrics] = execute_tasks([task], cache=cache)
+        assert fingerprint(metrics) == fingerprint(reference)
+        current = json.loads(cache.path_for(task_key(task)).read_text())
+        assert current["format"] == CACHE_FORMAT
+        # The old entry is neither migrated nor removed.
+        assert legacy_path.read_text() == legacy_text
+
 
 class TestPinnedIdentities:
     """Spec hashes and task keys are the identity of every stream and
@@ -800,6 +875,68 @@ class TestPinnedIdentities:
         )
         assert task_key(tasks[-1]) == (
             "fd64644194d429c89ff544cc3e21cc29cd48d587bab4e9f427efa3a52e4a0b35"
+        )
+
+    #: One task per identity-bearing axis: protocol, protocol config,
+    #: buffer limit, mobility model and parameters, adversary.
+    AXIS_TASKS = {
+        "glr": ReplicateTask(TINY, "glr", 0),
+        "epidemic": ReplicateTask(TINY, "epidemic", 1),
+        "one_hop": ReplicateTask(TINY, "one_hop", 0),
+        "spray-config": ReplicateTask(
+            TINY, "spray_and_wait", 0,
+            protocol_config=ProtocolConfig.of(
+                "spray_and_wait", initial_copies=4
+            ),
+        ),
+        "glr-two-face": ReplicateTask(
+            TINY, "glr", 0,
+            protocol_config=ProtocolConfig.of("glr", two_face=True),
+        ),
+        "buffer-limit": ReplicateTask(TINY, "glr", 2, buffer_limit=20),
+        "gauss-markov": ReplicateTask(
+            TINY.but(mobility="gauss-markov"), "glr", 0
+        ),
+        "manhattan-param": ReplicateTask(
+            TINY.but(mobility=MobilityConfig.of("manhattan", blocks_x=3)),
+            "glr", 0,
+        ),
+        "blackhole": ReplicateTask(
+            TINY.but(adversary="blackhole:0.2"), "epidemic", 0
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "name,expected",
+        [
+            ("glr", "9df1cd03bb8adcb9340a94c6215d93ae459fb0502bb63f32148ffbe2b27ec6ad"),
+            ("epidemic", "90a8382ba716d3d0ac040f940c1c890da0704fbfedffdcea091981af4d7ff1e1"),
+            ("one_hop", "6f31c77db322e4324ee5e3f7adafcf77047d4af4e464d0a5b6f8f590e49de8ef"),
+            ("spray-config", "da58bd569871b6517cd880ee368165137b04f1c12282a547c2e0ef1df77fd84d"),
+            ("glr-two-face", "1240042c446bd838c3028129832881a3a0e04001f8cd8e4955cb16399765948b"),
+            ("buffer-limit", "adaec1fc19637f0847d43aec3a620237b6c7f6b890910d98a3f73603bc7ed4dc"),
+            ("gauss-markov", "d0914c7085ee4258a3e0bfdb6efca57783ec82d4d36c250a298e7c8955ac88fc"),
+            ("manhattan-param", "1619db780fd45de9738e66f71912cc91f49224e0bafb788dd303dc4b8442d3c0"),
+            ("blackhole", "0c81dcd82f4c7a7d33dc02e5b3648f777b37490373c673f4539725d9e13244a4"),
+        ],
+    )
+    def test_axis_task_key_is_pinned(self, name, expected):
+        assert task_key(self.AXIS_TASKS[name]) == expected
+
+    def test_multi_axis_spec_hash_is_pinned(self):
+        spec = CampaignSpec(
+            name="axes",
+            base=TINY,
+            grid=(
+                ("mobility", (MobilityConfig.of("random_waypoint"),
+                              MobilityConfig.of("rpgm"))),
+                ("adversary", ("none", "blackhole:0.1")),
+            ),
+            protocols=("glr", ProtocolConfig.of("glr", custody=False)),
+            replicates=2,
+        )
+        assert campaign_spec_hash(spec) == (
+            "31727df52f55d37aba93d99afd2176d38382625a3a8e855e45ea7f5149d479e7"
         )
 
     @pytest.mark.parametrize("where", ["base", "grid"])

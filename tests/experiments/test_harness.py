@@ -74,6 +74,25 @@ class TestScenario:
         with pytest.raises(ValueError, match="beacon"):
             Scenario(beacon_interval=-1.0)
 
+    def test_scenario_has_no_engine_field(self):
+        # One simulation path: no scenario field selects another.
+        import dataclasses
+
+        assert "engine" not in {f.name for f in dataclasses.fields(Scenario)}
+        with pytest.raises(TypeError):
+            Scenario(engine="reference")
+
+    def test_world_config_has_no_engine_field(self):
+        import dataclasses
+
+        from repro.sim.world import WorldConfig
+
+        assert "engine" not in {
+            f.name for f in dataclasses.fields(WorldConfig)
+        }
+        with pytest.raises(TypeError):
+            WorldConfig(engine="reference")
+
     def test_queue_limit_validated(self):
         with pytest.raises(ValueError, match="queue"):
             Scenario(queue_limit=0)

@@ -10,6 +10,8 @@ from repro.sim.engine import Simulator
 from repro.sim.neighbors import LocationRecord, NeighborService
 from repro.sim.radio import RadioConfig
 
+from tests.conftest import build_registry_mobility
+
 
 def build_static_service(placements, radius=100.0, beacon_interval=1.0):
     region = Region(1000.0, 1000.0)
@@ -87,6 +89,56 @@ class TestSnapshots:
         )
         sim.run(until=5.0)
         assert sum(counted) > 0
+
+
+class TestSnapshotOverMobility:
+    """Each beacon epoch's snapshot is the exact UDG of the model's
+    positions at the beacon time, for every registered model."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "gauss_markov",
+            "manhattan",
+            "random_walk",
+            "random_waypoint",
+            "rpgm",
+            "static",
+            "trace",
+        ],
+    )
+    def test_snapshot_equals_udg_of_beacon_positions(self, name, tmp_path):
+        from repro.geometry.primitives import distance_sq
+        from repro.mobility.registry import available_models
+
+        assert name in available_models()
+        region = Region(800.0, 300.0)
+        node_ids = list(range(25))
+        radius = 120.0
+        mobility = build_registry_mobility(
+            name, node_ids, region, 21, tmp_path
+        )
+        twin = build_registry_mobility(name, node_ids, region, 21, tmp_path)
+        sim = Simulator()
+        service = NeighborService(
+            sim, mobility, RadioConfig(range_m=radius), beacon_interval=2.5
+        )
+        for until in (1.0, 3.0, 12.0, 41.0):
+            sim.run(until=until)
+            # Every rebuild stamps each node's own record with its time.
+            beacon_time = service.location_of(0, 0).timestamp
+            assert beacon_time == 2.5 * service.epoch
+            positions = twin.positions(beacon_time)
+            assert service.snapshot_graph().positions == positions
+            for u in node_ids:
+                expected = {
+                    v
+                    for v in node_ids
+                    if v != u
+                    and distance_sq(positions[u], positions[v])
+                    <= radius * radius
+                }
+                assert service.neighbors(u) == expected
 
 
 class TestLdtCache:
