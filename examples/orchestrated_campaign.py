@@ -3,15 +3,17 @@
 Demonstrates the in-repo shard scheduler end to end:
 
 1. define a campaign (a radius x protocol sweep);
-2. hand it to ``orchestrate_campaign``: the task set is partitioned by
-   content key, one worker subprocess per shard runs its slice and
+2. hand it to ``orchestrate_campaign``: the task keys are leased to
+   one worker subprocess per shard (initially the content-key
+   partition), each worker runs the keys its assignment file lists and
    streams per-task metrics, and the supervisor watches heartbeats and
-   stream growth (on a cluster you would instead run
+   stream progress, moving unstarted leases from a lagging worker to
+   an idle one (from a shell:
    ``repro campaign orchestrate --shards N --workers-per-shard M``);
 3. inject a fault — the first worker of shard 0 is SIGKILLed at
-   launch — and watch the orchestrator requeue the shard's remaining
-   tasks onto a fresh worker (which stream-resumes, so nothing already
-   recorded reruns);
+   launch — and watch the orchestrator requeue the shard onto a fresh
+   worker (which stream-resumes, so nothing already recorded reruns)
+   while its leases stay stealable;
 4. take a read-only ``watch_view`` snapshot of the shard streams (what
    ``repro campaign watch`` re-renders live);
 5. verify the merged, aggregated result is bit-identical to an

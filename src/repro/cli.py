@@ -12,11 +12,11 @@ Subcommands:
   repeated campaigns resume instead of re-simulating.
   ``--shard-index/--shard-count`` runs one deterministic slice of a
   campaign (multi-machine sweeps); ``--tasks FILE`` runs the explicit
-  task-key list in a scheduler assignment file, re-read between
-  batches; ``campaign orchestrate`` launches and supervises all shards
-  as local worker subprocesses (requeuing a dead worker's remaining
-  tasks; ``--scheduler stealing`` additionally moves unstarted leases
-  from lagging shards onto idle workers); ``campaign watch`` tails the
+  task-key list in a scheduler assignment file, re-read after every
+  finished task; ``campaign orchestrate`` launches and supervises all
+  shards as local worker subprocesses (requeuing a dead worker's
+  remaining tasks and moving unstarted leases from lagging shards onto
+  idle workers); ``campaign watch`` tails the
   growing streams and re-renders the partial aggregate live;
   ``campaign merge`` unions shard streams; ``campaign aggregate``
   renders the summary table from a stream alone; ``campaign status``
@@ -47,7 +47,7 @@ Examples::
     repro campaign orchestrate --radii 50,100 --shards 2 \\
         --workers-per-shard 2 --dir RUNDIR
     repro campaign orchestrate --radii 50,100 --shards 4 \\
-        --scheduler stealing --dir RUNDIR
+        --steal-threshold 1 --dir RUNDIR
     repro campaign orchestrate --radii 50,100 \\
         --hosts user@h1,user@h2 --dir RUNDIR
     repro campaign watch --dir RUNDIR
@@ -287,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "'user@h1' / 'h1:/data/run' (SSH), 'store:/shared/h1' "
         "(directory-backed object store pseudo-host), 'local:/path' "
         "(shared-filesystem root); specs are validated here at parse "
-        "time, and hosts mode always runs the stealing scheduler",
+        "time",
     )
     orch_p.add_argument(
         "--workers-per-shard",
@@ -309,29 +309,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "(streams already make orchestrated runs resumable)",
     )
     orch_p.add_argument(
-        "--scheduler",
-        default=None,
-        choices=("static", "stealing"),
-        help="task scheduling policy: 'static' fixes each worker's "
-        "shard at launch; 'stealing' rebalances unstarted leases from "
-        "lagging workers onto idle ones via per-worker assignment "
-        "files (default: static; --hosts forces stealing)",
-    )
-    orch_p.add_argument(
         "--steal-threshold",
         type=int,
         default=2,
         help="minimum unstarted leases (beyond the in-flight window) a "
-        "lagging worker must hold before the stealing scheduler moves "
-        "any (default: 2)",
+        "lagging worker must hold before any move to an idle worker "
+        "(default: 2)",
     )
     orch_p.add_argument(
         "--lease-batch",
         type=int,
         default=None,
-        help="task keys a stealing worker takes per assignment-file "
-        "re-read — also the keep window a steal never touches "
-        "(default: --workers-per-shard)",
+        help="most task keys a worker keeps in flight — also the keep "
+        "window a steal never touches (default: --workers-per-shard)",
     )
     orch_p.add_argument(
         "--max-attempts",
@@ -384,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="INDEX",
         help="fault injection (tests/CI): run this shard's workers "
         "under an injected per-task sleep — a simulated slow machine "
-        "the stealing scheduler rebalances around",
+        "work stealing rebalances around",
     )
     orch_p.add_argument(
         "--chaos-slow-s",
@@ -542,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="execute the explicit task-key list in this scheduler "
-        "assignment file, re-reading it between batches (the stealing "
+        "assignment file, re-reading it after every finished task (the "
         "orchestrator's worker mode; requires --stream, conflicts "
         "with --shard-index/--shard-count)",
     )
@@ -1045,15 +1035,7 @@ def _cmd_campaign_orchestrate(args: argparse.Namespace) -> int:
     # misbehave on a fleet.
     if (args.shards is None) == (args.hosts is None):
         raise ValueError("pass exactly one of --shards or --hosts")
-    scheduler = args.scheduler or "static"
     if args.hosts is not None:
-        if args.scheduler == "static":
-            raise ValueError(
-                "--scheduler static conflicts with --hosts: a static "
-                "partition cannot rebalance around a vanished host "
-                "(hosts mode always runs the stealing scheduler)"
-            )
-        scheduler = "stealing"
         if args.chaos_kill_shard is not None:
             raise ValueError(
                 "--chaos-kill-shard is single-machine only and "
@@ -1100,7 +1082,6 @@ def _cmd_campaign_orchestrate(args: argparse.Namespace) -> int:
         max_attempts=args.max_attempts,
         max_concurrent=args.max_concurrent,
         on_event=None if args.quiet else on_event,
-        scheduler=scheduler,
         lease_batch=args.lease_batch,
         steal_threshold=args.steal_threshold,
         chaos_kill_shard=args.chaos_kill_shard,
@@ -1113,19 +1094,14 @@ def _cmd_campaign_orchestrate(args: argparse.Namespace) -> int:
     print()
     print(outcome.result.render())
     attempts = sum(status.attempts for status in outcome.shards)
-    steals = (
-        f", {outcome.steals} lease(s) stolen"
-        if outcome.scheduler == "stealing"
-        else ""
-    )
     hosts_note = (
         f" across {len(outcome.hosts)} host(s)" if outcome.hosts else ""
     )
     print(
-        f"orchestrated ({outcome.scheduler} scheduler{hosts_note}): "
-        f"{len(outcome.shards)} "
-        f"shard(s), {attempts} worker launch(es), {outcome.requeues} "
-        f"requeue(s){steals}; merged stream: {outcome.merged_stream}"
+        f"orchestrated{hosts_note}: {len(outcome.shards)} shard(s), "
+        f"{attempts} worker launch(es), {outcome.requeues} requeue(s), "
+        f"{outcome.steals} lease(s) stolen; merged stream: "
+        f"{outcome.merged_stream}"
     )
     return 0
 
@@ -1502,7 +1478,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.events:
         events_path = Path(args.events)
         if shard_no is None and events_path.stem.startswith("shard"):
-            # Stealing workers carry no --shard-index; the orchestrator
+            # --tasks workers carry no --shard-index; the orchestrator
             # names their event file shard<i>.events, so the slot index
             # is recoverable from the path for event identity.
             digits = events_path.stem[len("shard"):]
@@ -1538,7 +1514,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
 
     def on_wait() -> None:
-        # An idle stealing worker polling for leases must still look
+        # An idle --tasks worker polling for leases must still look
         # alive, or the supervisor's stall detector would kill it.
         if heartbeat is not None:
             heartbeat.touch()

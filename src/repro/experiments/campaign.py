@@ -42,7 +42,13 @@ import itertools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    as_completed,
+    wait,
+)
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -940,7 +946,6 @@ def run_campaign(
     shard_index: int | None = None,
     shard_count: int | None = None,
     tasks_file: str | Path | None = None,
-    wait_interval: float = 0.5,
     wait_timeout: float | None = None,
     on_wait: Callable[[], None] | None = None,
 ) -> CampaignResult:
@@ -966,14 +971,14 @@ def run_campaign(
 
     With ``tasks_file``, the worker executes the *explicit task-key
     list* a scheduler assignment file holds instead of a hash-derived
-    shard: keys run in batches of the file's ``batch`` size, and the
-    file is re-read between batches, so leases the supervisor reclaims
-    (work stealing) are dropped before the worker reaches them and
-    leases it grants mid-run are picked up.  When the file has no
-    pending keys but is not ``closed``, the worker waits (calling
-    ``on_wait`` each ``wait_interval`` poll — the CLI touches its
-    heartbeat there) for more leases; a ``closed`` file with nothing
-    pending ends the run.  ``wait_timeout`` bounds that wait: a live
+    shard: at most the file's ``batch`` keys are in flight at once, and
+    the file is re-read after every finished task, so leases the
+    supervisor reclaims (work stealing) are dropped before the worker
+    reaches them and leases it grants mid-run are picked up.  When the
+    file has no pending keys but is not ``closed``, the worker waits
+    (calling ``on_wait`` on each poll — the CLI touches its heartbeat
+    there) for more leases; a ``closed`` file with nothing pending ends
+    the run.  ``wait_timeout`` bounds that wait: a live
     supervisor freshens the assignment file's mtime every supervision
     tick, so a file that stays untouched for ``wait_timeout`` seconds
     while the worker is idle means the supervisor died without closing
@@ -994,8 +999,7 @@ def run_campaign(
             shard of the task set (both or neither; needs
             ``stream_path``).
         tasks_file: scheduler assignment file naming the exact task
-            keys to run (the stealing orchestrator's worker mode).
-        wait_interval: seconds between assignment-file polls while idle.
+            keys to run (the orchestrator's worker mode).
         wait_timeout: idle seconds on an untouched, unclosed assignment
             file before giving up (``None``: wait forever).
         on_wait: callback invoked once per idle poll.
@@ -1032,7 +1036,6 @@ def run_campaign(
             workers=workers,
             cache_dir=cache_dir,
             progress=progress,
-            wait_interval=wait_interval,
             wait_timeout=wait_timeout,
             on_wait=on_wait,
         )
@@ -1141,6 +1144,15 @@ def run_campaign(
     )
 
 
+#: Seconds an idle ``--tasks`` worker sleeps between assignment-file
+#: reads.  The file is about a kilobyte and the heartbeat events an
+#: idle poll emits are throttled, so polling often is cheap.  It must
+#: sit well under the supervisor's poll interval: the last worker of a
+#: run has to see its file close and exit within one supervisor tick,
+#: or the whole run waits a tick longer.
+_ASSIGNMENT_POLL_S = 0.02
+
+
 def _run_tasks_campaign(
     spec: CampaignSpec,
     tasks_file: str | Path,
@@ -1148,19 +1160,23 @@ def _run_tasks_campaign(
     workers: int,
     cache_dir: str | Path | None,
     progress: ProgressCallback | None,
-    wait_interval: float,
     wait_timeout: float | None,
     on_wait: Callable[[], None] | None,
 ) -> CampaignResult:
-    """The ``--tasks FILE`` worker loop: lease batches until closed.
+    """The ``--tasks FILE`` worker loop: keep leases in flight until closed.
 
     The assignment file is the supervisor's half of the work-stealing
     protocol (:mod:`repro.experiments.scheduler`); this is the worker's
     half.  Strictly a reader of the file and an appender to its own
     stream — all coordination state lives in those two files.
+
+    With ``workers > 1`` one process pool serves the worker's whole
+    lifetime.  Each finished task re-reads the file and tops the pool
+    back up to the file's ``batch`` keys in flight, so there is no
+    batch barrier (one slow key never idles the other slots) and the
+    in-flight keys stay inside the keep window a steal never touches.
+    Cache hits are recorded at top-up time and never take a slot.
     """
-    if wait_interval <= 0:
-        raise ValueError("wait_interval must be positive")
     if wait_timeout is not None and wait_timeout <= 0:
         raise ValueError("wait_timeout must be positive (or None)")
     cache = ResultCache(cache_dir) if cache_dir is not None else None
@@ -1176,6 +1192,9 @@ def _run_tasks_campaign(
     recorded: set[str] = {record["key"] for record in info.records}
     #: Keys we have emitted a progress event for (skipped or executed).
     counted: set[str] = set()
+    pending: list[str] = []
+    in_flight: dict[Future, str] = {}
+    pool: ProcessPoolExecutor | None = None
     stream_hits = 0
     # Supervisor-liveness clock for the wait loop below: any sign of a
     # live supervisor — a rewrite (version) or even a bare mtime
@@ -1184,41 +1203,109 @@ def _run_tasks_campaign(
     idle_since: float | None = None
     last_beacon: tuple[int, int] | None = None
 
-    while True:
-        doc = read_assignment(tasks_file)
-        if doc.spec_hash != spec_hash:
-            raise SchedulerError(
-                f"assignment {tasks_file} belongs to spec hash "
-                f"{doc.spec_hash[:12]}..., this campaign is "
-                f"{spec_hash[:12]}...; refusing to mix campaigns"
+    def tick(key: str, cached: bool, source: str) -> None:
+        counted.add(key)
+        if progress is not None:
+            # `counted` spans every assignment version this worker has
+            # seen, while the supervisor prunes done keys out of the
+            # file on each rewrite — so the honest denominator is
+            # "everything ever counted plus what is still pending or in
+            # flight", not the file's key count.
+            progress(
+                TaskProgress(
+                    len(counted),
+                    len(counted) + len(pending) + len(in_flight),
+                    by_key[key][1],
+                    cached=cached,
+                    source=source,
+                )
             )
-        unknown = [key for key in doc.keys if key not in by_key]
-        if unknown:
-            raise SchedulerError(
-                f"assignment {tasks_file} lists {len(unknown)} task "
-                f"key(s) this campaign does not expand to "
-                f"(first: {unknown[0][:12]}...)"
-            )
-        pending = [key for key in doc.keys if key not in recorded]
-        # `counted` spans every assignment version this worker has seen,
-        # while the supervisor prunes done keys out of the file on each
-        # rewrite — so the honest denominator is "everything ever
-        # counted plus what is pending now", not the file's key count.
-        total = len(counted) + len(pending)
-        for key in doc.keys:
-            if key in recorded and key not in counted:
-                # Already in our stream (resume): skip it, visibly.
-                counted.add(key)
-                stream_hits += 1
-                total = len(counted) + len(pending)
-                if progress is not None:
-                    progress(
-                        TaskProgress(
-                            len(counted), total, by_key[key][1],
-                            cached=True, source="stream",
+
+    def finish(key: str, metrics: SimulationMetrics, cached: bool,
+               wall: float, profile: dict | None = None) -> None:
+        task = by_key[key][1]
+        if cache is not None and not cached:
+            cache.store(task, metrics)
+        append_record(
+            stream_path,
+            make_task_record(
+                key=key,
+                scenario=task.scenario.name,
+                protocol=task.protocol_label,
+                replicate=task.replicate,
+                seed=task.scenario.seed,
+                metrics_json=metrics.to_json(),
+                cached=cached,
+                wall_time_s=wall,
+                phase_profile=profile,
+            ),
+        )
+        recorded.add(key)
+        tick(key, cached, "cache" if cached else "ran")
+
+    try:
+        while True:
+            doc = read_assignment(tasks_file)
+            if doc.spec_hash != spec_hash:
+                raise SchedulerError(
+                    f"assignment {tasks_file} belongs to spec hash "
+                    f"{doc.spec_hash[:12]}..., this campaign is "
+                    f"{spec_hash[:12]}...; refusing to mix campaigns"
+                )
+            unknown = [key for key in doc.keys if key not in by_key]
+            if unknown:
+                raise SchedulerError(
+                    f"assignment {tasks_file} lists {len(unknown)} task "
+                    f"key(s) this campaign does not expand to "
+                    f"(first: {unknown[0][:12]}...)"
+                )
+            running = set(in_flight.values())
+            pending = [
+                key for key in doc.keys
+                if key not in recorded and key not in running
+            ]
+            for key in doc.keys:
+                if key in recorded and key not in counted:
+                    # Already in our stream (resume): skip it, visibly.
+                    stream_hits += 1
+                    tick(key, cached=True, source="stream")
+
+            # Top up to `batch` keys in flight.  Cache hits are recorded
+            # on the spot and never take a slot; a single-process worker
+            # runs one key inline, then re-reads the file.
+            simulated = False
+            while pending and len(in_flight) < doc.batch:
+                key = pending.pop(0)
+                task = by_key[key][1]
+                metrics = cache.load(task) if cache is not None else None
+                if metrics is not None:
+                    finish(key, metrics, cached=True, wall=0.0)
+                elif workers == 1:
+                    metrics, wall, profile = _run_task_timed(task)
+                    finish(key, metrics, cached=False, wall=wall,
+                           profile=profile)
+                    simulated = True
+                    break
+                else:
+                    if pool is None:
+                        pool = ProcessPoolExecutor(
+                            max_workers=min(workers, doc.batch)
                         )
-                    )
-        if not pending:
+                    in_flight[pool.submit(_run_task_timed, task)] = key
+            if in_flight:
+                finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                for future in finished:
+                    key = in_flight.pop(future)
+                    metrics, wall, profile = future.result()
+                    finish(key, metrics, cached=False, wall=wall,
+                           profile=profile)
+                simulated = True
+            if simulated:
+                idle_since = None
+                last_beacon = None
+                continue
+
+            # Nothing pending, nothing in flight.
             if doc.closed:
                 break
             if wait_timeout is not None:
@@ -1242,51 +1329,13 @@ def _run_tasks_campaign(
                     )
             if on_wait is not None:
                 on_wait()
-            time.sleep(wait_interval)
-            continue
-        idle_since = None
-        last_beacon = None
-
-        batch = pending[: doc.batch]
-        batch_tasks = [by_key[key][1] for key in batch]
-        done_before = len(counted)
-
-        def record(index: int, task: ReplicateTask,
-                   metrics: SimulationMetrics,
-                   cached: bool, wall: float,
-                   profile: dict | None = None) -> None:
-            append_record(
-                stream_path,
-                make_task_record(
-                    key=batch[index],
-                    scenario=task.scenario.name,
-                    protocol=task.protocol_label,
-                    replicate=task.replicate,
-                    seed=task.scenario.seed,
-                    metrics_json=metrics.to_json(),
-                    cached=cached,
-                    wall_time_s=wall,
-                    phase_profile=profile,
-                ),
-            )
-
-        def batch_progress(event: TaskProgress) -> None:
-            if progress is not None:
-                progress(
-                    dataclasses.replace(
-                        event, done=done_before + event.done, total=total
-                    )
-                )
-
-        execute_tasks(
-            batch_tasks,
-            workers=workers,
-            cache=cache,
-            progress=batch_progress if progress is not None else None,
-            record=record,
-        )
-        recorded.update(batch)
-        counted.update(batch)
+            time.sleep(_ASSIGNMENT_POLL_S)
+    finally:
+        if pool is not None:
+            # A clean exit has nothing in flight; on an error, drop the
+            # queued keys and wait out the running ones, so no pool
+            # child outlives this worker.
+            pool.shutdown(wait=True, cancel_futures=True)
 
     # The stream is the source of truth, exactly as in shard mode.  It
     # may hold keys later stolen *away* from this worker (we ran them

@@ -1,64 +1,52 @@
 """Campaign orchestrator: launch, supervise, and collect shard workers.
 
-PR 3 made campaigns shardable (``--shard-index/--shard-count`` +
-``repro campaign merge``) but left the shards to be launched by hand or
-by a cluster scheduler.  This module is the in-repo scheduler: one call
-fans a :class:`~repro.experiments.campaign.CampaignSpec` out across N
-supervised worker subprocesses and comes back with the merged,
+Campaigns are shardable by hand (``--shard-index/--shard-count`` plus
+``repro campaign merge``), which leaves launching the shards to a
+person or a cluster scheduler.  This module is the in-repo scheduler:
+one call fans a :class:`~repro.experiments.campaign.CampaignSpec` out
+across N supervised worker subprocesses and comes back with the merged,
 aggregated result.
 
 How it works:
 
-- The task set is partitioned with the same content-key rule the manual
-  path uses (:func:`repro.seeding.stable_shard` over
-  :func:`~repro.experiments.campaign.task_key`), so an orchestrated run
-  is *by construction* the same partition a hand-launched shard run
-  would execute — and :func:`repro.seeding.shard_sizes` tells the
-  supervisor up front how many task records each shard's stream must
-  end up with (the completion criterion).
-- Each shard worker is a ``repro campaign`` subprocess with
-  ``--spec/--shard-index/--shard-count/--stream/--heartbeat``; it
-  writes its own append-only JSONL stream.  Streams are the only
-  coordination medium: there is no IPC to lose, and a worker death
-  costs at most the task that was in flight.
-- The supervisor polls worker liveness (``Popen.poll``), stream growth
-  (:func:`~repro.experiments.stream.stream_task_count` — a cheap line
-  count, no JSON decoding), and the heartbeat file the worker touches
-  per finished task.  A dead or stalled worker's shard goes back on the
-  queue and is relaunched on the next free slot; the replacement
-  resumes from the shard's stream, so only the *remaining* tasks run.
-  ``max_attempts`` failures of one shard abort the whole campaign with
-  that shard's log tail.
-- When every shard completes, the shard streams are merged
-  (:func:`~repro.experiments.stream.merge_streams`) and aggregated
+- The supervisor keeps a lease board (:mod:`repro.experiments.scheduler`):
+  every task key of the campaign, which worker holds its lease, and
+  which keys some stream already records.  The initial leases are the
+  :func:`repro.seeding.shard_partition` split — the content-key
+  partition a hand-launched shard run executes — so a run in which no
+  steal fires records exactly that partition.
+- Each worker is a ``repro campaign --tasks`` subprocess: it runs the
+  task keys its assignment file (``shard<i>.tasks.json``) lists and
+  appends one record per task to its own JSONL stream.  Assignment
+  files and streams are the only coordination medium: there is no IPC
+  to lose, and a worker death costs at most the tasks in flight.
+- Every tick the supervisor folds newly streamed keys into the board
+  (:class:`~repro.experiments.stream.StreamTailKeys` reads only the
+  appended bytes), polls worker liveness (``Popen.poll``) and the
+  heartbeat file each worker touches per finished task, and freshens
+  every assignment file's mtime (an idle worker's sign that the
+  supervisor lives).  A dead or stalled worker's slot is relaunched on
+  the next free slot and resumes from its stream; ``max_attempts``
+  failures of one slot abort the campaign with that slot's log tail.
+- Work stealing: when a worker sits idle while another still holds
+  unstarted leases, the supervisor moves some of them over.  Requeue
+  granularity is one task, which cuts tail latency on sweeps with
+  wildly non-uniform per-cell cost (dense/epidemic cells cost orders of
+  magnitude more than sparse forwarding cells).
+- Once every task is recorded, the supervisor closes the assignment
+  files (idle workers exit), merges the streams
+  (:func:`~repro.experiments.stream.merge_streams`) and aggregates
   (:func:`~repro.experiments.campaign.campaign_result_from_stream`) —
-  bit-identical to an unsharded run of the same spec, which
-  ``tests/experiments/test_equivalence.py`` asserts.
-
-Two schedulers decide *which* tasks each worker runs:
-
-- ``static`` (the PR 4 behaviour): every worker gets ``--shard-index``
-  and owns its :func:`~repro.seeding.stable_shard` partition for the
-  whole run; requeue granularity is a whole shard.
-- ``stealing``: the supervisor keeps a lease board
-  (:mod:`repro.experiments.scheduler`) and hands each worker its
-  current task-key list through an assignment file (``repro campaign
-  --tasks``).  When stream progress shows one shard lagging while
-  another sits idle, unstarted leases move from the laggard to the
-  idle worker — requeue granularity drops to individual tasks, which
-  is what cuts tail latency on sweeps with wildly non-uniform per-cell
-  cost (dense/epidemic cells cost orders of magnitude more than sparse
-  forwarding cells).  Scheduling cannot change results: stolen runs
-  merge to the same streams and aggregates as serial and static runs,
-  asserted in ``tests/experiments/test_equivalence.py``.
+  bit-identical to an unsharded run of the same spec, however the
+  leases moved, which ``tests/experiments/test_equivalence.py``
+  asserts.
 
 Fault injection: ``chaos_kill_shard`` SIGKILLs one shard's first
 worker once its stream holds ``chaos_kill_after`` records (CI's
 chaos-smoke job proves the requeue path with it), and
 ``chaos_slow_shard``/``chaos_slow_s`` injects a per-task sleep into
-one worker's environment — a simulated slow machine, which CI's
-steal-smoke job uses to prove stealing beats static sharding on an
-imbalanced run.
+one worker's environment — a simulated slow machine, which the same
+job uses to force steals.
 
 :func:`watch_view` is the read side: it unions the (possibly still
 growing) shard streams in memory — ``quarantine=False`` throughout, so
@@ -106,11 +94,7 @@ from repro.experiments.campaign import (
     task_key,
 )
 from repro.experiments.layout import RunLayout
-from repro.experiments.scheduler import (
-    SCHEDULERS,
-    LeaseBoard,
-    plan_steals,
-)
+from repro.experiments.scheduler import LeaseBoard, plan_steals
 from repro.experiments.transport import (
     Transport,
     TransportError,
@@ -118,14 +102,11 @@ from repro.experiments.transport import (
 )
 from repro.experiments.stream import (
     StreamError,
-    StreamTailCounter,
     StreamTailKeys,
     load_stream,
     merge_streams,
-    stream_task_count,
     union_records,
 )
-from repro.seeding import shard_sizes
 from repro.telemetry.events import (
     HEARTBEAT_EVERY_S,
     EventLog,
@@ -217,7 +198,6 @@ class ShardStatus:
     stream: Path
     heartbeat: Path
     log: Path
-    expected_tasks: int
     #: Launch attempts so far (1 on first launch).
     attempts: int = 0
     #: Times this shard's remaining tasks were requeued after a
@@ -225,13 +205,13 @@ class ShardStatus:
     requeues: int = 0
     #: Task records its stream held at the last poll.
     recorded: int = 0
-    #: Leases the stealing scheduler reclaimed from this shard (moved
-    #: to an idle worker) / granted to it (stolen from a laggard).
+    #: Leases moved away from this shard to an idle worker / granted
+    #: to it from a laggard or a workerless slot.
     stolen_from: int = 0
     stolen_to: int = 0
-    #: ``pending`` | ``running`` | ``done`` | ``empty`` (owns no
-    #: tasks) | ``lost`` (multi-host: the slot's host vanished; never
-    #: relaunched, its leases reclaimed onto live workers).
+    #: ``pending`` | ``running`` | ``done`` | ``lost`` (multi-host: the
+    #: slot's host vanished; never relaunched, its leases reclaimed
+    #: onto live workers).
     state: str = "pending"
     exit_codes: list[int] = field(default_factory=list)
     #: Multi-host runs: the backing transport's label (e.g.
@@ -246,8 +226,6 @@ class OrchestratorResult:
     result: CampaignResult
     merged_stream: Path
     shards: list[ShardStatus]
-    #: The scheduling policy the run used (``static`` or ``stealing``).
-    scheduler: str = "static"
     #: Multi-host runs: one transport label per slot, in slot order
     #: (joined hosts included).  Empty for single-machine runs.
     hosts: tuple[str, ...] = ()
@@ -259,7 +237,7 @@ class OrchestratorResult:
 
     @property
     def steals(self) -> int:
-        """Total leases moved between workers by the stealing scheduler."""
+        """Total leases moved between workers (steals and reclaims)."""
         return sum(status.stolen_from for status in self.shards)
 
 
@@ -285,84 +263,35 @@ def _worker_env() -> dict[str, str]:
 
 
 def _worker_command(
-    spec_file: Path,
-    status: ShardStatus,
-    shard_count: int,
-    workers_per_shard: int,
-    cache_dir: str | Path | None,
-    tasks_file: Path | None = None,
-) -> list[str]:
-    """The shard-worker subprocess command.
-
-    With ``tasks_file`` (the stealing scheduler), the worker runs the
-    explicit task-key list in its assignment file; otherwise it owns
-    its static ``--shard-index`` partition.
-    """
-    command = [
-        sys.executable,
-        "-m",
-        "repro.cli",
-        "campaign",
-        "--spec",
-        str(spec_file),
-    ]
-    if tasks_file is not None:
-        command += ["--tasks", str(tasks_file)]
-    else:
-        command += [
-            "--shard-index",
-            str(status.index),
-            "--shard-count",
-            str(shard_count),
-        ]
-    command += [
-        "--stream",
-        str(status.stream),
-        "--heartbeat",
-        str(status.heartbeat),
-        "--events",
-        str(
-            status.stream.parent
-            / RunLayout.shard_events_name(status.index)
-        ),
-        "--workers",
-        str(workers_per_shard),
-        "--quiet",
-    ]
-    if cache_dir is not None:
-        command += ["--cache-dir", str(cache_dir)]
-    return command
-
-
-def _host_worker_command(
-    transport: Transport,
+    head: Sequence[str],
+    layout: RunLayout,
     index: int,
     workers_per_shard: int,
     cache_dir: str | Path | None,
 ) -> list[str]:
-    """The worker command for a transport-backed slot.
+    """Slot ``index``'s worker command: ``repro campaign --tasks``.
 
-    Same protocol as the local stealing command, but every path is the
-    *remote* layout — the same artifact names resolved under the
-    transport's root — and the interpreter is whatever invokes the
-    ``repro`` CLI on that host.  ``cache_dir`` is interpreted on the
-    worker's host (a per-host cache, which is the only kind that makes
-    sense without a shared filesystem).
+    ``head`` invokes the ``repro`` CLI on the worker's machine (this
+    interpreter for a local slot, the transport's command head for a
+    host) and ``layout`` is the run dir as the worker sees it: the
+    local one, or the same artifact names under a transport's root.
+    ``cache_dir`` is interpreted on the worker's host (a per-host
+    cache, which is the only kind that makes sense without a shared
+    filesystem).
     """
-    remote = RunLayout(transport.root)
     command = [
-        *transport.command_head(),
+        *head,
         "campaign",
         "--spec",
-        str(remote.spec),
+        str(layout.spec),
         "--tasks",
-        str(remote.assignment(index)),
+        str(layout.assignment(index)),
         "--stream",
-        str(remote.stream(index)),
+        str(layout.stream(index)),
         "--heartbeat",
-        str(remote.heartbeat(index)),
+        str(layout.heartbeat(index)),
         "--events",
-        str(remote.shard_events(index)),
+        str(layout.shard_events(index)),
         "--workers",
         str(workers_per_shard),
         "--quiet",
@@ -467,6 +396,15 @@ class _Worker:
             pass
 
 
+#: The argv prefix that invokes the ``repro`` CLI for a local slot.
+_LOCAL_HEAD = (sys.executable, "-m", "repro.cli")
+
+#: Consecutive transport failures against one host before its slot is
+#: declared lost and its leases reclaimed (one flaky tick is noise; a
+#: streak means the machine is gone).
+VANISH_AFTER = 3
+
+
 def orchestrate_campaign(
     spec: CampaignSpec,
     shards: int | None = None,
@@ -478,7 +416,6 @@ def orchestrate_campaign(
     max_attempts: int = 3,
     max_concurrent: int | None = None,
     on_event: EventCallback | None = None,
-    scheduler: str = "static",
     lease_batch: int | None = None,
     steal_threshold: int = 2,
     chaos_kill_shard: int | None = None,
@@ -491,13 +428,24 @@ def orchestrate_campaign(
     """Fan a campaign out over supervised shard workers and collect it.
 
     ``run_dir`` holds everything: the spec document handed to workers
-    (``spec.json``), one stream + heartbeat + log per shard
-    (``shard<i>.jsonl`` / ``.heartbeat`` / ``.log``), and the final
-    merged stream (``campaign.jsonl``).  Re-running with the same
-    ``run_dir`` resumes: each relaunched worker skips the tasks its
-    shard stream already records, so a killed orchestrator costs at
-    most the tasks that were in flight.  Streams are the resume
-    medium; pass ``cache_dir`` only for cross-campaign task reuse.
+    (``spec.json``), one assignment file + stream + heartbeat + log per
+    shard (``shard<i>.tasks.json`` / ``.jsonl`` / ``.heartbeat`` /
+    ``.log``), and the final merged stream (``campaign.jsonl``).
+    Re-running with the same ``run_dir`` resumes: a task any stream
+    already records is never leased again, so a killed orchestrator
+    costs at most the tasks that were in flight.  Streams are the
+    resume medium; pass ``cache_dir`` only for cross-campaign task
+    reuse.
+
+    Every shard launches a worker, even one whose initial lease set is
+    empty: an idle worker is a steal target.  When a worker goes idle
+    and another still holds at least ``steal_threshold`` unstarted
+    leases beyond its in-flight window, the supervisor moves half of
+    them over.  ``lease_batch`` caps the keys a worker keeps in flight
+    (default: ``workers_per_shard``, one per pool process); it is also
+    the keep window a steal never touches.  Stealing changes only the
+    wall-clock shape, never the results.  A shard is done once every
+    lease it holds is recorded in some stream.
 
     A worker that dies (any nonzero exit) or stalls (no heartbeat
     touch for ``stall_timeout`` seconds — workers touch per finished
@@ -505,19 +453,8 @@ def orchestrate_campaign(
     its shard requeued onto the next free slot, up to ``max_attempts``
     launches per shard; after that the campaign aborts with the
     shard's log tail.  ``max_concurrent`` caps simultaneous workers
-    (default: all ``shards`` at once).
-
-    ``scheduler`` picks the partitioning policy: ``"static"`` fixes
-    each worker's task set at launch (the hash partition), while
-    ``"stealing"`` runs workers off per-shard assignment files and
-    rebalances — when a worker goes idle and another still holds at
-    least ``steal_threshold`` unstarted leases beyond its in-flight
-    window, the supervisor moves half of them over.  ``lease_batch``
-    is the batch size workers take between assignment-file re-reads
-    (default: ``workers_per_shard``, so one batch fills the worker's
-    pool); it is also the keep window a steal never touches.  Results
-    are identical under either scheduler — only the wall-clock shape
-    changes.
+    (default: all ``shards`` at once); the leases of a shard waiting
+    for a slot are reclaimed onto idle workers.
 
     ``chaos_kill_shard``/``chaos_kill_after`` are fault injection for
     tests and CI: SIGKILL that shard's *first* worker once its stream
@@ -528,7 +465,7 @@ def orchestrate_campaign(
     ``chaos_slow_shard``/``chaos_slow_s`` injects a per-task sleep of
     ``chaos_slow_s`` seconds into that shard's workers (all attempts —
     it simulates a slow *machine*, not a flaky process), the imbalance
-    the steal-smoke job proves the stealing scheduler recovers from.
+    work stealing recovers from.
 
     ``hosts`` switches to cross-machine mode: one lease-board slot per
     entry, each backed by a transport (a
@@ -536,15 +473,14 @@ def orchestrate_campaign(
     spec string for :func:`~repro.experiments.transport.parse_host` —
     ``user@h1``, ``h1:/data/run``, ``store:/shared/h1``,
     ``local:/mnt/nfs/h1``).  Pass *either* ``hosts`` or ``shards``,
-    never both; hosts mode always runs the stealing scheduler (a
-    static partition cannot rebalance around a vanished machine), and
-    the per-shard chaos knobs give way to ``chaos_kill_host``: SIGKILL
-    that host's worker once its stream holds ``chaos_kill_after``
-    records *and declare the host vanished* — the slot is never
-    relaunched and its leases reclaim onto live workers, which is the
-    path a genuinely unreachable host (repeated transport errors)
-    takes too.  Mid-campaign joins are read from ``hosts.json`` in the
-    run dir (``{"join": ["store:/tmp/h3", ...]}``, append-only).
+    never both; the per-shard chaos knobs give way to
+    ``chaos_kill_host``: SIGKILL that host's worker once its stream
+    holds ``chaos_kill_after`` records *and declare the host vanished*
+    — the slot is never relaunched and its leases reclaim onto live
+    workers, which is the path a genuinely unreachable host (repeated
+    transport errors) takes too.  Mid-campaign joins are read from
+    ``hosts.json`` in the run dir (``{"join": ["store:/tmp/h3", ...]}``,
+    append-only).
 
     Args:
         spec: the validated campaign to fan out.
@@ -557,8 +493,7 @@ def orchestrate_campaign(
             supervision knobs (see above).
         on_event: callback for supervision events (launch, requeue,
             steal, ...); the CLI prints them, telemetry records them.
-        scheduler: ``"static"`` or ``"stealing"``.
-        lease_batch / steal_threshold: stealing-scheduler tuning.
+        lease_batch / steal_threshold: work-stealing tuning.
         chaos_*: fault injection for tests and CI.
         hosts: transports (or spec strings) for cross-machine mode.
 
@@ -569,12 +504,13 @@ def orchestrate_campaign(
 
     Raises:
         ValueError: conflicting arguments (``hosts`` with ``shards``,
-            per-shard chaos in hosts mode, unknown ``scheduler``).
+            per-shard chaos in hosts mode).
         OrchestratorError: a shard exhausted ``max_attempts``, a
             transport failed permanently, or the merged stream does not
             cover the campaign (the CLI maps this to exit code 3).
     """
-    transports: dict[int, Transport] | None = None
+    transports: dict[int, Transport] = {}
+    hosts_mode = hosts is not None
     if hosts is not None:
         if shards is not None:
             raise ValueError("pass hosts or shards, not both")
@@ -603,9 +539,6 @@ def orchestrate_campaign(
             if labels.count(label) > 1:
                 raise ValueError(f"host {label} listed twice")
         shards = len(hosts)
-        # A static partition cannot rebalance around a vanished
-        # machine; hosts mode is lease-board scheduling, always.
-        scheduler = "stealing"
         if max_concurrent is None:
             # Elastic joins must be launchable the tick they register.
             max_concurrent = 10**9
@@ -630,10 +563,6 @@ def orchestrate_campaign(
         max_concurrent = shards
     if max_concurrent < 1:
         raise ValueError("max_concurrent must be >= 1")
-    if scheduler not in SCHEDULERS:
-        raise ValueError(
-            f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}"
-        )
     if lease_batch is not None and lease_batch < 1:
         raise ValueError("lease_batch must be >= 1")
     if steal_threshold < 1:
@@ -655,7 +584,6 @@ def orchestrate_campaign(
     event = _EventSink(
         on_event, EventLog(layout.events, origin="supervisor").ensure()
     )
-    run_path = layout.root
     spec_hash = campaign_spec_hash(spec)
     spec_file = layout.spec
     spec_file.write_text(
@@ -663,25 +591,19 @@ def orchestrate_campaign(
         encoding="utf-8",
     )
 
-    # The same expansion + partition the workers will compute, done
-    # once up front: per-shard totals are the completion criterion.
+    # The same expansion the workers compute: the board leases these
+    # keys out, and the run is complete once each is recorded somewhere.
     keys = [
         task_key(task)
         for _, cell_spec in spec.cell_specs()
         for task in cell_spec.tasks()
     ]
-    sizes = shard_sizes(keys, shards)
     total_tasks = len(keys)
     event.emit(
         "run_start",
         shards=shards,
-        scheduler=scheduler,
         total_tasks=total_tasks,
-        hosts=(
-            [transport.describe() for transport in transports.values()]
-            if transports is not None
-            else []
-        ),
+        hosts=[transport.describe() for transport in transports.values()],
     )
     adversaries = _adversary_specs(spec)
     if adversaries:
@@ -696,421 +618,10 @@ def orchestrate_campaign(
             stream=layout.stream(index),
             heartbeat=layout.heartbeat(index),
             log=layout.log(index),
-            expected_tasks=sizes[index],
-            host=(
-                transports[index].describe() if transports is not None
-                else ""
-            ),
+            host=transports[index].describe() if hosts_mode else "",
         )
         for index in range(shards)
     ]
-
-    if scheduler == "stealing":
-        return _orchestrate_stealing(
-            spec_file=spec_file,
-            spec_hash=spec_hash,
-            layout=layout,
-            statuses=statuses,
-            keys=keys,
-            shards=shards,
-            workers_per_shard=workers_per_shard,
-            cache_dir=cache_dir,
-            poll_interval=poll_interval,
-            stall_timeout=stall_timeout,
-            max_attempts=max_attempts,
-            max_concurrent=max_concurrent,
-            event=event,
-            lease_batch=lease_batch,
-            steal_threshold=steal_threshold,
-            chaos_kill_shard=chaos_kill_shard,
-            chaos_kill_after=chaos_kill_after,
-            chaos_slow_shard=chaos_slow_shard,
-            chaos_slow_s=chaos_slow_s,
-            transports=transports,
-            chaos_kill_host=chaos_kill_host,
-        )
-
-    for status in statuses:
-        if status.expected_tasks == 0:
-            # A hash partition can leave small campaigns with empty
-            # shards; launching a worker for zero tasks is noise.
-            status.state = "empty"
-            event(f"shard {status.index}: no tasks in this partition")
-        elif status.stream.exists() and status.stream.stat().st_size > 0:
-            # Fail a mismatched run_dir reuse here, not worker by
-            # worker: every stream in the dir must belong to this spec.
-            load_stream(status.stream, expected_spec_hash=spec_hash,
-                        quarantine=False)
-            status.recorded = stream_task_count(status.stream)
-            if status.recorded:
-                event(
-                    f"shard {status.index}: resuming, stream already "
-                    f"holds {status.recorded}/{status.expected_tasks} "
-                    f"task(s)"
-                )
-
-    queue: deque[ShardStatus] = deque(
-        status for status in statuses if status.state == "pending"
-    )
-    running: list[_Worker] = []
-    # Incremental per-shard record counters: polling happens several
-    # times a second for the whole campaign, so each tick must read
-    # only the stream bytes appended since the last one.
-    counters = {
-        status.index: StreamTailCounter(status.stream)
-        for status in statuses
-    }
-    chaos_pending = chaos_kill_shard is not None
-    last_progress = -1
-
-    def launch(status: ShardStatus) -> None:
-        nonlocal chaos_pending
-        status.attempts += 1
-        status.state = "running"
-        # Arm the stall clock at launch: a worker that wedges before
-        # its first task still trips the timeout.
-        status.heartbeat.touch()
-        process, handle = _spawn_worker(
-            _worker_command(
-                spec_file, status, shards, workers_per_shard, cache_dir
-            ),
-            status.log,
-            status.attempts,
-            _worker_environment(status, chaos_slow_shard, chaos_slow_s),
-        )
-        running.append(
-            _Worker(status, process, handle, time.monotonic())
-        )
-        event.emit(
-            "launch",
-            f"launched shard {status.index} attempt {status.attempts} "
-            f"(pid {process.pid}, "
-            f"{status.expected_tasks - status.recorded} task(s) to run)",
-            shard=status.index,
-            attempt=status.attempts,
-            pid=process.pid,
-            to_run=status.expected_tasks - status.recorded,
-        )
-        if (
-            chaos_pending
-            and status.index == chaos_kill_shard
-            and status.attempts == 1
-            and chaos_kill_after <= status.recorded
-        ):
-            # chaos_kill_after == 0 (or a resumed stream already past
-            # the threshold): kill at launch, deterministically — the
-            # mid-run variant below races the worker's own completion.
-            process.kill()
-            chaos_pending = False
-            event.emit(
-                "chaos",
-                f"chaos: SIGKILL shard {status.index} worker "
-                f"(pid {process.pid}) at launch",
-                shard=status.index,
-                attempt=status.attempts,
-                action="kill",
-                fired=True,
-            )
-
-    def abort(status: ShardStatus, why: str) -> None:
-        for worker in running:
-            worker.kill()
-            worker.close_log()
-        running.clear()
-        raise OrchestratorError(
-            f"shard {status.index} {why} after {status.attempts} launch "
-            f"attempt(s) (exit codes {status.exit_codes}); giving up.\n"
-            f"--- tail of {status.log} ---\n{_tail(status.log)}"
-        )
-
-    try:
-        while queue or running:
-            while queue and len(running) < max_concurrent:
-                launch(queue.popleft())
-            time.sleep(poll_interval)
-            for worker in list(running):
-                status = worker.status
-                status.recorded = counters[status.index].count()
-                return_code = worker.process.poll()
-                if (
-                    chaos_pending
-                    and status.index == chaos_kill_shard
-                    and status.attempts == 1
-                    and status.recorded >= chaos_kill_after
-                    and return_code is None
-                ):
-                    worker.kill()
-                    chaos_pending = False
-                    event.emit(
-                        "chaos",
-                        f"chaos: SIGKILL shard {status.index} worker "
-                        f"(pid {worker.process.pid}) after "
-                        f"{status.recorded} recorded task(s)",
-                        shard=status.index,
-                        attempt=status.attempts,
-                        action="kill",
-                        fired=True,
-                    )
-                    return_code = worker.process.poll()
-                if return_code is None:
-                    try:
-                        heartbeat_age = (
-                            time.time() - status.heartbeat.stat().st_mtime
-                        )
-                    except OSError:
-                        heartbeat_age = time.monotonic() - worker.launched_at
-                    if heartbeat_age > stall_timeout:
-                        event.emit(
-                            "stall",
-                            f"shard {status.index} stalled (no heartbeat "
-                            f"for {heartbeat_age:.0f}s); killing worker "
-                            f"pid {worker.process.pid}",
-                            shard=status.index,
-                            attempt=status.attempts,
-                            heartbeat_age_s=round(heartbeat_age, 3),
-                        )
-                        worker.kill()
-                        return_code = worker.process.poll()
-                if return_code is None:
-                    continue
-                if (
-                    chaos_pending
-                    and status.index == chaos_kill_shard
-                    and status.attempts == 1
-                ):
-                    # The target outran the injection (all its tasks
-                    # finished between two polls).  Say so loudly: a
-                    # chaos test that never killed anything proves
-                    # nothing, and CI asserts on these event lines.
-                    chaos_pending = False
-                    event.emit(
-                        "chaos",
-                        f"chaos: shard {status.index} worker finished "
-                        f"before the injection could fire; nothing killed",
-                        shard=status.index,
-                        attempt=status.attempts,
-                        action="kill",
-                        fired=False,
-                    )
-                running.remove(worker)
-                worker.close_log()
-                status.exit_codes.append(return_code)
-                status.recorded = counters[status.index].count()
-                if (
-                    return_code == 0
-                    and status.recorded >= status.expected_tasks
-                ):
-                    status.state = "done"
-                    event.emit(
-                        "exit",
-                        f"shard {status.index} done "
-                        f"({status.recorded}/{status.expected_tasks} "
-                        f"tasks)",
-                        shard=status.index,
-                        attempt=status.attempts,
-                        exit_code=return_code,
-                        outcome="done",
-                        recorded=status.recorded,
-                    )
-                    continue
-                if status.attempts >= max_attempts:
-                    abort(
-                        status,
-                        "kept failing" if return_code != 0
-                        else "exits cleanly but its stream stays "
-                             "incomplete",
-                    )
-                status.requeues += 1
-                status.state = "pending"
-                queue.append(status)
-                remaining = status.expected_tasks - status.recorded
-                cause = (
-                    f"worker died (exit {return_code})"
-                    if return_code != 0
-                    else "worker exited with an incomplete stream"
-                )
-                event.emit(
-                    "requeue",
-                    f"shard {status.index} {cause} with "
-                    f"{status.recorded}/{status.expected_tasks} task(s) "
-                    f"recorded; requeuing {remaining} remaining task(s)",
-                    shard=status.index,
-                    attempt=status.attempts,
-                    exit_code=return_code,
-                    recorded=status.recorded,
-                    remaining=remaining,
-                )
-            progress = sum(status.recorded for status in statuses)
-            if progress != last_progress:
-                event(f"progress: {progress}/{total_tasks} tasks recorded")
-                last_progress = progress
-    finally:
-        # Interrupt/abort cleanup: take the whole worker process
-        # groups down, or their pool children would outlive us.
-        for worker in running:
-            worker.kill()
-            worker.close_log()
-
-    done_streams = [
-        status.stream for status in statuses if status.state == "done"
-    ]
-    return _collect(
-        layout, done_streams, total_tasks, statuses, event, "static"
-    )
-
-
-def _adversary_specs(spec: CampaignSpec) -> list[str]:
-    """Every adversary spec the campaign runs, as canonical strings.
-
-    Covers both spellings — a compromised base scenario and an
-    ``adversary`` grid axis — and skips honest cells (``None``).
-    """
-    specs: list[str] = []
-    if spec.base.adversary is not None:
-        specs.append(str(spec.base.adversary))
-    for name, values in spec.grid:
-        if name == "adversary":
-            specs.extend(str(v) for v in values if v is not None)
-    return specs
-
-
-def _emit_shard_summaries(
-    statuses: Sequence[ShardStatus], event: "_EventSink"
-) -> None:
-    """One final per-shard accounting line each, before the merge.
-
-    Requeues used to be the only rebalancing that surfaced; CI
-    assertions and ``watch`` users also need attempt counts and steal
-    traffic without grepping worker logs.
-    """
-    for status in statuses:
-        steals = ""
-        if status.stolen_from or status.stolen_to:
-            steals = (
-                f", {status.stolen_from} lease(s) stolen away, "
-                f"{status.stolen_to} stolen in"
-            )
-        event.emit(
-            "shard_summary",
-            f"summary: shard {status.index}: {status.attempts} "
-            f"attempt(s), {status.requeues} requeue(s){steals}, "
-            f"{status.recorded} task record(s) in stream",
-            shard=status.index,
-            host=status.host,
-            attempt=status.attempts or None,
-            requeues=status.requeues,
-            stolen_from=status.stolen_from,
-            stolen_to=status.stolen_to,
-            recorded=status.recorded,
-            state=status.state,
-        )
-
-
-def _collect(
-    layout: RunLayout,
-    streams: Sequence[Path],
-    total_tasks: int,
-    statuses: list[ShardStatus],
-    event: "_EventSink",
-    scheduler: str,
-    hosts: Sequence[str] = (),
-) -> OrchestratorResult:
-    """The shared endgame: summaries, merge, completeness check."""
-    _emit_shard_summaries(statuses, event)
-    merged = layout.merged_stream
-    info = merge_streams(merged, streams)
-    if len(info.records) != total_tasks:
-        raise OrchestratorError(
-            f"merged stream holds {len(info.records)} records, expected "
-            f"{total_tasks}; shard streams are incomplete or damaged "
-            f"({info.quarantined} undecodable line(s) skipped)"
-        )
-    event.emit(
-        "run_end",
-        f"merged {len(streams)} shard stream(s) -> {merged} "
-        f"({len(info.records)} task records)",
-        outcome="complete",
-        streams=len(streams),
-        records=len(info.records),
-        requeues=sum(status.requeues for status in statuses),
-        steals=sum(status.stolen_from for status in statuses),
-    )
-    # Fold every worker-side event file into the supervisor's log so a
-    # finished run dir holds one mergeable history.  Line-level dedup in
-    # merge_events makes this idempotent across resumes, and worker
-    # files may simply not exist (a worker killed before its first
-    # emit), so only the supervisor log is required.
-    shard_event_files = [
-        layout.shard_events(status.index) for status in statuses
-    ]
-    merge_events(
-        layout.events,
-        [layout.events, *shard_event_files],
-    )
-    return OrchestratorResult(
-        result=campaign_result_from_stream(merged),
-        merged_stream=merged,
-        shards=statuses,
-        scheduler=scheduler,
-        hosts=tuple(hosts),
-    )
-
-
-#: Consecutive transport failures against one host before its slot is
-#: declared lost and its leases reclaimed (one flaky tick is noise; a
-#: streak means the machine is gone).
-VANISH_AFTER = 3
-
-
-def _orchestrate_stealing(
-    spec_file: Path,
-    spec_hash: str,
-    layout: RunLayout,
-    statuses: list[ShardStatus],
-    keys: list[str],
-    shards: int,
-    workers_per_shard: int,
-    cache_dir: str | Path | None,
-    poll_interval: float,
-    stall_timeout: float,
-    max_attempts: int,
-    max_concurrent: int,
-    event: "_EventSink",
-    lease_batch: int | None,
-    steal_threshold: int,
-    chaos_kill_shard: int | None,
-    chaos_kill_after: int,
-    chaos_slow_shard: int | None,
-    chaos_slow_s: float,
-    transports: dict[int, Transport] | None = None,
-    chaos_kill_host: int | None = None,
-) -> OrchestratorResult:
-    """The stealing scheduler's supervision loop.
-
-    Structure mirrors the static loop (launch, poll, stall/chaos
-    handling, requeue, merge), with three differences: workers run off
-    assignment files instead of shard indices, per-shard completion is
-    "every lease this worker still holds is recorded *somewhere*"
-    instead of a fixed stream count, and an extra rebalancing step
-    moves unstarted leases from laggards to idle workers each tick.
-    Every shard launches a worker — even one whose initial partition is
-    empty is a steal target.
-
-    With ``transports`` (hosts mode) each slot's worker runs against a
-    remote root: the spec and every assignment rewrite are pushed out
-    through the slot's transport, and each tick pulls the host's
-    stream + heartbeat back into the local layout (atomic replace,
-    mtime preserved), so everything below the mirror line — the tail
-    cursors, stall detection, completion accounting, the merge — runs
-    on local files exactly as in the single-machine case.  Three
-    things are genuinely new: joins (specs appended to ``hosts.json``
-    become fresh slots mid-run), losses (a host that keeps failing its
-    transport, or the ``chaos_kill_host`` injection, is declared
-    ``lost`` — never relaunched, leases reclaimed onto live workers),
-    and launch, which goes through the transport.
-    """
-    run_path = layout.root
-    hosts_mode = transports is not None
     lost: set[int] = set()
     failures: dict[int, int] = {status.index: 0 for status in statuses}
 
@@ -1154,7 +665,6 @@ def _orchestrate_stealing(
                 RunLayout.stream_name(index), layout.stream(index)
             )
 
-    total_tasks = len(keys)
     # Resume: anything any existing stream records is done for good;
     # the lease board never hands those keys out again.  Validating
     # every stream against the spec hash up front fails a mismatched
@@ -1181,7 +691,7 @@ def _orchestrate_stealing(
     board = LeaseBoard(
         keys,
         workers=shards,
-        run_dir=run_path,
+        run_dir=layout.root,
         spec_hash=spec_hash,
         batch=batch,
         done=pre_done,
@@ -1301,7 +811,6 @@ def _orchestrate_stealing(
                 stream=layout.stream(index),
                 heartbeat=layout.heartbeat(index),
                 log=layout.log(index),
-                expected_tasks=0,
                 host=transport.describe(),
             )
             statuses.append(status)
@@ -1318,7 +827,6 @@ def _orchestrate_stealing(
 
     def launch(status: ShardStatus) -> None:
         nonlocal chaos_pending, chaos_host_pending
-        transport = transports[status.index] if hosts_mode else None
         status.attempts += 1
         status.state = "running"
         # Arm the stall clock at launch: a worker that wedges before
@@ -1327,15 +835,17 @@ def _orchestrate_stealing(
         # once the host's heartbeat exists.)
         status.heartbeat.touch()
         if hosts_mode:
-            command = _host_worker_command(
-                transport, status.index, workers_per_shard, cache_dir
+            transport = transports[status.index]
+            command = _worker_command(
+                transport.command_head(), RunLayout(transport.root),
+                status.index, workers_per_shard, cache_dir,
             )
             env = _worker_env() if transport.runs_locally else None
             launcher = transport.launch
         else:
             command = _worker_command(
-                spec_file, status, shards, workers_per_shard, cache_dir,
-                tasks_file=board.path(status.index),
+                _LOCAL_HEAD, layout, status.index, workers_per_shard,
+                cache_dir,
             )
             env = _worker_environment(
                 status, chaos_slow_shard, chaos_slow_s
@@ -1730,14 +1240,106 @@ def _orchestrate_stealing(
         if status.stream.exists() and status.stream.stat().st_size > 0
     ]
     return _collect(
-        layout, streams, total_tasks, statuses, event, "stealing",
-        hosts=(
-            tuple(
-                transports[index].describe()
-                for index in sorted(transports)
-            )
-            if hosts_mode else ()
+        layout, streams, total_tasks, statuses, event,
+        hosts=tuple(
+            transports[index].describe() for index in sorted(transports)
         ),
+    )
+
+
+
+def _adversary_specs(spec: CampaignSpec) -> list[str]:
+    """Every adversary spec the campaign runs, as canonical strings.
+
+    Covers both spellings — a compromised base scenario and an
+    ``adversary`` grid axis — and skips honest cells (``None``).
+    """
+    specs: list[str] = []
+    if spec.base.adversary is not None:
+        specs.append(str(spec.base.adversary))
+    for name, values in spec.grid:
+        if name == "adversary":
+            specs.extend(str(v) for v in values if v is not None)
+    return specs
+
+
+def _emit_shard_summaries(
+    statuses: Sequence[ShardStatus], event: "_EventSink"
+) -> None:
+    """One final per-shard accounting line each, before the merge.
+
+    Requeues used to be the only rebalancing that surfaced; CI
+    assertions and ``watch`` users also need attempt counts and steal
+    traffic without grepping worker logs.
+    """
+    for status in statuses:
+        steals = ""
+        if status.stolen_from or status.stolen_to:
+            steals = (
+                f", {status.stolen_from} lease(s) stolen away, "
+                f"{status.stolen_to} stolen in"
+            )
+        event.emit(
+            "shard_summary",
+            f"summary: shard {status.index}: {status.attempts} "
+            f"attempt(s), {status.requeues} requeue(s){steals}, "
+            f"{status.recorded} task record(s) in stream",
+            shard=status.index,
+            host=status.host,
+            attempt=status.attempts or None,
+            requeues=status.requeues,
+            stolen_from=status.stolen_from,
+            stolen_to=status.stolen_to,
+            recorded=status.recorded,
+            state=status.state,
+        )
+
+
+def _collect(
+    layout: RunLayout,
+    streams: Sequence[Path],
+    total_tasks: int,
+    statuses: list[ShardStatus],
+    event: "_EventSink",
+    hosts: Sequence[str] = (),
+) -> OrchestratorResult:
+    """The shared endgame: summaries, merge, completeness check."""
+    _emit_shard_summaries(statuses, event)
+    merged = layout.merged_stream
+    info = merge_streams(merged, streams)
+    if len(info.records) != total_tasks:
+        raise OrchestratorError(
+            f"merged stream holds {len(info.records)} records, expected "
+            f"{total_tasks}; shard streams are incomplete or damaged "
+            f"({info.quarantined} undecodable line(s) skipped)"
+        )
+    event.emit(
+        "run_end",
+        f"merged {len(streams)} shard stream(s) -> {merged} "
+        f"({len(info.records)} task records)",
+        outcome="complete",
+        streams=len(streams),
+        records=len(info.records),
+        requeues=sum(status.requeues for status in statuses),
+        steals=sum(status.stolen_from for status in statuses),
+    )
+    # Fold every worker-side event file into the supervisor's log so a
+    # finished run dir holds one mergeable history.  Line-level dedup in
+    # merge_events makes this idempotent across resumes, and worker
+    # files may simply not exist (a worker killed before its first
+    # emit), so only the supervisor log is required.
+    shard_event_files = [
+        layout.shard_events(status.index) for status in statuses
+    ]
+    merge_events(
+        layout.events,
+        [layout.events, *shard_event_files],
+    )
+    return OrchestratorResult(
+        result=campaign_result_from_stream(merged),
+        merged_stream=merged,
+        shards=statuses,
+        hosts=tuple(hosts),
     )
 
 

@@ -1,30 +1,31 @@
 """Lease-based task scheduling for orchestrated campaigns.
 
-PR 4's orchestrator fixed each worker's task set at launch with
-:func:`repro.seeding.stable_shard`: requeue granularity was a whole
-shard, so one slow or unlucky shard could grind alone while every other
-worker sat idle.  This module drops that granularity to individual
-tasks:
+Fixing each worker's task set at launch (a :func:`repro.seeding
+.stable_shard` partition) makes requeue granularity a whole shard, so
+one slow or unlucky shard grinds alone while every other worker sits
+idle.  This module drops that granularity to individual tasks:
 
 - The supervisor owns a :class:`LeaseBoard`: every task key of the
   campaign, which worker currently holds its lease, and which keys are
   already recorded in *some* worker's stream.  The initial assignment is
   exactly the :func:`repro.seeding.shard_partition` split, so a run in
-  which no steal ever fires is byte-for-byte the static-shard run.
+  which no steal ever fires records the same partition hand-launched
+  ``--shard-index`` runs do.
 - Each worker's current lease set lives in an **assignment file** next
   to its stream (``shard<i>.tasks.json``), atomically rewritten by the
   supervisor and only ever *read* by the worker (``repro campaign
-  --tasks FILE``).  The worker executes its keys in small batches and
-  re-reads the file between batches, so a key the supervisor reclaims
-  is dropped before the worker reaches it.  The file is the whole
-  protocol — no sockets, no IPC — which keeps the worker launchable by
-  anything that can write a file (the future cross-machine step).
+  --tasks FILE``).  The worker keeps at most ``batch`` keys in flight
+  and re-reads the file after every finished task, so a key the
+  supervisor reclaims is dropped before the worker reaches it.  The
+  file is the whole protocol — no sockets, no IPC — which keeps the
+  worker launchable by anything that can write a file (a transport to
+  another machine included).
 - When stream progress shows one worker lagging while another is idle,
   :func:`plan_steals` moves unstarted leases from the laggard to the
   idle worker.  The victim keeps a *keep window* of ``batch`` keys it
-  may have already snapshotted for its current batch; everything beyond
-  that is reclaimable.  A steal can still race the victim's snapshot —
-  both workers then run the task — but tasks are deterministic, both
+  may already have in flight; everything beyond that is reclaimable.
+  A steal can still race a key the victim has just started — both
+  workers then run the task — but tasks are deterministic, both
   streams record identical metrics, and the merge deduplicates by key,
   so a lost race costs one duplicate simulation, never correctness.
   A slot with no live worker at all (queued behind the concurrency
@@ -37,7 +38,7 @@ tasks:
 Scheduling therefore cannot change results, only wall-clock shape —
 ``tests/experiments/test_equivalence.py`` asserts stolen/rebalanced
 runs merge to the same streams and aggregates as serial and
-statically sharded runs.
+hand-sharded runs.
 """
 
 from __future__ import annotations
@@ -58,15 +59,10 @@ __all__ = [
     "LeaseBoard",
     "SchedulerError",
     "ASSIGNMENT_FORMAT",
-    "SCHEDULERS",
-    "assignment_path",
     "plan_steals",
     "read_assignment",
     "write_assignment",
 ]
-
-#: The scheduling policies ``orchestrate_campaign`` accepts.
-SCHEDULERS = ("static", "stealing")
 
 #: Bump when the assignment-file schema changes incompatibly.
 ASSIGNMENT_FORMAT = 1
@@ -97,22 +93,13 @@ class Assignment:
     worker: int
     spec_hash: str
     keys: tuple[str, ...]
-    #: Keys per batch the worker should take between file re-reads.
+    #: Most keys the worker may have in flight at once (also the keep
+    #: window a steal never touches).
     batch: int
     #: No further leases will arrive; finish ``keys`` and exit.
     closed: bool
     #: Monotonic rewrite counter (diagnostics; workers do not need it).
     version: int
-
-
-def assignment_path(run_dir: str | Path, worker: int) -> Path:
-    """Where worker ``worker``'s assignment file lives in a run dir.
-
-    Thin veneer over :class:`~repro.experiments.layout.RunLayout` — the
-    layout module owns the name; this wrapper survives for callers that
-    think in ``(run_dir, worker)`` pairs.
-    """
-    return RunLayout(run_dir).assignment(worker)
 
 
 def write_assignment(
@@ -126,7 +113,7 @@ def write_assignment(
 ) -> None:
     """Atomically (re)write one worker's assignment file.
 
-    Atomic replace means a worker re-reading between batches sees either
+    Atomic replace means a worker re-reading the file sees either
     the old lease set or the new one, never a torn mix — the same
     temp-file+rename discipline the stream repair path uses.
     """
@@ -237,7 +224,7 @@ class LeaseBoard:
         #: more than one atomic rewrite behind the board.
         self.on_write = on_write
         self._versions = [0] * workers
-        # The static split is the starting point; keys a resumed run
+        # The hash partition is the starting point; keys a resumed run
         # dir already records are never leased at all.
         self.assignments: list[list[str]] = [
             [key for key in part if key not in self.done]
@@ -252,7 +239,7 @@ class LeaseBoard:
 
     def path(self, worker: int) -> Path:
         """Worker ``worker``'s assignment file."""
-        return assignment_path(self.run_dir, worker)
+        return RunLayout(self.run_dir).assignment(worker)
 
     def _write(self, worker: int) -> None:
         # Keys already recorded are pruned from the written view: a
@@ -312,9 +299,11 @@ class LeaseBoard:
         """``worker``'s reclaimable keys: remaining minus the keep window.
 
         The first ``batch`` remaining keys stay with the worker — it may
-        have snapshotted them for the batch it is executing right now.
-        Everything beyond that it has provably not started (it re-reads
-        the file before each batch), so moving them cannot waste work.
+        have them in flight right now.  It never holds more than
+        ``batch`` keys in flight and re-reads the file before starting
+        another, so everything beyond that is unstarted unless a steal
+        races a key the worker just took (one duplicate simulation, as
+        the module docstring explains).
         """
         return self.remaining(worker)[self.batch:]
 

@@ -294,8 +294,7 @@ def stream_task_count(path: str | Path) -> int:
     (minus the header) without JSON-decoding anything.  An in-flight
     tail (no trailing newline yet) is simply not counted.  Missing or
     empty files count as zero — the worker has not started writing.
-    For repeated polling of a growing stream use
-    :class:`StreamTailCounter`, which reads only the appended suffix.
+    ``campaign status`` and the watch health panel use it.
     """
     try:
         with open(path, "rb") as handle:
@@ -305,99 +304,49 @@ def stream_task_count(path: str | Path) -> int:
     return max(0, lines - 1)
 
 
-class _TailCursor:
-    """The shared suffix-reading mechanics of the stream tail pollers.
+class StreamTailKeys:
+    """Incremental reader of the task *keys* appended to a live stream.
 
-    One delicate invariant, implemented once: read only the bytes
-    appended since the last call, never advance past the last complete
+    The orchestrator polls every worker stream several times a second
+    for the whole campaign to learn *which* tasks are recorded (which
+    leases are done, which are safe to steal); re-reading a growing
+    file from byte zero each tick would make supervision I/O quadratic
+    in stream size.  One delicate invariant: read only the bytes
+    appended since the last poll, never advance past the last complete
     line (an in-flight tail is re-examined next time, not mis-read),
     and start over when the file shrinks or vanishes (a relaunched
     worker's resume repaired a torn tail and atomically rewrote the
-    stream).
+    stream) — keys are then re-emitted from scratch, which is harmless
+    because callers keep keys in a set.  Complete lines that do not
+    decode into a task record (the header, damage) are skipped —
+    classifying damage is the writer's resume path's job, not the
+    supervisor's.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._offset = 0
 
-    def advance(self) -> tuple[bytes, bool]:
-        """``(newly completed line bytes, started_over)``.
-
-        ``started_over`` is True when the cursor reset to byte zero
-        (shrunk or missing file), in which case the returned bytes —
-        this call's or a later one's — re-cover content a previous
-        call already returned.
-        """
+    def poll(self) -> list[str]:
+        """Task keys on complete lines appended since the last poll."""
         try:
             size = os.stat(self.path).st_size
         except OSError:
-            reset = self._offset > 0
             self._offset = 0
-            return b"", reset
-        reset = False
+            return []
         if size < self._offset:
             self._offset = 0
-            reset = True
         if size <= self._offset:
-            return b"", reset
+            return []
         with open(self.path, "rb") as handle:
             handle.seek(self._offset)
             chunk = handle.read(size - self._offset)
         last_newline = chunk.rfind(b"\n")
         if last_newline < 0:
-            return b"", reset
+            return []
         self._offset += last_newline + 1
-        return chunk[: last_newline + 1], reset
-
-
-class StreamTailCounter:
-    """Incremental :func:`stream_task_count` for an append-only stream.
-
-    A supervisor polls worker streams several times a second for the
-    whole campaign; re-reading a growing file from byte zero each tick
-    would make supervision I/O quadratic in stream size.  This counter
-    counts only the appended suffix (see :class:`_TailCursor` for the
-    offset discipline) and recounts from scratch when the stream was
-    rewritten shorter underneath it.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self._cursor = _TailCursor(path)
-        self.path = self._cursor.path
-        self._newlines = 0
-
-    def count(self) -> int:
-        """Complete task lines in the stream right now (header excluded)."""
-        chunk, reset = self._cursor.advance()
-        if reset:
-            self._newlines = 0
-        self._newlines += chunk.count(b"\n")
-        return max(0, self._newlines - 1)
-
-
-class StreamTailKeys:
-    """Incremental reader of the task *keys* appended to a live stream.
-
-    The work-stealing supervisor needs more than a line count: deciding
-    which leases are safe to reclaim from a slow worker requires knowing
-    *which* tasks its stream already records.  Built on the same
-    :class:`_TailCursor` suffix discipline as :class:`StreamTailCounter`.
-    Complete lines that do not decode into a task record (the header,
-    damage) are skipped — classifying damage is the writer's resume
-    path's job, not the supervisor's.  After a shrink-reset, keys are
-    re-emitted from scratch; callers keep keys in a set, so that is
-    harmless.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self._cursor = _TailCursor(path)
-        self.path = self._cursor.path
-
-    def poll(self) -> list[str]:
-        """Task keys on complete lines appended since the last poll."""
-        chunk, _ = self._cursor.advance()
         keys = []
-        for raw in chunk.splitlines():
+        for raw in chunk[: last_newline + 1].splitlines():
             line = raw.decode("utf-8", errors="surrogateescape")
             record = _parse_line(line)
             if record is not None and record["kind"] == "task":

@@ -66,9 +66,10 @@ def shard_partition(
 
     The materialised form of :func:`stable_shard`: every key lands in
     exactly one shard's list, in input order.  This is the *initial*
-    assignment the work-stealing scheduler starts every worker from, so
-    a campaign where no steal ever fires is, by construction, the same
-    partition a static ``--shard-index/--shard-count`` run executes.
+    lease set the orchestrator's lease board starts every worker from,
+    so an orchestrated campaign where no steal ever fires is, by
+    construction, the partition hand-launched
+    ``--shard-index/--shard-count`` runs execute.
     """
     if shard_count < 1:
         raise ValueError("shard count must be >= 1")
@@ -77,15 +78,3 @@ def shard_partition(
         parts[stable_shard(key, shard_count)].append(key)
     return parts
 
-
-def shard_sizes(keys: Iterable[str], shard_count: int) -> list[int]:
-    """How many of ``keys`` each shard owns (index ``i`` -> count).
-
-    The orchestrator uses this to know, before launching anything, how
-    many task records each shard worker's stream must end up with — the
-    completion criterion that distinguishes "worker exited cleanly" from
-    "worker finished its shard".  Content-key partitioning is uneven by
-    nature (it is a hash split, not round-robin), so per-shard totals
-    must be computed, not divided.
-    """
-    return [len(part) for part in shard_partition(keys, shard_count)]

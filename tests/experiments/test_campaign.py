@@ -4,16 +4,22 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.protocol import GLRConfig
+from repro.experiments import campaign as campaign_module
 from repro.experiments.campaign import (
     CACHE_FORMAT,
     CampaignSpec,
     ReplicateSpec,
     ReplicateTask,
     ResultCache,
+    campaign_spec_hash,
     execute_tasks,
     run_campaign,
     run_replicate_specs,
@@ -22,6 +28,8 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.runner import run_replicates
 from repro.experiments.scenarios import Scenario
+from repro.experiments.scheduler import write_assignment
+from repro.experiments.stream import load_stream
 from repro.mobility.registry import MobilityConfig
 from repro.sim.adversary import AdversaryConfig
 
@@ -462,9 +470,6 @@ class TestTasksWorkerIdleTimeout:
         return CampaignSpec(name="idle", base=TINY, replicates=1)
 
     def _empty_assignment(self, tmp_path, spec, closed=False, version=0):
-        from repro.experiments.campaign import campaign_spec_hash
-        from repro.experiments.scheduler import write_assignment
-
         tasks_file = tmp_path / "w0.tasks.json"
         write_assignment(
             tasks_file, 0, campaign_spec_hash(spec), [], batch=1,
@@ -482,17 +487,11 @@ class TestTasksWorkerIdleTimeout:
                 spec,
                 stream_path=tmp_path / "w0.jsonl",
                 tasks_file=tasks_file,
-                wait_interval=0.05,
                 wait_timeout=0.2,
             )
 
     def test_supervisor_touches_reset_the_idle_clock(self, tmp_path):
         import os
-        import threading
-        import time as time_module
-
-        from repro.experiments.campaign import campaign_spec_hash
-        from repro.experiments.scheduler import write_assignment
 
         spec = self._spec()
         tasks_file = self._empty_assignment(tmp_path, spec)
@@ -503,10 +502,10 @@ class TestTasksWorkerIdleTimeout:
             # The timeout is several multiples of the touch period (and
             # of a 1 s coarse-mtime granularity), so a loaded machine
             # cannot flake this into a spurious AssignmentIdleTimeout.
-            deadline = time_module.monotonic() + 2.5
-            while time_module.monotonic() < deadline:
+            deadline = time.monotonic() + 2.5
+            while time.monotonic() < deadline:
                 os.utime(tasks_file)
-                time_module.sleep(0.1)
+                time.sleep(0.1)
             write_assignment(
                 tasks_file, 0, campaign_spec_hash(spec), [], batch=1,
                 closed=True, version=1,
@@ -519,7 +518,6 @@ class TestTasksWorkerIdleTimeout:
                 spec,
                 stream_path=tmp_path / "w0.jsonl",
                 tasks_file=tasks_file,
-                wait_interval=0.05,
                 wait_timeout=1.5,
             )
         finally:
@@ -536,6 +534,260 @@ class TestTasksWorkerIdleTimeout:
                 tasks_file=tasks_file,
                 wait_timeout=0.0,
             )
+
+
+class _RecordingPool(ThreadPoolExecutor):
+    """A stand-in for the worker's process pool that runs on threads.
+
+    Records the task keys submitted and how many are in flight (counted
+    from ``submit`` until the task body returns, which is before its
+    future completes — so the worker loop can never observe a slot
+    freeing up before the count drops).
+    """
+
+    def __init__(self, max_workers=None):
+        super().__init__(max_workers=max_workers)
+        self.submitted: list[str] = []
+        self.in_flight = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def submit(self, fn, task):
+        with self._lock:
+            self.submitted.append(task_key(task))
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+
+        def run():
+            try:
+                return fn(task)
+            finally:
+                with self._lock:
+                    self.in_flight -= 1
+
+        return super().submit(run)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every pool the ``--tasks`` worker loop builds, as recording pools."""
+    created: list[_RecordingPool] = []
+
+    def factory(max_workers=None):
+        pool = _RecordingPool(max_workers=max_workers)
+        created.append(pool)
+        return pool
+
+    monkeypatch.setattr(campaign_module, "ProcessPoolExecutor", factory)
+    return created
+
+
+class TestTasksWorkerLoop:
+    """The ``--tasks`` worker: one pool for its lifetime, at most
+    ``batch`` keys in flight, the assignment re-read after every task."""
+
+    SPEC = CampaignSpec(
+        name="loop",
+        base=TINY,
+        grid=(("radius", (100.0, 150.0)),),
+        protocols=("glr",),
+        replicates=2,
+    )
+
+    def _tasks(self):
+        return {
+            task_key(task): task
+            for _, cell_spec in self.SPEC.cell_specs()
+            for task in cell_spec.tasks()
+        }
+
+    def _assign(self, tmp_path, keys, batch, closed=True, version=0):
+        tasks_file = tmp_path / "shard0.tasks.json"
+        write_assignment(
+            tasks_file, 0, campaign_spec_hash(self.SPEC), keys,
+            batch=batch, closed=closed, version=version,
+        )
+        return tasks_file
+
+    def _run(self, tmp_path, tasks_file, **kwargs):
+        # Bounded: a loop that never sees its file close fails the test
+        # with AssignmentIdleTimeout instead of hanging it.
+        kwargs.setdefault("wait_timeout", 30.0)
+        return run_campaign(
+            self.SPEC,
+            stream_path=tmp_path / "shard0.jsonl",
+            tasks_file=tasks_file,
+            **kwargs,
+        )
+
+    def _stream(self, tmp_path):
+        return load_stream(tmp_path / "shard0.jsonl", quarantine=False)
+
+    def test_one_pool_serves_the_whole_worker(self, tmp_path, pools):
+        keys = list(self._tasks())
+        self._run(tmp_path, self._assign(tmp_path, keys, batch=2), workers=2)
+        assert len(pools) == 1
+        assert sorted(pools[0].submitted) == sorted(keys)
+        assert self._stream(tmp_path).keys() == set(keys)
+
+    def test_idle_worker_exits_soon_after_its_assignment_closes(
+        self, tmp_path
+    ):
+        tasks_file = self._assign(tmp_path, [], batch=1, closed=False)
+        closed_at: list[float] = []
+
+        def on_wait():
+            if not closed_at:
+                self._assign(tmp_path, [], batch=1, closed=True, version=1)
+                closed_at.append(time.monotonic())
+
+        self._run(tmp_path, tasks_file, on_wait=on_wait)
+        assert time.monotonic() - closed_at[0] < 0.25
+
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_never_more_than_batch_keys_in_flight(
+        self, tmp_path, pools, batch
+    ):
+        keys = list(self._tasks())
+        self._run(
+            tmp_path, self._assign(tmp_path, keys, batch=batch), workers=3
+        )
+        assert 1 <= pools[0].peak <= batch
+        assert sorted(pools[0].submitted) == sorted(keys)
+
+    def test_key_dropped_between_completions_never_runs(
+        self, tmp_path, pools, monkeypatch
+    ):
+        keys = list(self._tasks())
+        dropped = keys[-1]
+        tasks_file = self._assign(tmp_path, keys, batch=2, closed=False)
+        rewritten = threading.Event()
+        simulate = campaign_module._run_task_timed
+
+        def run(task):
+            if task_key(task) == keys[0]:
+                # A steal takes the last key away while the first two
+                # are in flight, and the supervisor closes the file.
+                self._assign(tmp_path, keys[:-1], batch=2, version=1)
+                rewritten.set()
+            else:
+                rewritten.wait(timeout=5.0)
+            return simulate(task)
+
+        monkeypatch.setattr(campaign_module, "_run_task_timed", run)
+        self._run(tmp_path, tasks_file, workers=2)
+        assert dropped not in pools[0].submitted
+        assert self._stream(tmp_path).keys() == set(keys[:-1])
+
+    def test_slow_key_does_not_hold_back_the_other_slot(
+        self, tmp_path, pools, monkeypatch
+    ):
+        slow, middle, last = list(self._tasks())[:3]
+        last_started = threading.Event()
+        overlapped: list[bool] = []
+        simulate = campaign_module._run_task_timed
+
+        def run(task):
+            key = task_key(task)
+            if key == last:
+                last_started.set()
+            elif key == slow:
+                # Hold this slot until the third key starts: only a
+                # loop without a batch barrier starts it meanwhile.
+                overlapped.append(last_started.wait(timeout=5.0))
+            return simulate(task)
+
+        monkeypatch.setattr(campaign_module, "_run_task_timed", run)
+        self._run(
+            tmp_path,
+            self._assign(tmp_path, [slow, middle, last], batch=2),
+            workers=2,
+        )
+        assert overlapped == [True]
+
+    def test_cache_hit_is_recorded_without_a_pool_slot(
+        self, tmp_path, pools
+    ):
+        tasks = self._tasks()
+        keys = list(tasks)[:3]
+        cache_dir = tmp_path / "cache"
+        execute_tasks([tasks[keys[0]]], cache=ResultCache(cache_dir))
+        self._run(
+            tmp_path,
+            self._assign(tmp_path, keys, batch=2),
+            workers=2,
+            cache_dir=cache_dir,
+        )
+        cached = {
+            record["key"]: record["cached"]
+            for record in self._stream(tmp_path).records
+        }
+        assert cached == {keys[0]: True, keys[1]: False, keys[2]: False}
+        assert sorted(pools[0].submitted) == sorted(keys[1:])
+        assert pools[0].peak == 2  # both slots went to simulations
+
+    def test_progress_stays_honest_when_leases_arrive_mid_run(
+        self, tmp_path, pools
+    ):
+        keys = list(self._tasks())
+        tasks_file = self._assign(tmp_path, keys[:2], batch=2, closed=False)
+        ticks: list[tuple[int, int]] = []
+
+        def progress(event):
+            ticks.append((event.done, event.total))
+            if len(ticks) == 1:
+                # The supervisor grants two more leases, then closes.
+                self._assign(tmp_path, keys, batch=2, version=1)
+
+        self._run(tmp_path, tasks_file, workers=2, progress=progress)
+        assert all(done <= total for done, total in ticks)
+        assert [done for done, _ in ticks] == [1, 2, 3, 4]
+        assert ticks[-1][0] == len(self._stream(tmp_path).records)
+
+    def test_failing_task_propagates_and_leaves_no_pool_child(
+        self, tmp_path
+    ):
+        # The trace covers 2 of the scenario's 12 nodes, so that task
+        # fails inside its pool process at world build time.
+        trace = tmp_path / "two-nodes.ns2"
+        trace.write_text(
+            "$node_(0) set X_ 10.0\n$node_(0) set Y_ 10.0\n"
+            "$node_(1) set X_ 20.0\n$node_(1) set Y_ 20.0\n"
+        )
+        spec = CampaignSpec(
+            name="broken",
+            base=TINY,
+            grid=(
+                (
+                    "mobility",
+                    (
+                        MobilityConfig.of("random_waypoint"),
+                        MobilityConfig.of("trace", path=str(trace)),
+                    ),
+                ),
+            ),
+            protocols=("glr",),
+            replicates=1,
+        )
+        keys = [
+            task_key(task)
+            for _, cell_spec in spec.cell_specs()
+            for task in cell_spec.tasks()
+        ]
+        tasks_file = tmp_path / "shard0.tasks.json"
+        write_assignment(
+            tasks_file, 0, campaign_spec_hash(spec), keys, batch=2,
+            closed=True,
+        )
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ValueError, match="no trajectory"):
+            run_campaign(
+                spec,
+                workers=2,
+                stream_path=tmp_path / "shard0.jsonl",
+                tasks_file=tasks_file,
+            )
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestProtocolAxis:

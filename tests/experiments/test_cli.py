@@ -833,7 +833,7 @@ class TestOrchestrateCli:
         out = capsys.readouterr().out
         assert "orchestrating campaign cli-orch" in out
         assert "2 simulations" in out
-        assert "orchestrated (static scheduler): 2 shard(s)" in out
+        assert "orchestrated: 2 shard(s)" in out
         assert (tmp_path / "run" / "campaign.jsonl").exists()
         assert "cli-orch/radius=100.0" in out
 
@@ -853,8 +853,6 @@ class TestOrchestrateCli:
         code = main(
             self._args(
                 tmp_path / "steal",
-                "--scheduler",
-                "stealing",
                 "--steal-threshold",
                 "1",
                 "--lease-batch",
@@ -863,15 +861,21 @@ class TestOrchestrateCli:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "orchestrated (stealing scheduler): 2 shard(s)" in out
+        assert "orchestrated: 2 shard(s)" in out
         assert "lease(s) stolen" in out
         assert "summary: shard 0" in out
         assert (tmp_path / "steal" / "campaign.jsonl").exists()
         assert (tmp_path / "steal" / "shard0.tasks.json").exists()
 
-    def test_orchestrate_unknown_scheduler_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):  # argparse choices
-            main(self._args(tmp_path, "--scheduler", "round-robin"))
+    def test_orchestrate_scheduler_flag_is_unrecognised(
+        self, capsys, tmp_path
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(self._args(tmp_path, "--scheduler", "stealing"))
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --scheduler" in (
+            capsys.readouterr().err
+        )
 
     def test_orchestrate_chaos_slow_validated(self, capsys, tmp_path):
         args = self._args(
@@ -937,19 +941,6 @@ class TestHostedOrchestrateCli:
             capsys.readouterr().err
         )
 
-    def test_hosts_conflicts_with_static_scheduler(self, capsys, tmp_path):
-        args = self._args(
-            tmp_path,
-            "--hosts",
-            f"store:{tmp_path}/h0",
-            "--scheduler",
-            "static",
-        )
-        assert main(args) == 2
-        assert "--scheduler static conflicts with --hosts" in (
-            capsys.readouterr().err
-        )
-
     def test_hosts_conflicts_with_per_shard_chaos(self, capsys, tmp_path):
         args = self._args(
             tmp_path,
@@ -975,10 +966,7 @@ class TestHostedOrchestrateCli:
         ) == 0
         out = capsys.readouterr().out
         assert "2 host(s)" in out
-        assert (
-            "orchestrated (stealing scheduler"
-            " across 2 host(s)): 2 shard(s)" in out
-        )
+        assert "orchestrated across 2 host(s): 2 shard(s)" in out
         assert (tmp_path / "run" / "campaign.jsonl").exists()
         assert "cli-hosted/radius=100.0" in out
         # The workers ran against the store roots.

@@ -4,10 +4,9 @@ Locks down the properties every v2 surface must preserve:
 
 - serial, parallel, sharded-then-merged, and *orchestrated* (shard
   worker subprocesses supervised by
-  :mod:`repro.experiments.orchestrator` — under both the static and
-  the work-stealing scheduler, through steals, slow workers, and
-  workers that die mid-steal) executions of one campaign are
-  bit-identical per (scenario, protocol, seed);
+  :mod:`repro.experiments.orchestrator` — through steals, slow
+  workers, and workers that die mid-steal) executions of one campaign
+  are bit-identical per (scenario, protocol, seed);
 - a default-protocol v2 campaign reproduces the v1 serial reference
   path (``run_replicates`` / ``run_single``, unchanged since the seed)
   on probe scenarios;
@@ -220,7 +219,8 @@ class TestSerialParallelShardEquivalence:
 
 class TestStealingSchedulerEquivalence:
     """Scheduling must not change results: stolen/rebalanced runs merge
-    to the same streams and aggregates as serial and static runs."""
+    to the same streams and aggregates as serial and hand-sharded
+    runs."""
 
     def _reference(self, v2_spec, tmp_path):
         serial = run_campaign(
@@ -240,7 +240,9 @@ class TestStealingSchedulerEquivalence:
         )
         return serial
 
-    def test_stealing_equals_static_equals_serial(self, v2_spec, tmp_path):
+    def test_stealing_equals_hand_sharded_equals_serial(
+        self, v2_spec, tmp_path
+    ):
         serial = self._reference(v2_spec, tmp_path)
         stolen = orchestrate_campaign(
             v2_spec,
@@ -248,11 +250,9 @@ class TestStealingSchedulerEquivalence:
             workers_per_shard=2,
             run_dir=tmp_path / "stealing",
             poll_interval=0.05,
-            scheduler="stealing",
             steal_threshold=1,
             lease_batch=1,
         )
-        assert stolen.scheduler == "stealing"
         assert cell_fingerprints(stolen.result) == cell_fingerprints(serial)
         assert stolen.result.render() == serial.render()
         # The merged stream is the hand-sharded merge, up to per-run
@@ -273,7 +273,6 @@ class TestStealingSchedulerEquivalence:
             shards=2,
             run_dir=tmp_path / "slow",
             poll_interval=0.05,
-            scheduler="stealing",
             steal_threshold=1,
             lease_batch=1,
             chaos_slow_shard=0,
@@ -300,7 +299,6 @@ class TestStealingSchedulerEquivalence:
             shards=2,
             run_dir=tmp_path / "die",
             poll_interval=0.05,
-            scheduler="stealing",
             steal_threshold=1,
             lease_batch=1,
             chaos_kill_shard=0,
@@ -334,7 +332,6 @@ class TestStealingSchedulerEquivalence:
             workers_per_shard=2,
             run_dir=tmp_path / "profiled",
             poll_interval=0.05,
-            scheduler="stealing",
             steal_threshold=1,
             lease_batch=1,
         )
@@ -366,7 +363,8 @@ class TestStealingSchedulerEquivalence:
         self, v2_spec, tmp_path
     ):
         """Zero-steal behaviour: with no imbalance worth moving, the
-        run IS the static partition (assignment files included)."""
+        run records exactly the hash partition hand-launched shards
+        run (assignment files included)."""
         from repro.experiments.scheduler import read_assignment
         from repro.seeding import shard_partition
 
@@ -376,7 +374,6 @@ class TestStealingSchedulerEquivalence:
             shards=2,
             run_dir=tmp_path / "balanced",
             poll_interval=0.05,
-            scheduler="stealing",
             steal_threshold=10**6,
         )
         assert stolen.steals == 0
@@ -390,7 +387,7 @@ class TestStealingSchedulerEquivalence:
             doc = read_assignment(tmp_path / "balanced"
                                   / f"shard{index}.tasks.json")
             # Closed files prune recorded keys, so compare the keys
-            # each stream actually recorded to the static partition.
+            # each stream actually recorded to the hash partition.
             assert doc.closed and doc.keys == ()
             assert status.recorded == len(partition[index])
         assert cell_fingerprints(stolen.result) == cell_fingerprints(serial)
@@ -685,7 +682,6 @@ class TestHostedEquivalence:
             workers_per_shard=2,
             poll_interval=0.05,
         )
-        assert hosted.scheduler == "stealing"
         assert len(hosted.hosts) == 2
         assert cell_fingerprints(hosted.result) == cell_fingerprints(serial)
         assert hosted.result.render() == serial.render()

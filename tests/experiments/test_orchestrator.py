@@ -29,8 +29,7 @@ from repro.experiments.orchestrator import (
     watch_view,
 )
 from repro.experiments.scenarios import Scenario
-from repro.experiments.stream import StreamError, stream_task_count
-from repro.seeding import shard_sizes
+from repro.experiments.stream import StreamError, load_stream, stream_task_count
 
 TINY = Scenario(
     name="orch-tiny",
@@ -82,22 +81,23 @@ class TestOrchestratedRun:
         assert outcome.result.metrics == serial_reference.metrics
 
     def test_shard_accounting_covers_every_task(self, orchestrated):
+        # Every shard launches once (an empty initial lease set is a
+        # steal target) and finishes done; each shard's recorded count
+        # is its own stream's, and together the streams hold every task.
         outcome, _, _ = orchestrated
-        expected = [status.expected_tasks for status in outcome.shards]
-        assert sum(expected) == SPEC.total_tasks()
-        keys = [
+        keys = {
             task_key(task)
             for _, cell_spec in SPEC.cell_specs()
             for task in cell_spec.tasks()
-        ]
-        assert expected == shard_sizes(keys, 2)
+        }
+        recorded: set[str] = set()
         for status in outcome.shards:
-            if status.expected_tasks:
-                assert status.state == "done"
-                assert status.recorded == status.expected_tasks
-            else:
-                assert status.state == "empty"
-                assert status.attempts == 0
+            assert status.state == "done"
+            assert status.attempts == 1
+            stream_keys = load_stream(status.stream, quarantine=False).keys()
+            assert status.recorded == len(stream_keys)
+            recorded |= stream_keys
+        assert recorded == keys
 
     def test_merged_stream_holds_every_record(self, orchestrated):
         outcome, _, run_dir = orchestrated
@@ -110,10 +110,9 @@ class TestOrchestratedRun:
         restored = CampaignSpec.from_dict(spec_doc)
         assert campaign_spec_hash(restored) == campaign_spec_hash(SPEC)
         for status in outcome.shards:
-            if status.expected_tasks:
-                assert status.stream.exists()
-                assert status.heartbeat.exists()
-                assert status.log.exists()
+            assert status.stream.exists()
+            assert status.heartbeat.exists()
+            assert status.log.exists()
 
     def test_events_narrate_launch_and_completion(self, orchestrated):
         _, events, _ = orchestrated
@@ -131,8 +130,7 @@ class TestOrchestratedRun:
                 and f"{status.attempts} attempt(s)" in event
                 for event in events
             )
-        assert outcome.scheduler == "static"
-        assert outcome.steals == 0
+        assert outcome.requeues == 0
 
     def test_rerun_with_same_dir_resumes_streams_untouched(
         self, orchestrated
@@ -141,7 +139,6 @@ class TestOrchestratedRun:
         before = {
             status.stream: status.stream.read_bytes()
             for status in outcome.shards
-            if status.expected_tasks
         }
         events: list[str] = []
         again = orchestrate_campaign(
@@ -226,10 +223,6 @@ class TestFailureHandling:
         assert "worker log line" in message  # the log tail is surfaced
 
     def test_bad_scheduler_arguments_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="scheduler"):
-            orchestrate_campaign(
-                SPEC, shards=2, run_dir=tmp_path, scheduler="round-robin"
-            )
         with pytest.raises(ValueError, match="lease_batch"):
             orchestrate_campaign(
                 SPEC, shards=2, run_dir=tmp_path, lease_batch=0
@@ -274,7 +267,7 @@ class TestFailureHandling:
 
 
 class TestStealingScheduler:
-    """Supervision behaviours specific to ``scheduler="stealing"``.
+    """Supervision behaviours of the lease board and work stealing.
 
     (Result equivalence through steals, slow shards, and mid-steal
     worker death lives in ``test_equivalence.py``.)
@@ -284,8 +277,8 @@ class TestStealingScheduler:
         self, tmp_path, serial_reference
     ):
         # A tiny campaign can leave a shard's hash partition empty;
-        # under stealing that worker still launches — an idle worker
-        # is a steal target, not noise.
+        # that worker still launches — an idle worker is a steal
+        # target, not noise.
         tiny = CampaignSpec(
             name="orch", base=TINY, protocols=("glr",), replicates=1
         )
@@ -295,7 +288,6 @@ class TestStealingScheduler:
             shards=4,
             run_dir=tmp_path / "wide",
             poll_interval=0.05,
-            scheduler="stealing",
             on_event=events.append,
         )
         assert all(status.attempts >= 1 for status in outcome.shards)
@@ -317,7 +309,6 @@ class TestStealingScheduler:
             shards=3,
             run_dir=tmp_path / "capped",
             poll_interval=0.05,
-            scheduler="stealing",
             max_concurrent=1,
             on_event=events.append,
         )
@@ -338,9 +329,7 @@ class TestStealingScheduler:
             shards=2,
             run_dir=run_dir,
             poll_interval=0.05,
-            scheduler="stealing",
         )
-        assert outcome.scheduler == "stealing"
         for status in outcome.shards:
             assert (run_dir / f"shard{status.index}.tasks.json").exists()
             assert status.stream.exists()
@@ -351,7 +340,6 @@ class TestStealingScheduler:
         run_dir = tmp_path / "resume"
         first = orchestrate_campaign(
             SPEC, shards=2, run_dir=run_dir, poll_interval=0.05,
-            scheduler="stealing",
         )
         before = {
             status.stream: status.stream.read_bytes()
@@ -361,7 +349,7 @@ class TestStealingScheduler:
         events: list[str] = []
         again = orchestrate_campaign(
             SPEC, shards=2, run_dir=run_dir, poll_interval=0.05,
-            scheduler="stealing", on_event=events.append,
+            on_event=events.append,
         )
         # Everything was recorded already: zero launches, streams
         # untouched, same aggregate.
@@ -371,11 +359,39 @@ class TestStealingScheduler:
         assert any("resuming" in event for event in events)
         assert again.result.render() == serial_reference.render()
 
+    def test_run_dir_of_a_fixed_shard_worker_resumes(
+        self, tmp_path, serial_reference
+    ):
+        """A run dir whose shard 0 ran as a fixed hash shard (a stream,
+        no assignment file) resumes under leases: its records are kept
+        byte for byte and none of its tasks runs again."""
+        from collections import Counter
+
+        run_dir = tmp_path / "fixed-shard"
+        old_stream = run_dir / "shard0.jsonl"
+        run_campaign(
+            SPEC, stream_path=old_stream, shard_index=0, shard_count=2
+        )
+        old_bytes = old_stream.read_bytes()
+        old_keys = load_stream(old_stream, quarantine=False).keys()
+        assert old_keys
+        outcome = orchestrate_campaign(
+            SPEC, shards=2, run_dir=run_dir, poll_interval=0.05
+        )
+        assert old_stream.read_bytes().startswith(old_bytes)
+        counts = Counter(
+            record["key"]
+            for status in outcome.shards
+            for record in load_stream(status.stream, quarantine=False).records
+        )
+        assert all(counts[key] == 1 for key in old_keys)
+        assert outcome.result.render() == serial_reference.render()
+        assert outcome.result.metrics == serial_reference.metrics
+
     def test_mismatched_run_dir_is_refused(self, tmp_path):
         run_dir = tmp_path / "mismatch"
         orchestrate_campaign(
             SPEC, shards=2, run_dir=run_dir, poll_interval=0.05,
-            scheduler="stealing",
         )
         other = CampaignSpec(
             name="orch", base=TINY, protocols=("glr",), replicates=1
@@ -383,7 +399,6 @@ class TestStealingScheduler:
         with pytest.raises(StreamError, match="spec hash"):
             orchestrate_campaign(
                 other, shards=2, run_dir=run_dir, poll_interval=0.05,
-                scheduler="stealing",
             )
 
     def test_persistently_failing_worker_aborts_with_log_tail(
@@ -405,7 +420,6 @@ class TestStealingScheduler:
                 run_dir=tmp_path,
                 poll_interval=0.05,
                 max_attempts=2,
-                scheduler="stealing",
             )
         message = str(excinfo.value)
         assert "[9, 9]" in message
@@ -485,10 +499,7 @@ class TestWatch:
 class TestSpawnLeakFix:
     """A failed worker launch must not leak the already-open log handle."""
 
-    @pytest.mark.parametrize("scheduler", ["static", "stealing"])
-    def test_launch_failure_closes_log_handle(
-        self, tmp_path, monkeypatch, scheduler
-    ):
+    def test_launch_failure_closes_log_handle(self, tmp_path, monkeypatch):
         import builtins
 
         opened: list = []
@@ -513,7 +524,6 @@ class TestSpawnLeakFix:
                 shards=2,
                 run_dir=tmp_path / "run",
                 poll_interval=0.05,
-                scheduler=scheduler,
             )
         assert opened, "the launch path never opened a worker log"
         assert all(handle.closed for handle in opened)
@@ -593,7 +603,6 @@ class TestHostedOrchestration:
             poll_interval=0.05,
             on_event=events.append,
         )
-        assert outcome.scheduler == "stealing"
         assert outcome.hosts == (
             f"store:{tmp_path}/h0", f"store:{tmp_path}/h1",
         )

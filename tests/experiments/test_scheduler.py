@@ -1,7 +1,8 @@
 """Tests for the lease-based work-stealing scheduler.
 
-The board's contracts: the initial assignment IS the static
-``stable_shard`` partition (zero-steal runs are the static runs),
+The board's contracts: the initial assignment IS the
+``stable_shard`` partition (zero-steal runs record what hand-launched
+shard runs do),
 steals move only provably unstarted leases (beyond the keep window),
 reclaim/lease compose for dead-worker requeues, and the planner is a
 pure function whose zero-steal behaviour on balanced shards is
@@ -14,11 +15,11 @@ import json
 
 import pytest
 
+from repro.experiments.layout import RunLayout
 from repro.experiments.scheduler import (
     ASSIGNMENT_FORMAT,
     LeaseBoard,
     SchedulerError,
-    assignment_path,
     plan_steals,
     read_assignment,
     write_assignment,
@@ -95,7 +96,7 @@ class TestAssignmentFile:
 class TestLeaseBoardInitialAssignment:
     def test_equals_the_static_shard_partition(self, tmp_path):
         """The zero-steal contract: workers start from exactly the
-        partition a static ``--shard-index`` run would execute."""
+        partition a hand-launched ``--shard-index`` run executes."""
         board = board_for(tmp_path, workers=3)
         assert board.assignments == shard_partition(KEYS, 3)
         for worker in range(3):
@@ -105,7 +106,7 @@ class TestLeaseBoardInitialAssignment:
 
     def test_paths_live_next_to_the_spec(self, tmp_path):
         board = board_for(tmp_path, workers=2)
-        assert board.path(0) == assignment_path(tmp_path, 0)
+        assert board.path(0) == RunLayout(tmp_path).assignment(0)
         assert board.path(0).name == "shard0.tasks.json"
 
     def test_resume_excludes_done_keys(self, tmp_path):

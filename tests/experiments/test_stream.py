@@ -15,7 +15,6 @@ import pytest
 from repro.experiments.stream import (
     STREAM_FORMAT,
     StreamError,
-    StreamTailCounter,
     StreamTailKeys,
     append_record,
     init_stream,
@@ -358,54 +357,8 @@ class TestStreamTaskCount:
         assert stream_task_count(path) == 1
 
 
-class TestStreamTailCounter:
-    """Incremental polling: read only the appended suffix per tick."""
-
-    def test_counts_incrementally(self, tmp_path):
-        path = new_stream(tmp_path / "s.jsonl", records=[record("k1")])
-        counter = StreamTailCounter(path)
-        assert counter.count() == 1
-        append_record(path, record("k2", replicate=1))
-        append_record(path, record("k3", replicate=2))
-        assert counter.count() == 3
-        assert counter.count() == 3  # no growth, no change
-
-    def test_matches_one_shot_count(self, tmp_path):
-        path = new_stream(tmp_path / "s.jsonl")
-        counter = StreamTailCounter(path)
-        for index in range(5):
-            append_record(path, record(f"k{index}", replicate=index))
-            assert counter.count() == stream_task_count(path)
-
-    def test_in_flight_tail_recounted_when_completed(self, tmp_path):
-        path = new_stream(tmp_path / "s.jsonl", records=[record("k1")])
-        counter = StreamTailCounter(path)
-        with open(path, "a") as handle:
-            handle.write('{"kind": "task", "key": "k2"')
-        assert counter.count() == 1  # partial line not counted...
-        with open(path, "a") as handle:
-            handle.write("}\n")
-        assert counter.count() == 2  # ...and not lost either
-
-    def test_missing_file_counts_zero(self, tmp_path):
-        counter = StreamTailCounter(tmp_path / "nope.jsonl")
-        assert counter.count() == 0
-
-    def test_rewritten_shorter_file_recounts(self, tmp_path):
-        # A relaunched worker's resume can repair-and-rewrite the
-        # stream (atomic replace); the counter must start over rather
-        # than trust a stale offset.
-        path = new_stream(tmp_path / "s.jsonl",
-                          records=[record("k1"), record("k2", replicate=1)])
-        counter = StreamTailCounter(path)
-        assert counter.count() == 2
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(lines[:2]))  # header + first record
-        assert counter.count() == 1
-
-
 class TestStreamTailKeys:
-    """Incremental key reader the stealing supervisor polls with."""
+    """Incremental key reader the orchestrator polls with."""
 
     def test_emits_keys_incrementally(self, tmp_path):
         path = new_stream(tmp_path / "s.jsonl", records=[record("k1")])

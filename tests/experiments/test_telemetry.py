@@ -46,9 +46,9 @@ class TestEventSchema:
     #: Representative payloads per type, mirroring what the supervisor
     #: and workers actually emit.
     PAYLOADS = {
-        "run_start": {"shards": 2, "scheduler": "static", "total_tasks": 8},
+        "run_start": {"shards": 2, "total_tasks": 8},
         "run_end": {"outcome": "complete", "records": 8, "requeues": 0},
-        "launch": {"pid": 4242, "to_run": 4},
+        "launch": {"pid": 4242, "leased": 4},
         "exit": {"exit_code": 0, "outcome": "done", "recorded": 4},
         "stall": {"heartbeat_age_s": 12.5},
         "requeue": {"exit_code": -9, "recorded": 1, "remaining": 3},

@@ -8,7 +8,6 @@ from repro.seeding import (
     derive_seed,
     replicate_seed,
     shard_partition,
-    shard_sizes,
     stable_shard,
 )
 
@@ -110,33 +109,7 @@ class TestShardPartition:
         for part in parts:
             assert part == sorted(part, key=order.__getitem__)
 
-    def test_sizes_agree_with_shard_sizes(self):
-        keys = [f"key-{i}" for i in range(120)]
-        assert [len(p) for p in shard_partition(keys, 5)] == shard_sizes(
-            keys, 5
-        )
-
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             shard_partition(["k"], 0)
 
-
-class TestShardSizes:
-    def test_counts_match_the_partition(self):
-        from collections import Counter
-
-        keys = [f"key-{i}" for i in range(200)]
-        sizes = shard_sizes(keys, 3)
-        expected = Counter(stable_shard(k, 3) for k in keys)
-        assert sizes == [expected[i] for i in range(3)]
-        assert sum(sizes) == len(keys)
-
-    def test_empty_shards_are_zero_not_missing(self):
-        # One key into many shards: exactly one slot is 1, rest 0.
-        sizes = shard_sizes(["only-key"], 8)
-        assert len(sizes) == 8
-        assert sorted(sizes) == [0] * 7 + [1]
-
-    def test_rejects_bad_count(self):
-        with pytest.raises(ValueError):
-            shard_sizes(["k"], 0)
