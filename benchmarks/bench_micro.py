@@ -3,7 +3,8 @@
 These are conventional pytest-benchmark timings (multiple rounds): the
 Delaunay construction, LDTG build, RWP position queries and the event
 engine dominate the simulation profile, so regressions here translate
-directly into slower experiment harness runs.
+directly into slower experiment harness runs.  The two k-LDTG epochs at
+paper density are the planarization layer's micro-benchmarks.
 """
 
 import random
@@ -104,6 +105,24 @@ def test_ldtg_50_nodes(benchmark):
     positions = {i: p for i, p in enumerate(_points(50, 3))}
     graph = benchmark(local_delaunay_graph, positions, 200.0, 2)
     assert graph.edge_count() > 0
+
+
+def _ldtg_epoch(benchmark, n):
+    """One k-LDTG epoch as the neighbour service builds it: RWP positions
+    at paper density, 100 m range, over a pre-built UDG."""
+    udg = unit_disk_graph(_paper_density_mobility(n).positions(120.0), 100.0)
+    graph = benchmark(local_delaunay_graph, udg.positions, 100.0, 2, udg)
+    assert 0 < graph.edge_count() <= udg.edge_count()
+
+
+def test_ldtg_epoch_paper_density(benchmark):
+    """50 nodes on 1500 m x 300 m: one epoch of the paper's Table-1 task."""
+    _ldtg_epoch(benchmark, 50)
+
+
+def test_ldtg_epoch_n400_density(benchmark):
+    """400 nodes at the same density (region sides x sqrt(8))."""
+    _ldtg_epoch(benchmark, 400)
 
 
 def test_rwp_position_queries(benchmark):

@@ -2,10 +2,13 @@
 
 This is the ``A(N)`` operator of the paper: the (global) Delaunay
 triangulation of a point set ``N``.  The k-LDTG construction in
-:mod:`repro.graphs.ldt` evaluates it repeatedly on k-hop neighbourhoods,
-which are small (tens of points), so the straightforward O(n^2)
-implementation below is more than fast enough and keeps the code easy to
-audit against the textbook algorithm.
+:mod:`repro.graphs.ldt` no longer triangulates its k-hop frames on the
+hot path: a per-link empty-circle kernel answers the vote's questions,
+and reproduces this module's answers exactly, super triangle included.
+Bowyer–Watson is that kernel's fallback on degenerate or near-tied
+frames and its test oracle.  Frames are small (tens of points), so the
+straightforward O(n^2) implementation below is fast enough for that and
+keeps the code easy to audit against the textbook algorithm.
 
 Degenerate inputs are handled explicitly:
 
@@ -33,12 +36,20 @@ from repro.geometry.triangulation import (
 )
 
 
-def _super_triangle(points: Sequence[Point]) -> tuple[Point, Point, Point]:
-    """A triangle that comfortably contains every input point."""
-    min_x = min(p.x for p in points)
-    max_x = max(p.x for p in points)
-    min_y = min(p.y for p in points)
-    max_y = max(p.y for p in points)
+def super_triangle(points: Sequence[Point]) -> tuple[Point, Point, Point]:
+    """A triangle that comfortably contains every input point.
+
+    Its vertices sit about 200 bounding-box extents from the points.
+    Only edges of triangles free of these vertices are reported, so some
+    long hull edges of the true Delaunay triangulation are dropped; the
+    k-LDTG kernel in :mod:`repro.graphs.ldt` reproduces that.
+    """
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    min_x = min(xs)
+    max_x = max(xs)
+    min_y = min(ys)
+    max_y = max(ys)
     dx = max_x - min_x
     dy = max_y - min_y
     delta = max(dx, dy, 1.0) * 100.0
@@ -83,7 +94,7 @@ def delaunay_triangulation(points: Iterable[Point]) -> Triangulation:
         return tri
 
     # Indices len(distinct) .. len(distinct)+2 are the super-triangle.
-    s0, s1, s2 = _super_triangle(distinct)
+    s0, s1, s2 = super_triangle(distinct)
     vertices = distinct + [s0, s1, s2]
     n = len(distinct)
 

@@ -22,15 +22,73 @@ Two practical notes reflected below:
 
 Each node's decision uses only its k-hop neighbourhood — the algorithm is
 k-local in the paper's sense and the simulator evaluates it node-locally.
+
+**The per-link kernel.**  The vote only ever asks "is link ``uv`` an
+edge of ``A(Nk(x))``?", so :func:`local_delaunay_graph` answers exactly
+that instead of triangulating every frame ``Nk(x)``.  ``uv`` is a
+Delaunay edge when some circle through ``u`` and ``v`` has no other
+point strictly inside.  Such circles are centred on ``uv``'s
+perpendicular bisector, at ``m + (t/2)·n`` (``m`` the midpoint, ``n``
+the vector ``u -> v`` turned left).  A point on the left of ``uv``
+stays outside the circle only while ``t`` is at most its bound, a point
+on the right only while ``t`` is at least its bound, so one
+O(|Nk(x)|) pass yields the tightest bounds ``hi`` and ``lo``, and
+``uv`` is an edge when ``lo < hi``.
+
+``A`` is Bowyer–Watson's (:mod:`repro.geometry.delaunay`): it
+triangulates the frame together with the three vertices of a finite
+super triangle, then keeps the edges of the triangles whose corners are
+all frame points.  The super-triangle vertices are therefore part of
+the pass.  True Delaunay would leave them out, and then the kernel
+would keep some long hull edges of the frame that Bowyer–Watson drops
+(the circles that keep them empty reach past a super-triangle vertex);
+keeping them in keeps the k-LDTG, and every metric payload,
+bit-identical.  On a frame that is not thin, every link in that
+triangulation borders a triangle of frame points, so the kernel's "an
+edge of the Delaunay triangulation of the frame plus the super-triangle
+vertices" is exactly Bowyer–Watson's answer.
+
+A frame goes to Bowyer–Watson (:func:`local_delaunay_edges_of`) when
+it has fewer than 3 points or duplicate points, is thin (every
+collinear frame is) or under a metre across, or when a link's bounds
+nearly meet, a tie Bowyer–Watson settles by insertion order.
+Bowyer–Watson is also the test oracle.  It breaks down on a dozen
+points within ~1e-8 of one circle, where the two can differ; random
+positions do not produce such frames.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from typing import Mapping
 
-from repro.geometry.delaunay import delaunay_edges
+from repro.geometry.delaunay import delaunay_edges, super_triangle
 from repro.geometry.primitives import Point
 from repro.graphs.udg import NodeId, SpatialGraph, unit_disk_graph
+
+#: Bound comparisons closer than this, relative to the bounds' size,
+#: are near-ties and send the frame to Bowyer–Watson.  The in-circle
+#: predicate's 1e-12 band spans about 1e-12·t² in the centre parameter
+#: ``t``, so this stays clear of it up to t ≈ 1e6 (a link a million
+#: times shorter than the circle's radius); the smallest margin seen on
+#: random frames at paper and N=400 density was 2.9e-5.
+_TIE = 1e-6
+
+#: A frame whose points all lie within this fraction of its extent from
+#: one line goes to Bowyer–Watson.  The super-triangle vertices sit about
+#: 200 extents away, so a thicker frame provably has a triangle of frame
+#: points in ``A`` (Bowyer–Watson never takes its collinear-chain path on
+#: it), and no link between frame points has super-triangle vertices as
+#: both third corners; the proof needs a fraction above ~0.044.
+_THIN = 0.1
+
+#: Frames whose extent is under this many metres go to Bowyer–Watson:
+#: its predicates' tolerance has an absolute floor (the ``+ 1.0`` in
+#: their scale) that dominates in frames that small.
+_MIN_EXTENT = 1.0
+
+_by_y = operator.itemgetter(1)
 
 
 def local_delaunay_edges_of(
@@ -39,7 +97,9 @@ def local_delaunay_edges_of(
     """Edges of ``A(Nk(node))`` restricted to UDG links.
 
     Returns undirected edges as frozensets of node ids.  ``Nk(node)``
-    includes ``node`` itself.
+    includes ``node`` itself.  This triangulates the frame with
+    Bowyer–Watson; it is the reference the per-link kernel is tested
+    against, and the kernel's fallback.
     """
     members = sorted(
         udg.k_hop_neighborhood(node, k) | {node}, key=repr
@@ -52,6 +112,107 @@ def local_delaunay_edges_of(
         if v in udg.neighbors(u):
             result.add(frozenset((u, v)))
     return result
+
+
+def _takes_kernel(points: list[tuple[float, float]]) -> bool:
+    """Whether the per-link kernel agrees with Bowyer–Watson on a frame.
+
+    It needs at least 3 distinct points, an extent (the longer side of
+    the bounding box) of at least ``_MIN_EXTENT``, and a point farther
+    than ``_THIN`` extents from the line through the extreme points
+    along that side.  Every collinear frame fails the last test.
+    """
+    if len(points) < 3 or len(set(points)) < len(points):
+        return False
+    a, b = min(points), max(points)
+    low, high = min(points, key=_by_y), max(points, key=_by_y)
+    extent = b[0] - a[0]
+    if high[1] - low[1] > extent:
+        a, b = low, high
+        extent = b[1] - a[1]
+    if extent < _MIN_EXTENT:
+        return False
+    ax, ay = a
+    ex = b[0] - ax
+    ey = b[1] - ay
+    # |cross| is the distance from the line times |ab|.
+    height = max([abs(ex * (y - ay) - ey * (x - ax)) for x, y in points])
+    return height >= _THIN * extent * math.hypot(ex, ey)
+
+
+class _Frame:
+    """One frame ``Nk(x)``, asked about links one at a time.
+
+    Holds the frame's coordinates followed by its three super-triangle
+    vertices, or the Bowyer–Watson edge set once the frame has fallen
+    back to it, and every answer given so far.  Nodes with the same
+    k-hop neighbourhood share one frame, and so its answers.
+    """
+
+    __slots__ = ("udg", "node", "k", "index", "points", "edges", "answers")
+
+    def __init__(
+        self, udg: SpatialGraph, node: NodeId, k: int, members: frozenset
+    ) -> None:
+        self.udg = udg
+        self.node = node
+        self.k = k
+        self.index = {m: i for i, m in enumerate(members)}
+        positions = udg.positions
+        self.points = [(positions[m].x, positions[m].y) for m in members]
+        self.edges: set[frozenset] | None = None
+        self.answers: dict[tuple[NodeId, NodeId], bool] = {}
+        if _takes_kernel(self.points):
+            corners = super_triangle([positions[m] for m in members])
+            self.points += [(c.x, c.y) for c in corners]
+        else:
+            self.edges = local_delaunay_edges_of(udg, node, k)
+
+    def has_edge(self, u: NodeId, v: NodeId) -> bool:
+        """Is link ``uv`` an edge of ``A(Nk(x))``?"""
+        answer = self.answers.get((u, v))
+        if answer is None and self.edges is None:
+            answer = self._empty_circle(u, v)
+            if answer is None:  # a near-tie: Bowyer–Watson settles it
+                self.edges = local_delaunay_edges_of(self.udg, self.node, self.k)
+        if answer is None:
+            answer = frozenset((u, v)) in self.edges
+        self.answers[(u, v)] = answer
+        return answer
+
+    def _empty_circle(self, u: NodeId, v: NodeId) -> bool | None:
+        """The per-link kernel; None on a near-tie or a point on line uv."""
+        ux, uy = self.points[self.index[u]]
+        vx, vy = self.points[self.index[v]]
+        hi = math.inf
+        lo = -math.inf
+        for px, py in self.points:
+            ax = px - ux
+            ay = py - uy
+            bx = px - vx
+            by = py - vy
+            # side > 0: p is left of u -> v.  power < 0: p is inside the
+            # circle on diameter uv.  p is strictly inside the circle
+            # centred at m + (t/2)·n exactly when power < t·side.
+            side = ax * by - ay * bx
+            power = ax * bx + ay * by
+            if side > 0.0:
+                t = power / side
+                if t < hi:
+                    hi = t
+            elif side < 0.0:
+                t = power / side
+                if t > lo:
+                    lo = t
+            elif power:
+                return None  # on the line through u and v
+            # else p is u or v itself
+        tie = _TIE * (1.0 + abs(hi) + abs(lo))
+        if hi - lo > tie:
+            return True
+        if hi - lo < -tie:
+            return False
+        return None
 
 
 def local_delaunay_graph(
@@ -71,33 +232,40 @@ def local_delaunay_graph(
     Returns:
         A :class:`SpatialGraph` that is a subgraph of the UDG.  For k >= 2
         the result is planar (verified property-style in the test suite);
-        it preserves the connectivity of the UDG.
+        it preserves the connectivity of the UDG.  Its edges are those of
+        the vote over Bowyer–Watson triangulations of every frame
+        (:func:`node_local_ldt_neighbors`); the per-link kernel in the
+        module docstring computes them without triangulating.
     """
     if k < 1:
         raise ValueError("locality parameter k must be >= 1")
     if udg is None:
         udg = unit_disk_graph(positions, radius)
 
-    local_edges: dict[NodeId, set[frozenset]] = {
-        node: local_delaunay_edges_of(udg, node, k) for node in udg.nodes()
+    k_hoods: dict[NodeId, frozenset] = {
+        node: frozenset(udg.k_hop_neighborhood(node, k) | {node})
+        for node in udg.nodes()
     }
-    k_hoods: dict[NodeId, set[NodeId]] = {
-        node: udg.k_hop_neighborhood(node, k) | {node} for node in udg.nodes()
-    }
+    frames: dict[frozenset, _Frame] = {}
+
+    def in_local_delaunay(x: NodeId, u: NodeId, v: NodeId) -> bool:
+        frame = frames.get(k_hoods[x])
+        if frame is None:
+            frame = frames[k_hoods[x]] = _Frame(udg, x, k, k_hoods[x])
+        return frame.has_edge(u, v)
 
     graph = SpatialGraph()
     for node, p in positions.items():
         graph.add_node(node, p)
 
     for u, v in udg.edges():
-        link = frozenset((u, v))
-        if link not in local_edges[u] or link not in local_edges[v]:
+        if not in_local_delaunay(u, u, v) or not in_local_delaunay(v, u, v):
             continue
         witnesses = (udg.neighbors(u) | udg.neighbors(v)) - {u, v}
         accepted = True
         for w in witnesses:
             if u in k_hoods[w] and v in k_hoods[w]:
-                if link not in local_edges[w]:
+                if not in_local_delaunay(w, u, v):
                     accepted = False
                     break
         if accepted:
@@ -116,9 +284,11 @@ def node_local_ldt_neighbors(
     triangulations.  Because every participant of the vote is within
     ``k + 1`` hops, the computation is k-local.
 
-    The result agrees with the global :func:`local_delaunay_graph`
-    adjacency for ``node`` whenever the node's collected neighbourhood
-    information is up to date (tested in tests/graphs/test_ldt.py).
+    It triangulates with Bowyer–Watson, so it is also the reference for
+    the per-link kernel: the result agrees with the global
+    :func:`local_delaunay_graph` adjacency for ``node`` whenever the
+    node's collected neighbourhood information is up to date (tested in
+    tests/graphs/test_ldt.py).
     """
     own = local_delaunay_edges_of(udg, node, k)
     k_hood_cache: dict[NodeId, set[NodeId]] = {}

@@ -9,6 +9,8 @@ The load-bearing claims from the paper that we verify:
 - the node-local computation agrees with the global construction.
 """
 
+import math
+
 import pytest
 
 from repro.geometry.primitives import Point
@@ -20,6 +22,8 @@ from repro.graphs.ldt import (
     node_local_ldt_neighbors,
 )
 from repro.graphs.udg import unit_disk_graph
+from repro.mobility.base import Region
+from repro.mobility.random_waypoint import RandomWaypointMobility
 
 from tests.conftest import random_points
 
@@ -30,6 +34,20 @@ def positions_of(pts):
 
 def node_sets(components):
     return [frozenset(c) for c in components]
+
+
+def snapshot(name):
+    """(positions, radius): 30 uniform points in a 1000 m square at
+    r = 180 m for an int seed, else a random-waypoint snapshot at the
+    paper's density (50 nodes per 1500 x 300 m, r = 100 m) with 50 or
+    400 nodes."""
+    if isinstance(name, int):
+        return positions_of(random_points(30, name)), 180.0
+    n = {"paper-density": 50, "n400-density": 400}[name]
+    scale = math.sqrt(n / 50)
+    region = Region(1500.0 * scale, 300.0 * scale)
+    mobility = RandomWaypointMobility(list(range(n)), region, seed=7)
+    return mobility.positions(200.0), 100.0
 
 
 class TestConstruction:
@@ -109,14 +127,16 @@ class TestLocalEdges:
             u, v = tuple(edge)
             assert v in udg.neighbors(u)
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_node_local_matches_global(self, seed):
-        pts = random_points(30, seed)
-        positions = positions_of(pts)
-        radius = 180.0
+    @pytest.mark.parametrize("name", [1, 2, 3, "paper-density", "n400-density"])
+    def test_node_local_matches_global(self, name):
+        # The global graph comes from the per-link kernel, the node-local
+        # one from Bowyer–Watson triangulations: two implementations.
+        positions, radius = snapshot(name)
         udg = unit_disk_graph(positions, radius)
         global_ldt = local_delaunay_graph(positions, radius, k=2, udg=udg)
-        for node in udg.nodes():
+        # Up to ~100 nodes per snapshot keeps the N=400 case near a second.
+        nodes = udg.nodes()
+        for node in nodes[:: max(1, len(nodes) // 100)]:
             local = node_local_ldt_neighbors(udg, node, k=2)
             assert local == global_ldt.neighbors(node), (
                 f"node {node}: local {sorted(local)} != "
