@@ -3,8 +3,11 @@
 These are conventional pytest-benchmark timings (multiple rounds): the
 Delaunay construction, LDTG build, RWP position queries and the event
 engine dominate the simulation profile, so regressions here translate
-directly into slower experiment harness runs.  The two k-LDTG epochs at
-paper density are the planarization layer's micro-benchmarks.
+directly into slower experiment harness runs.  Layers of a paper
+Table-1 task each have one here: the two k-LDTG epochs at paper density
+(planarization), the beacon rebuild (mobility + UDG), calendar push/pop
+at a task's pending-event depth, and the MAC medium's three queries
+over a paper-density set of live transmissions.
 """
 
 import random
@@ -15,7 +18,10 @@ from repro.graphs.ldt import local_delaunay_graph
 from repro.graphs.udg import unit_disk_graph
 from repro.mobility.base import Region
 from repro.mobility.random_waypoint import RandomWaypointMobility
-from repro.sim.engine import Simulator
+from repro.sim.engine import PeriodicTask, Simulator
+from repro.sim.mac import Medium
+from repro.sim.messages import HEADER_BYTES
+from repro.sim.radio import RadioConfig
 
 
 def _points(n, seed, side=1000.0):
@@ -39,11 +45,13 @@ def test_unit_disk_rebuild_vs_naive_double_discovery(benchmark):
     """Beacon-tick rebuild at paper density (50 nodes, 1500x300, 100 m).
 
     The rebuild discovers each edge once via forward-cell pair
-    iteration (GridIndex.iter_pairs_within); the naive per-node query
-    loop it replaced found every edge twice.  Reference numbers on the
-    dev container: ~195 us naive vs ~91 us deduped (2.1x) at 100 m,
-    2.3x at 250 m.  This runs every beacon interval of every simulated
-    second, the hottest loop in the simulator.
+    iteration (GridIndex.iter_pairs_within) and tests each pair inline
+    on floats; the naive per-node query loop it replaced found every
+    edge twice.  Reference numbers (shared 2-vCPU x86-64 host,
+    CPython 3.11, best of 5 x 2,000 calls; the host's speed drifts by
+    up to 2x): ~260 us naive vs ~95 us deduped (2.7x) at 100 m, ~400 us
+    vs ~140 us (2.8x) at 250 m.  This runs every beacon interval of
+    every simulated second.
     """
     rng = random.Random(7)
     positions = {
@@ -136,6 +144,75 @@ def test_rwp_position_queries(benchmark):
         return total
 
     assert benchmark(query_sweep) > 0
+
+
+def _noop():
+    pass
+
+
+def test_calendar_push_pop_table1_depth(benchmark):
+    """Calendar push/pop at a paper Table-1 task's depth.
+
+    The task's calendar holds its 1,980 scheduled message creations
+    (one per whole second) plus the per-node timers: 50 protocol ticks
+    re-armed every second with 5% jitter, the beacon tick and the
+    storage sampler.  Running 200 simulated seconds fires ~10,400
+    events, every pop and push against a ~2,000-deep heap, with the
+    whole-second ties the paper's traffic makes.
+    """
+
+    def run_200_seconds():
+        sim = Simulator()
+        rng = random.Random(9)
+        for i in range(1980):
+            sim.schedule_at(1.0 + i, _noop)
+        for _ in range(50):
+            PeriodicTask(sim, 1.0, _noop, jitter=0.05, uniform=rng.uniform,
+                         start_offset=rng.uniform(0.0, 1.0))
+        PeriodicTask(sim, 1.0, _noop, start_offset=1.0)
+        PeriodicTask(sim, 5.0, _noop)
+        sim.run(until=200.0)
+        return sim.events_processed, sim.pending_events()
+
+    events, pending = benchmark(run_200_seconds)
+    assert events > 10_000 and 1_700 < pending < 2_100
+
+
+def test_medium_queries_paper_density(benchmark):
+    """The MAC medium's three queries over live transmissions.
+
+    ~100 transmission records are held at once in an epidemic task at
+    paper Table-1 density (50 nodes, 1500x300 m, 100 m range; measured
+    over 40 s), each a 1,000-byte message frame's airtime at 1 Mbps, sent
+    during the medium's one-second look-back window.  One round asks
+    every node's position ``contention_at``, ``busy_until`` and
+    ``interferers_at``, as ``NodeMac._attempt`` and ``_complete`` do.
+    """
+    radio = RadioConfig(range_m=100.0)
+    sim = Simulator()
+    sim.run(until=10.0)
+    medium = Medium(sim, radio)
+    rng = random.Random(13)
+    nodes = [
+        Point(rng.uniform(0, 1500.0), rng.uniform(0, 300.0)) for _ in range(50)
+    ]
+    airtime = radio.airtime(1000 + HEADER_BYTES)
+    for i in range(100):
+        start = rng.uniform(9.0, 10.0)
+        medium.register(i % 50, nodes[i % 50], start, start + airtime)
+    window_start = sim.now - airtime
+
+    def query_every_node():
+        sensed = 0
+        for node, position in enumerate(nodes):
+            sensed += medium.contention_at(position, exclude=node)
+            medium.busy_until(position, exclude=node)
+            sensed += medium.interferers_at(
+                position, window_start, sim.now, exclude=node
+            )
+        return sensed
+
+    assert benchmark(query_every_node) >= 0
 
 
 def test_event_engine_throughput(benchmark):

@@ -8,11 +8,26 @@ experiment driver derives its sweeps from it with :meth:`Scenario.but`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.mobility.base import Region
 from repro.mobility.registry import MobilityConfig, as_mobility_config
 from repro.sim.adversary import AdversaryConfig, as_adversary_config
+
+
+#: Float-valued fields, each of which must be finite.
+_FLOAT_FIELDS = (
+    "radius",
+    "min_speed",
+    "max_speed",
+    "pause_time",
+    "message_interval",
+    "message_start",
+    "sim_time",
+    "beacon_interval",
+    "data_rate_bps",
+)
 
 
 @dataclass(frozen=True)
@@ -74,6 +89,12 @@ class Scenario:
     adversary: AdversaryConfig | None = None
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison below, so it would pass them all;
+        # a NaN or infinite horizon or beacon interval never ends a run.
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.n_nodes < 2:
             raise ValueError("need at least two nodes")
         if self.radius <= 0:

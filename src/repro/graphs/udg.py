@@ -119,25 +119,31 @@ class SpatialGraph:
 
 
 class GridIndex:
-    """Uniform-grid spatial index for fixed-radius neighbour queries."""
+    """Uniform-grid spatial index for fixed-radius neighbour queries.
+
+    Cells hold ``(node, x, y, position)`` entries, so the pair pass
+    reads floats straight out of tuples instead of going through
+    :class:`Point` attributes and a :func:`distance_sq` call per
+    candidate pair; the inline test is :func:`distance_sq`'s float form,
+    operation for operation.  ``position`` is the inserted point, which
+    :meth:`neighbors_within` hands back.
+    """
 
     def __init__(self, cell_size: float):
         if cell_size <= 0:
             raise ValueError("cell size must be positive")
         self.cell_size = cell_size
-        self._cells: dict[tuple[int, int], list[tuple[NodeId, Point]]] = {}
-
-    def _cell_of(self, p: Point) -> tuple[int, int]:
-        return (
-            int(math.floor(p.x / self.cell_size)),
-            int(math.floor(p.y / self.cell_size)),
-        )
+        self._cells: dict[
+            tuple[int, int], list[tuple[NodeId, float, float, Point]]
+        ] = {}
 
     def insert(self, node: NodeId, position: Point) -> None:
         """Add a node at ``position``."""
-        self._cells.setdefault(self._cell_of(position), []).append(
-            (node, position)
-        )
+        x = position.x
+        y = position.y
+        size = self.cell_size
+        cell = (math.floor(x / size), math.floor(y / size))
+        self._cells.setdefault(cell, []).append((node, x, y, position))
 
     def neighbors_within(
         self, position: Point, radius: float
@@ -147,15 +153,17 @@ class GridIndex:
         A node located exactly at ``position`` is also yielded; callers
         filter self-matches by id.
         """
-        reach = int(math.ceil(radius / self.cell_size))
-        cx, cy = self._cell_of(position)
+        size = self.cell_size
+        reach = int(math.ceil(radius / size))
+        cx = math.floor(position.x / size)
+        cy = math.floor(position.y / size)
         r_sq = radius * radius
         for dx in range(-reach, reach + 1):
             for dy in range(-reach, reach + 1):
                 bucket = self._cells.get((cx + dx, cy + dy))
                 if not bucket:
                     continue
-                for node, p in bucket:
+                for node, _, _, p in bucket:
                     if distance_sq(p, position) <= r_sq:
                         yield node, p
 
@@ -168,34 +176,39 @@ class GridIndex:
         endpoint), doubling the distance computations on the
         beacon-tick hot path.  This walks each occupied cell once,
         pairing it against itself (index-ordered, so no self-pairs)
-        and against its *forward* neighbour cells only — the cells
-        ``(dx, dy)`` lexicographically after ``(0, 0)`` — so every
+        and against its *forward* neighbour cells only — the cell
+        offsets ``(ox, oy)`` lexicographically after ``(0, 0)`` — so every
         unordered cell pair, and hence every node pair, is examined
-        exactly once.
+        exactly once.  Pairs come out in a fixed order: cells in
+        insertion order, then entries in insertion order.
         """
         if radius <= 0:
             raise ValueError("radius must be positive")
         reach = int(math.ceil(radius / self.cell_size))
         r_sq = radius * radius
         forward = [
-            (dx, dy)
-            for dx in range(reach + 1)
-            for dy in range(-reach, reach + 1)
-            if dx > 0 or dy > 0
+            (ox, oy)
+            for ox in range(reach + 1)
+            for oy in range(-reach, reach + 1)
+            if ox > 0 or oy > 0
         ]
         cells = self._cells
         for (cx, cy), bucket in cells.items():
-            for i, (u, pu) in enumerate(bucket):
-                for v, pv in bucket[i + 1 :]:
-                    if distance_sq(pu, pv) <= r_sq:
+            for i, (u, ux, uy, _) in enumerate(bucket):
+                for v, vx, vy, _ in bucket[i + 1 :]:
+                    dx = ux - vx
+                    dy = uy - vy
+                    if dx * dx + dy * dy <= r_sq:
                         yield u, v
-            for dx, dy in forward:
-                other = cells.get((cx + dx, cy + dy))
+            for ox, oy in forward:
+                other = cells.get((cx + ox, cy + oy))
                 if not other:
                     continue
-                for u, pu in bucket:
-                    for v, pv in other:
-                        if distance_sq(pu, pv) <= r_sq:
+                for u, ux, uy, _ in bucket:
+                    for v, vx, vy, _ in other:
+                        dx = ux - vx
+                        dy = uy - vy
+                        if dx * dx + dy * dy <= r_sq:
                             yield u, v
 
 
@@ -208,10 +221,12 @@ def unit_disk_graph(
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    graph = SpatialGraph()
+    graph = SpatialGraph(
+        positions=dict(positions),
+        adjacency={node: set() for node in positions},
+    )
     index = GridIndex(cell_size=radius)
     for node, p in positions.items():
-        graph.add_node(node, p)
         index.insert(node, p)
     # Each pair is discovered once (see iter_pairs_within) and inserted
     # symmetrically, halving the distance checks of the naive per-node
@@ -221,4 +236,3 @@ def unit_disk_graph(
         adjacency[u].add(v)
         adjacency[v].add(u)
     return graph
-

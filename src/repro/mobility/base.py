@@ -10,6 +10,7 @@ trajectories.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,8 +26,9 @@ class Region:
     height: float
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("region dimensions must be positive")
+        # Written so that NaN (which fails every comparison) is rejected.
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError("region dimensions must be positive and finite")
 
     @property
     def area(self) -> float:

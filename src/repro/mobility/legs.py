@@ -107,6 +107,45 @@ class LegMobility(MobilityModel):
         index = min(index, len(ends) - 1)
         return self._legs[node][index].position_at(t)
 
+    def positions(self, t: float) -> dict[NodeId, Point]:
+        """Positions of every node at time ``t``, in one pass.
+
+        Every beacon epoch takes its snapshot here.  Leg lookup and
+        interpolation are :meth:`position`'s and
+        :meth:`Leg.position_at`'s, inlined with the same float
+        operations in the same order, so every entry is bit-equal to the
+        per-node query.  A subclass that overrides :meth:`position` must
+        override this too.
+        """
+        self.validate_time(t)
+        legs_of = self._legs
+        ends_of = self._leg_ends
+        bisect_left = bisect.bisect_left
+        snapshot: dict[NodeId, Point] = {}
+        for node in self._node_ids:
+            ends = ends_of[node]
+            if ends[-1] < t:
+                self._extend(node, t)
+                ends = ends_of[node]
+            index = bisect_left(ends, t)
+            if index == len(ends):
+                index -= 1
+            leg = legs_of[node][index]
+            t_start = leg.t_start
+            t_end = leg.t_end
+            p = leg.p_start
+            if not t_end <= t_start:
+                alpha = (t - t_start) / (t_end - t_start)
+                # min(1.0, max(0.0, alpha)), NaN included.
+                if not alpha > 0.0:
+                    alpha = 0.0
+                elif alpha > 1.0:
+                    alpha = 1.0
+                q = leg.p_end
+                p = Point(p.x + alpha * (q.x - p.x), p.y + alpha * (q.y - p.y))
+            snapshot[node] = p
+        return snapshot
+
     def waypoints_until(self, node: NodeId, until: float) -> list[Leg]:
         """Materialized legs covering ``[0, until]`` — used by trace export."""
         if node not in self._legs:

@@ -1,49 +1,40 @@
 """Event scheduler — the heart of the discrete-event simulator.
 
-A classic calendar built on :mod:`heapq`.  Events are ``(time, seq,
-callback)`` triples; ``seq`` is a monotonically increasing tiebreaker so
-same-time events fire in scheduling order (deterministic replays matter
-more than queue fairness here).  Cancellation is lazy: handles are
-flagged and skipped when popped, which keeps cancel O(1).
+A classic calendar built on :mod:`heapq`.  Heap entries are ``(time,
+seq, handle)`` tuples, so the heap orders them with C-level tuple
+comparison; ``seq`` is a monotonically increasing tiebreaker, unique per
+entry, so same-time events fire in scheduling order (deterministic
+replays matter more than queue fairness here) and the handle itself is
+never compared.  Beacons, message creations and storage samples all land
+on whole seconds, so these ties are the common case, not a corner.
+Cancellation is lazy: handles are flagged and skipped when popped, which
+keeps cancel O(1).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class EventHandle:
-    """Opaque handle returned by scheduling calls; supports cancel()."""
+    """One scheduled event; the handle scheduling calls return.
 
-    __slots__ = ("_event",)
+    ``time`` is the firing time, ``cancelled`` turns true on
+    :meth:`cancel`.
+    """
 
-    def __init__(self, event: _Event):
-        self._event = event
+    __slots__ = ("time", "callback", "cancelled")
+
+    def __init__(self, time: float, callback: Callable[[], None]):
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if already fired)."""
-        self._event.cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        """True when the event was cancelled before firing."""
-        return self._event.cancelled
-
-    @property
-    def time(self) -> float:
-        """Scheduled firing time."""
-        return self._event.time
+        self.cancelled = True
 
 
 class Simulator:
@@ -51,7 +42,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[_Event] = []
+        self._heap: list[tuple[float, int, EventHandle]] = []
         self._seq: int = 0
         self._events_processed: int = 0
 
@@ -64,16 +55,17 @@ class Simulator:
         self, time: float, callback: Callable[[], None]
     ) -> EventHandle:
         """Schedule ``callback`` at absolute simulation ``time``."""
-        if math.isnan(time):
-            raise ValueError("event time may not be NaN")
-        if time < self.now:
+        # One comparison rejects both the past and NaN (NaN fails it).
+        if not time >= self.now:
+            if math.isnan(time):
+                raise ValueError("event time may not be NaN")
             raise ValueError(
                 f"cannot schedule into the past: {time} < now {self.now}"
             )
-        event = _Event(time=time, seq=self._seq, callback=callback)
+        event = EventHandle(time, callback)
+        heapq.heappush(self._heap, (time, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._heap, event)
-        return EventHandle(event)
+        return event
 
     def schedule(
         self, delay: float, callback: Callable[[], None]
@@ -85,17 +77,19 @@ class Simulator:
 
     def peek_time(self) -> float | None:
         """Time of the next pending (non-cancelled) event, or None."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Execute the next event.  Returns False when the calendar is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _, event = heapq.heappop(heap)
             if event.cancelled:
                 continue
-            self.now = event.time
+            self.now = time
             self._events_processed += 1
             event.callback()
             return True
@@ -108,21 +102,34 @@ class Simulator:
         even if the last event fires earlier, so post-run metric samples
         see the full horizon.
         """
-        if until is not None and until < self.now:
-            raise ValueError("cannot run backwards in time")
-        while self._heap:
-            next_time = self.peek_time()
-            if next_time is None:
+        if until is not None:
+            if math.isnan(until):
+                raise ValueError("run horizon may not be NaN")
+            if until < self.now:
+                raise ValueError("cannot run backwards in time")
+        limit = math.inf if until is None else until
+        heap = self._heap
+        pop = heapq.heappop
+        # Each event costs one pop.  The one entry past the horizon is
+        # pushed back; (time, seq) is a total order, so the order in
+        # which later pops return entries is unchanged.
+        while heap:
+            entry = pop(heap)
+            time, _, event = entry
+            if event.cancelled:
+                continue
+            if time > limit:
+                heapq.heappush(heap, entry)
                 break
-            if until is not None and next_time > until:
-                break
-            self.step()
+            self.now = time
+            self._events_processed += 1
+            event.callback()
         if until is not None:
             self.now = max(self.now, until)
 
     def pending_events(self) -> int:
         """Number of scheduled, non-cancelled events."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
 
 class PeriodicTask:
@@ -142,9 +149,11 @@ class PeriodicTask:
         uniform: Callable[[float, float], float] | None = None,
         start_offset: float = 0.0,
     ):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        if jitter < 0 or jitter >= interval:
+        # NaN fails every comparison: an interval of NaN would re-arm at
+        # the same instant forever, so only finite values pass.
+        if not 0 < interval < math.inf:
+            raise ValueError("interval must be positive and finite")
+        if not 0 <= jitter < interval:
             raise ValueError("jitter must satisfy 0 <= jitter < interval")
         self._sim = sim
         self._interval = interval
@@ -158,11 +167,10 @@ class PeriodicTask:
     def _schedule_next(self, delay: float) -> None:
         if self._stopped:
             return
-        extra = 0.0
         if self._jitter > 0 and self._uniform is not None:
-            extra = self._uniform(-self._jitter, self._jitter)
-        actual = max(0.0, delay + extra)
-        self._handle = self._sim.schedule(actual, self._fire)
+            delay += self._uniform(-self._jitter, self._jitter)
+        sim = self._sim
+        self._handle = sim.schedule_at(sim.now + max(0.0, delay), self._fire)
 
     def _fire(self) -> None:
         if self._stopped:

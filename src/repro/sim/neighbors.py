@@ -116,20 +116,17 @@ class NeighborService:
         positions = self._snapshot.positions
         self._ldt_cache = None
         # Location diffusion leg 1: beacon exchange between
-        # neighbours.
-        beacons = 0
-        for node in self._snapshot.nodes():
-            record = LocationRecord(
-                position=positions[node], timestamp=now
-            )
-            table_updates = self._snapshot.neighbors(node)
-            beacons += 1
-            for nbr in table_updates:
-                self._location_tables[nbr][node] = record
+        # neighbours.  Adjacency keys follow the snapshot's node order.
+        tables = self._location_tables
+        adjacency = self._snapshot.adjacency
+        for node, nbrs in adjacency.items():
+            record = LocationRecord(positions[node], now)
+            for nbr in nbrs:
+                tables[nbr][node] = record
             # A node always knows its own current position (GPS).
-            self._location_tables[node][node] = record
+            tables[node][node] = record
         if self._on_control_bytes is not None:
-            self._on_control_bytes(beacons * BEACON_BYTES)
+            self._on_control_bytes(len(adjacency) * BEACON_BYTES)
         self._profiler.add(PHASE_UDG, t0)
 
     # ------------------------------------------------------------------

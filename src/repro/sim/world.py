@@ -28,6 +28,7 @@ from repro.seeding import derive_rng
 from repro.sim.stats import MetricsCollector, SimulationMetrics
 from repro.telemetry.profile import (
     NULL_PROFILER,
+    PHASE_CALENDAR,
     PHASE_DELIVERY,
     PHASE_PROTOCOL,
 )
@@ -124,7 +125,7 @@ class NodeApi:
 
     def schedule(self, delay: float, callback: Callable[[], None]):
         """One-shot timer."""
-        return self._world.sim.schedule(delay, callback)
+        return self._world.sim.schedule(delay, self._charged(callback))
 
     def periodic(
         self, interval: float, callback: Callable[[], None], jitter: float = 0.0
@@ -133,11 +134,29 @@ class NodeApi:
         return PeriodicTask(
             self._world.sim,
             interval,
-            callback,
+            self._charged(callback),
             jitter=jitter,
             uniform=self.rng.uniform,
             start_offset=self.rng.uniform(0.0, interval),
         )
+
+    def _charged(self, callback: Callable[[], None]) -> Callable[[], None]:
+        """``callback`` charged to the protocol phase while profiling.
+
+        Timers are protocol work the calendar fires, so without this
+        their time would land in the calendar residual.  With the
+        profiler off the callback is returned as is: no wrapper.
+        """
+        profiler = self._world.profiler
+        if not profiler.enabled:
+            return callback
+
+        def charged() -> None:
+            t0 = profiler.start()
+            callback()
+            profiler.add(PHASE_PROTOCOL, t0)
+
+        return charged
 
     # -- communication ---------------------------------------------------
 
@@ -338,11 +357,13 @@ class World:
 
     def run(self, until: float, protocol_name: str | None = None) -> SimulationMetrics:
         """Start protocols, run to the horizon, and return the metrics."""
+        t0 = self.profiler.start()
         if not self._started:
             for protocol in self.protocols.values():
                 protocol.start()
             self._started = True
         self.sim.run(until=until)
+        self.profiler.add(PHASE_CALENDAR, t0)
 
         t0 = self.profiler.start()
         for node, protocol in self.protocols.items():

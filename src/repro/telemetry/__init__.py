@@ -27,6 +27,7 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.profile import (
     NULL_PROFILER,
+    PHASE_CALENDAR,
     PHASE_DELIVERY,
     PHASE_MAC,
     PHASE_MOBILITY,
@@ -55,6 +56,7 @@ __all__ = [
     "render_event",
     "unknown_event_types",
     "NULL_PROFILER",
+    "PHASE_CALENDAR",
     "PHASE_DELIVERY",
     "PHASE_MAC",
     "PHASE_MOBILITY",

@@ -5,7 +5,9 @@ mobility stepping, UDG/beacon rebuild, k-LDTG planarization, MAC
 contention, protocol decisions, delivery bookkeeping — not just the
 total.  This module provides ``perf_counter_ns`` accumulators that the
 engine threads through :class:`~repro.sim.world.World` and its
-subsystems.
+subsystems.  The ``calendar`` phase brackets the event loop, so it
+takes whatever the other phases leave and a run's phases add up to its
+wall time.
 
 Two hard requirements shape the design:
 
@@ -42,6 +44,11 @@ PHASE_PLANARIZE = "planarize"
 PHASE_MAC = "mac"
 PHASE_PROTOCOL = "protocol"
 PHASE_DELIVERY = "delivery"
+#: Brackets protocol start-up and the whole event loop, so its exclusive
+#: time is the residual no other phase claims: the calendar itself,
+#: timer re-arming and world glue.  With it, phases sum to the run's
+#: wall time.
+PHASE_CALENDAR = "calendar"
 
 #: Every phase the hot path instruments, in display order.
 PHASES = (
@@ -51,6 +58,7 @@ PHASES = (
     PHASE_MAC,
     PHASE_PROTOCOL,
     PHASE_DELIVERY,
+    PHASE_CALENDAR,
 )
 
 

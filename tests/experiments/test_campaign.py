@@ -341,6 +341,23 @@ class TestCampaignSpec:
         with pytest.raises(ValueError):
             CampaignSpec.from_dict({"name": "x", "base": {"warp": 9}})
 
+    @pytest.mark.parametrize("field", ["sim_time", "beacon_interval"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_from_dict_rejects_non_finite_base_values(self, field, literal):
+        # Python's json reads NaN and Infinity; such a run never ends.
+        document = json.loads(
+            f'{{"name": "x", "base": {{"{field}": {literal}}}}}'
+        )
+        with pytest.raises(ValueError, match=field):
+            CampaignSpec.from_dict(document)
+
+    def test_non_finite_grid_value_fails_before_any_task(self):
+        spec = CampaignSpec.from_dict(
+            json.loads('{"name": "x", "grid": {"sim_time": [30.0, NaN]}}')
+        )
+        with pytest.raises(ValueError, match="sim_time"):
+            spec.scenarios()
+
 
 class TestMobilityAxis:
     """The tentpole acceptance: one spec sweeping >= 4 movement models."""

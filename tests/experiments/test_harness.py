@@ -1,5 +1,7 @@
 """Tests for scenarios, workload generation, and the runner."""
 
+import math
+
 import pytest
 
 from repro.experiments.common import BENCH_EFFORT, Effort, ci_of, fmt_ci
@@ -11,6 +13,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scenarios import PAPER_TABLE1, Scenario
 from repro.experiments.workload import generate_workload
+from repro.mobility.base import Region
 
 
 class TestScenario:
@@ -73,6 +76,34 @@ class TestScenario:
             Scenario(beacon_interval=0.0)
         with pytest.raises(ValueError, match="beacon"):
             Scenario(beacon_interval=-1.0)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "radius",
+            "min_speed",
+            "max_speed",
+            "pause_time",
+            "message_interval",
+            "message_start",
+            "sim_time",
+            "beacon_interval",
+            "data_rate_bps",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_rejected(self, field, value):
+        # NaN passes every `<= 0` check, and a NaN sim_time or
+        # beacon_interval would make run_single never return.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Scenario(**{field: value})
+
+    @pytest.mark.parametrize("side", [math.nan, math.inf])
+    def test_non_finite_region_rejected(self, side):
+        with pytest.raises(ValueError, match="finite"):
+            Scenario(region=Region(side, 300.0))
+        with pytest.raises(ValueError, match="finite"):
+            Scenario(region=Region(1500.0, side))
 
     def test_scenario_has_no_engine_field(self):
         # One simulation path: no scenario field selects another.

@@ -7,6 +7,8 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.layout import RunLayout
+from repro.experiments.runner import build_world
+from repro.experiments.scenarios import Scenario
 from repro.telemetry.events import (
     EVENT_TYPES,
     EventLog,
@@ -21,6 +23,7 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.profile import (
     NULL_PROFILER,
+    PHASE_CALENDAR,
     PHASE_MAC,
     PHASE_PROTOCOL,
     PHASES,
@@ -385,6 +388,54 @@ class TestPhaseProfiler:
             "mac": 3.0,
             "mobility": 0.5,
         }
+
+
+class TestRunPhaseCoverage:
+    """Phases of a real run: timers charged, residual on the calendar."""
+
+    SCENARIO = Scenario(n_nodes=20, active_nodes=10, message_count=30,
+                        sim_time=40.0)
+
+    @pytest.mark.parametrize("protocol", ["one_hop", "glr"])
+    def test_phases_sum_to_run_wall_time(self, protocol):
+        """``calendar`` brackets the event loop and keeps only what no
+        other phase claims, so a run's phases add up to its wall time."""
+        profiler = PhaseProfiler()
+        world = build_world(self.SCENARIO, protocol, profiler=profiler)
+        before = sum(profiler.snapshot().values())
+        start = time.perf_counter()
+        world.run(until=self.SCENARIO.sim_time)
+        wall = time.perf_counter() - start
+        snap = profiler.snapshot()
+        assert 0.95 * wall <= sum(snap.values()) - before <= wall + 1e-6
+        assert snap[PHASE_CALENDAR] > 0.0
+
+    @pytest.mark.parametrize("kind", ["schedule", "periodic"])
+    def test_node_timers_are_charged_to_protocol(self, kind):
+        profiler = PhaseProfiler()
+        world = build_world(
+            self.SCENARIO.but(message_count=0), "one_hop", profiler=profiler
+        )
+        api = world.protocols[0].api
+
+        def sleep() -> None:
+            time.sleep(0.02)
+
+        if kind == "schedule":
+            api.schedule(1.0, sleep)
+        else:
+            api.periodic(4.0, sleep)  # first fire within [0, 4) s
+        world.run(until=5.0)
+        assert profiler.snapshot()[PHASE_PROTOCOL] >= 0.02
+
+    def test_timers_are_not_wrapped_with_profiling_off(self):
+        world = build_world(self.SCENARIO, "one_hop")
+
+        def callback() -> None:
+            pass
+
+        handle = world.protocols[0].api.schedule(1.0, callback)
+        assert handle.callback is callback
 
 
 #: One tiny orchestrated run via the CLI, shared by the status/events

@@ -1,6 +1,11 @@
 """Tests for the discrete-event scheduler."""
 
+import bisect
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.seeding import derive_rng
 from repro.sim.engine import PeriodicTask, Simulator
@@ -73,6 +78,16 @@ class TestScheduling:
         sim.run(until=10.0)
         with pytest.raises(ValueError):
             sim.run(until=5.0)
+
+    def test_nan_horizon_rejected(self):
+        # NaN fails every comparison, so a NaN horizon never stops a
+        # calendar with a periodic timer in it.
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, lambda: fired.append(sim.now))
+        with pytest.raises(ValueError, match="NaN"):
+            sim.run(until=math.nan)
+        assert fired == [] and sim.now == 0.0
 
     def test_events_scheduled_during_run_fire(self):
         sim = Simulator()
@@ -175,3 +190,137 @@ class TestPeriodicTask:
             PeriodicTask(sim, 0.0, lambda: None)
         with pytest.raises(ValueError):
             PeriodicTask(sim, 1.0, lambda: None, jitter=1.0)
+
+    @pytest.mark.parametrize("interval", [math.nan, math.inf])
+    def test_non_finite_interval_rejected(self, interval):
+        # A NaN interval re-arms at the same instant forever.
+        with pytest.raises(ValueError, match="interval"):
+            PeriodicTask(Simulator(), interval, lambda: None)
+
+    @pytest.mark.parametrize("jitter", [math.nan, math.inf])
+    def test_non_finite_jitter_rejected(self, jitter):
+        with pytest.raises(ValueError, match="jitter"):
+            PeriodicTask(Simulator(), 1.0, lambda: None, jitter=jitter)
+
+
+class SortedListCalendar:
+    """Reference calendar: pending events in a list sorted by (time, seq).
+
+    The same surface as :class:`Simulator` for what the order oracle
+    drives, with none of its machinery: no heap, no lazy deletion
+    tricks beyond skipping cancelled entries at the front.
+    """
+
+    class Handle:
+        def __init__(self, time, seq, callback):
+            self.time = time
+            self.seq = seq
+            self.callback = callback
+            self.cancelled = False
+
+        def cancel(self):
+            self.cancelled = True
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._pending = []
+        self._seq = 0
+
+    def schedule_at(self, time, callback):
+        handle = self.Handle(time, self._seq, callback)
+        self._seq += 1
+        bisect.insort(self._pending, handle, key=lambda h: (h.time, h.seq))
+        return handle
+
+    def run(self, until=None):
+        while self._pending:
+            handle = self._pending[0]
+            if until is not None and handle.time > until:
+                break
+            del self._pending[0]
+            if handle.cancelled:
+                continue
+            self.now = handle.time
+            self.events_processed += 1
+            handle.callback()
+        if until is not None:
+            self.now = max(self.now, until)
+
+    def pending_events(self):
+        return sum(1 for h in self._pending if not h.cancelled)
+
+
+#: Few distinct delays, so same-time ties are common (as on the
+#: simulator's whole-second beacons, message creations and samples).
+DELAYS = st.sampled_from([0.0, 0.25, 1.0, 1.0, 2.0])
+
+#: One program step.  ``schedule``: an event ``delay`` after now that,
+#: when it fires, schedules one child per entry of ``children`` and may
+#: cancel an earlier handle; ``cancel``: cancel an earlier handle (it
+#: may have fired already); ``run``: a ``run(until=now + delta)``
+#: checkpoint.
+STEPS = st.one_of(
+    st.tuples(
+        st.just("schedule"),
+        DELAYS,
+        st.lists(DELAYS, max_size=2),
+        st.none() | st.integers(0, 50),
+    ),
+    st.tuples(st.just("cancel"), st.integers(0, 50)),
+    st.tuples(st.just("run"), st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+)
+
+
+def execute(calendar, program):
+    """Drive ``calendar`` through ``program``; return what it observed."""
+    fired = []
+    handles = []
+    checkpoints = []
+
+    def event(tag, children, cancels):
+        def fire():
+            fired.append((tag, calendar.now))
+            for j, delay in enumerate(children):
+                handles.append(calendar.schedule_at(
+                    calendar.now + delay, event((tag, j), (), None)
+                ))
+            if cancels is not None and handles:
+                handles[cancels % len(handles)].cancel()
+
+        return fire
+
+    def checkpoint():
+        checkpoints.append((
+            calendar.now,
+            calendar.events_processed,
+            calendar.pending_events(),
+            len(fired),
+        ))
+
+    for i, step in enumerate(program):
+        if step[0] == "schedule":
+            _, delay, children, cancels = step
+            handles.append(calendar.schedule_at(
+                calendar.now + delay, event(i, children, cancels)
+            ))
+        elif step[0] == "cancel":
+            if handles:
+                handles[step[1] % len(handles)].cancel()
+        else:
+            calendar.run(until=calendar.now + step[1])
+            checkpoint()
+    calendar.run()
+    checkpoint()
+    return fired, checkpoints
+
+
+class TestCalendarOrderOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(program=st.lists(STEPS, max_size=40))
+    def test_matches_sorted_list_reference(self, program):
+        """Random programs fire the same events, in the same order, at
+        the same times, with the same counts, as the reference."""
+        assert execute(Simulator(), program) == execute(
+            SortedListCalendar(), program
+        )
