@@ -56,7 +56,7 @@ def ablation_copies(
             ),
             protocol="glr",
             runs=effort.runs,
-            glr_config=config,
+            protocol_config=config,
         )
         for label, config in configs
     ]
@@ -101,7 +101,7 @@ def ablation_spanner(
             ),
             protocol="glr",
             runs=effort.runs,
-            glr_config=GLRConfig(use_ldt=use_ldt),
+            protocol_config=GLRConfig(use_ldt=use_ldt),
         )
         for label, use_ldt in variants
     ]
@@ -146,7 +146,7 @@ def ablation_face_routing(
             ),
             protocol="glr",
             runs=effort.runs,
-            glr_config=GLRConfig(face_routing=enabled),
+            protocol_config=GLRConfig(face_routing=enabled),
         )
         for enabled in variants
     ]
@@ -191,7 +191,7 @@ def ablation_custody_timeout(
             ),
             protocol="glr",
             runs=effort.runs,
-            glr_config=GLRConfig(custody_timeout=timeout),
+            protocol_config=GLRConfig(custody_timeout=timeout),
         )
         for timeout in timeouts
     ]

@@ -11,7 +11,9 @@ that grid.  This module is the one place that executes such grids:
   reference path uses, so parallel results are bit-identical to serial.
 - :func:`execute_tasks` fans tasks out over a
   :class:`~concurrent.futures.ProcessPoolExecutor` (``workers > 1``) or
-  runs them inline (``workers == 1``, the reference behaviour).
+  runs them inline (``workers == 1``, the reference behaviour).  It and
+  the ``--tasks`` lease worker run through one task loop that differs
+  only in where its pending keys come from.
 - :class:`ResultCache` is a content-addressed on-disk JSON store keyed
   by the code-relevant task parameters (scenario fields minus the
   display name, protocol + protocol config, seed, cache format
@@ -46,7 +48,6 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
     ProcessPoolExecutor,
-    as_completed,
     wait,
 )
 from dataclasses import dataclass, field
@@ -56,16 +57,10 @@ from typing import Callable, Mapping, Sequence
 
 from repro.analysis.aggregate import MetricSummary, summarize_cells
 from repro.analysis.render import render_table
-from repro.baselines.epidemic import EpidemicConfig
-from repro.baselines.spray_and_wait import SprayAndWaitConfig
-from repro.core.protocol import GLRConfig
+from repro.baselines.registry import resolve_config, resolve_protocol
 from repro.experiments.common import ci_of, fmt_ci
 from repro.experiments.protocols import ProtocolConfig, as_protocol_config
-from repro.experiments.runner import (
-    available_protocols,
-    resolve_run_config,
-    run_single,
-)
+from repro.experiments.runner import available_protocols, run_single
 from repro.experiments.scenarios import Scenario
 from repro.experiments.scheduler import (
     AssignmentIdleTimeout,
@@ -124,69 +119,72 @@ CACHE_FORMAT = 3
 
 @dataclass(frozen=True)
 class ReplicateTask:
-    """One simulation leaf: a fully seeded scenario plus its protocol."""
+    """One simulation leaf: a fully seeded scenario plus its protocol.
+
+    ``protocol_config`` is a declarative :class:`ProtocolConfig` or a
+    concrete instance of the protocol's config class.
+    """
 
     scenario: Scenario
     protocol: str
     replicate: int
-    glr_config: GLRConfig | None = None
-    epidemic_config: EpidemicConfig | None = None
-    spray_config: SprayAndWaitConfig | None = None
     buffer_limit: int | None = None
-    protocol_config: ProtocolConfig | None = None
+    protocol_config: ProtocolConfig | object | None = None
 
     @property
     def protocol_label(self) -> str:
         """The reporting label: ``glr`` or ``glr(custody=False)``."""
-        if self.protocol_config is not None and self.protocol_config.params:
+        if (
+            isinstance(self.protocol_config, ProtocolConfig)
+            and self.protocol_config.params
+        ):
             return str(self.protocol_config)
         return self.protocol
 
 
 @dataclass(frozen=True)
 class ReplicateSpec:
-    """One grid cell: ``runs`` replicates of (scenario, protocol)."""
+    """One grid cell: ``runs`` replicates of (scenario, protocol).
+
+    ``protocol`` is stored under its canonical registry name, so an
+    alias (``snw``) and its canonical name share task keys and cache
+    entries.  ``protocol_config`` takes a protocol name, mapping or
+    :class:`ProtocolConfig` (the sweep axis), or a concrete instance
+    of the protocol's config class (for fields the axis cannot sweep,
+    such as ``GLRConfig(location_mode=...)``).
+    """
 
     scenario: Scenario
     protocol: str
     runs: int = 10
-    glr_config: GLRConfig | None = None
-    epidemic_config: EpidemicConfig | None = None
-    spray_config: SprayAndWaitConfig | None = None
     buffer_limit: int | None = None
-    protocol_config: ProtocolConfig | None = None
+    protocol_config: ProtocolConfig | object | None = None
 
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise ValueError("need at least one run")
-        if self.protocol_config is not None:
-            # Coerce strings / mappings so specs can name variants
-            # directly, and catch config conflicts at spec build time
-            # rather than inside a worker mid-campaign.
-            object.__setattr__(
-                self,
-                "protocol_config",
-                as_protocol_config(self.protocol_config),
+        object.__setattr__(self, "protocol", resolve_protocol(self.protocol))
+        config = self.protocol_config
+        if config is None:
+            return
+        # Catch config mismatches at spec build time rather than inside
+        # a worker mid-campaign: a config is applied or refused, never
+        # silently dropped.
+        if not isinstance(config, (ProtocolConfig, str, Mapping)):
+            resolve_config(self.protocol, config)  # wrong class raises
+            return
+        config = as_protocol_config(config)
+        if config.protocol != self.protocol:
+            raise ValueError(
+                f"protocol config {config} does not match spec "
+                f"protocol {self.protocol!r}"
             )
-            if self.protocol_config.protocol != self.protocol:
-                raise ValueError(
-                    f"protocol config {self.protocol_config} does not "
-                    f"match spec protocol {self.protocol!r}"
-                )
-            if (
-                self.glr_config is not None
-                or self.epidemic_config is not None
-                or self.spray_config is not None
-            ):
-                raise ValueError(
-                    "pass either protocol_config or a concrete "
-                    "glr/epidemic/spray config, not both"
-                )
-            if not self.protocol_config.params:
-                # A paramless config IS the bare protocol; normalising
-                # to None keeps the cache key and stream identity
-                # identical whichever way the spec was written.
-                object.__setattr__(self, "protocol_config", None)
+        # A paramless config IS the bare protocol; normalising to None
+        # keeps the cache key and stream identity identical whichever
+        # way the spec was written.
+        object.__setattr__(
+            self, "protocol_config", config if config.params else None
+        )
 
     def tasks(self) -> list[ReplicateTask]:
         """Expand to seeded per-replicate tasks (deterministic order)."""
@@ -197,9 +195,6 @@ class ReplicateSpec:
                 ),
                 protocol=self.protocol,
                 replicate=i,
-                glr_config=self.glr_config,
-                epidemic_config=self.epidemic_config,
-                spray_config=self.spray_config,
                 buffer_limit=self.buffer_limit,
                 protocol_config=self.protocol_config,
             )
@@ -262,22 +257,40 @@ def _canonical_scenario(task: ReplicateTask) -> dict:
     return scenario
 
 
+#: Key slot of a concrete config, by protocol.  Before the single
+#: ``protocol_config`` field, concrete configs of these three protocols
+#: were passed (and keyed) under per-protocol fields; filling the same
+#: slot keeps their task keys, and so their cache entries, unchanged.
+#: Every other concrete config keys under ``protocol_config``.
+_CONCRETE_SLOTS = {
+    "glr": "glr_config",
+    "epidemic": "epidemic_config",
+    "spray_and_wait": "spray_config",
+}
+
+
 def task_payload(task: ReplicateTask) -> dict:
     """The code-relevant parameters a task's cache key is built from.
 
     The scenario's display ``name`` is excluded so renaming a sweep
     does not invalidate its cached simulations.
     """
-    return {
+    config = task.protocol_config
+    slot = "protocol_config"
+    if config is not None and not isinstance(config, ProtocolConfig):
+        slot = _CONCRETE_SLOTS.get(task.protocol, slot)
+    payload = {
         "format": CACHE_FORMAT,
         "scenario": _canonical_scenario(task),
         "protocol": task.protocol,
-        "glr_config": _canonical(task.glr_config),
-        "epidemic_config": _canonical(task.epidemic_config),
-        "spray_config": _canonical(task.spray_config),
+        "glr_config": None,
+        "epidemic_config": None,
+        "spray_config": None,
         "buffer_limit": task.buffer_limit,
-        "protocol_config": _canonical(task.protocol_config),
+        "protocol_config": None,
     }
+    payload[slot] = _canonical(config)
+    return payload
 
 
 def _payload_key(payload: dict) -> str:
@@ -402,42 +415,6 @@ class TaskProgress:
 
 ProgressCallback = Callable[[TaskProgress], None]
 
-#: ``record(index, task, metrics, cached, wall_time_s, phase_profile)``
-#: — called once per finished task (the metrics-stream hook); ``index``
-#: is the task's position in the list handed to :func:`execute_tasks`,
-#: so callers can correlate results with precomputed per-task state
-#: (cache keys) without relying on object identity.  ``phase_profile``
-#: is the per-phase seconds dict when ``REPRO_PROFILE_PHASES`` is set,
-#: else ``None`` (cache hits are always ``None`` — nothing ran).
-RecordCallback = Callable[
-    [int, ReplicateTask, SimulationMetrics, bool, float, "dict | None"],
-    None,
-]
-
-
-def _run_task(task: ReplicateTask, profiler=None) -> SimulationMetrics:
-    """Simulate one task (module-level so it pickles into worker procs).
-
-    Task fields keep the historical per-protocol config slots (they are
-    part of the persisted cache-key schema); they are translated onto
-    the unified ``protocol_config`` path here, quietly — stored tasks
-    are not deprecated API use.
-    """
-    config = resolve_run_config(
-        task.protocol,
-        task.protocol_config,
-        task.glr_config,
-        task.epidemic_config,
-        task.spray_config,
-    )
-    return run_single(
-        task.scenario,
-        task.protocol,
-        buffer_limit=task.buffer_limit,
-        protocol_config=config,
-        profiler=profiler,
-    )
-
 
 #: Fault-injection knob for tests and CI: a float number of seconds to
 #: sleep after every finished task.  The orchestrator's
@@ -467,7 +444,13 @@ def _run_task_timed(
     """
     profiler = make_profiler()
     start = time.perf_counter()
-    metrics = _run_task(task, profiler=profiler)
+    metrics = run_single(
+        task.scenario,
+        task.protocol,
+        buffer_limit=task.buffer_limit,
+        protocol_config=task.protocol_config,
+        profiler=profiler,
+    )
     delay = _chaos_task_sleep()
     if delay:
         time.sleep(delay)
@@ -476,28 +459,100 @@ def _run_task_timed(
     return metrics, wall, profile
 
 
+def _run_loop(
+    source: Callable[[set[int]], tuple[list[int], int, bool]],
+    tasks: Sequence[ReplicateTask],
+    workers: int,
+    cache: ResultCache | None,
+    finish: Callable[
+        [int, SimulationMetrics, bool, float, "dict | None"], None
+    ],
+    idle: Callable[[], None] | None = None,
+) -> None:
+    """Run the tasks ``source`` hands out: the engine's one task loop.
+
+    Keys are indices into ``tasks``.  After every finished task the
+    loop reads ``(pending keys, batch, closed)`` from ``source``, given
+    the keys in flight, and takes keys off the front of ``pending`` (a
+    fixed source returns the same list each time, so a key taken stays
+    taken).  A cache hit finishes on the spot without taking a slot.
+    At ``workers == 1`` one key runs inline; otherwise one process
+    pool, made at the first miss, is topped up to ``batch`` keys in
+    flight, so a slow key never idles the other slots.  With nothing
+    pending or in flight, a closed source ends the loop and an open
+    one calls ``idle`` before the next read.
+
+    ``finish(key, metrics, cached, wall_time_s, phase_profile)`` runs
+    once per key, after a fresh result is stored in ``cache``.
+    """
+    in_flight: dict[Future, int] = {}
+    pool: ProcessPoolExecutor | None = None
+
+    def ran(key: int, metrics: SimulationMetrics, wall: float,
+            profile: dict | None) -> None:
+        if cache is not None:
+            cache.store(tasks[key], metrics)
+        finish(key, metrics, False, wall, profile)
+
+    try:
+        while True:
+            pending, batch, closed = source(set(in_flight.values()))
+            busy = False
+            while pending and len(in_flight) < batch:
+                key = pending.pop(0)
+                metrics = cache.load(tasks[key]) if cache is not None else None
+                if metrics is not None:
+                    finish(key, metrics, True, 0.0, None)
+                elif workers == 1:
+                    ran(key, *_run_task_timed(tasks[key]))
+                    busy = True
+                    break
+                else:
+                    if pool is None:
+                        pool = ProcessPoolExecutor(
+                            max_workers=min(workers, batch)
+                        )
+                    in_flight[pool.submit(_run_task_timed, tasks[key])] = key
+            if in_flight:
+                finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+                for future in finished:
+                    ran(in_flight.pop(future), *future.result())
+                busy = True
+            if busy:
+                continue
+            if closed:
+                return
+            idle()
+    finally:
+        if pool is not None:
+            # A clean exit has nothing in flight; on an error, drop the
+            # queued keys and wait out the running ones, so no pool
+            # child outlives the loop.
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
 def execute_tasks(
     tasks: Sequence[ReplicateTask],
     workers: int = 1,
     cache: ResultCache | None = None,
     progress: ProgressCallback | None = None,
-    record: RecordCallback | None = None,
 ) -> list[SimulationMetrics]:
     """Run every task, in input order, using cache and process pool.
 
     Each task is an independent simulation with a pre-derived seed, so
     the result list is identical whatever ``workers`` is; parallelism
-    only changes wall-clock time.  ``record`` (if given) is called once
-    per finished task with its metrics and wall time, in completion
-    order — the hook the campaign metrics stream appends through.
+    only changes wall-clock time.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     results: list[SimulationMetrics | None] = [None] * len(tasks)
+    queue = list(range(len(tasks)))
     done = 0
 
-    def tick(index: int, cached: bool) -> None:
+    def finish(index: int, metrics: SimulationMetrics, cached: bool,
+               wall: float, profile: dict | None) -> None:
         nonlocal done
+        results[index] = metrics
         done += 1
         if progress is not None:
             progress(
@@ -510,42 +565,17 @@ def execute_tasks(
                 )
             )
 
-    def finish(index: int, metrics: SimulationMetrics,
-               cached: bool, wall: float,
-               profile: dict | None = None) -> None:
-        results[index] = metrics
-        if record is not None:
-            record(index, tasks[index], metrics, cached, wall, profile)
-        tick(index, cached=cached)
-
-    pending: list[int] = []
-    for i, task in enumerate(tasks):
-        metrics = cache.load(task) if cache is not None else None
-        if metrics is not None:
-            finish(i, metrics, cached=True, wall=0.0)
-        else:
-            pending.append(i)
-
-    if pending and workers > 1 and len(pending) > 1:
-        pool_size = min(workers, len(pending))
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            futures = {
-                pool.submit(_run_task_timed, tasks[i]): i for i in pending
-            }
-            for future in as_completed(futures):
-                i = futures[future]
-                metrics, wall, profile = future.result()
-                if cache is not None:
-                    cache.store(tasks[i], metrics)
-                finish(i, metrics, cached=False, wall=wall, profile=profile)
-    else:
-        for i in pending:
-            metrics, wall, profile = _run_task_timed(tasks[i])
-            if cache is not None:
-                cache.store(tasks[i], metrics)
-            finish(i, metrics, cached=False, wall=wall, profile=profile)
-
-    return [r for r in results if r is not None]
+    # A closed, fixed source: every task may be in flight at once (the
+    # pool queues what it has no slot for); a lone task never pays for
+    # a pool.
+    _run_loop(
+        lambda running: (queue, len(tasks), True),
+        tasks,
+        min(workers, len(tasks)),
+        cache,
+        finish,
+    )
+    return results
 
 
 def run_replicate_specs(
@@ -937,6 +967,15 @@ def _select_shard(
     ]
 
 
+#: Seconds an idle ``--tasks`` worker sleeps between assignment-file
+#: reads.  The file is about a kilobyte and the heartbeat events an
+#: idle poll emits are throttled, so polling often is cheap.  It must
+#: sit well under the supervisor's poll interval: the last worker of a
+#: run has to see its file close and exit within one supervisor tick,
+#: or the whole run waits a tick longer.
+_ASSIGNMENT_POLL_S = 0.02
+
+
 def run_campaign(
     spec: CampaignSpec,
     workers: int = 1,
@@ -1010,14 +1049,16 @@ def run_campaign(
         resumed, and freshly-run tasks are indistinguishable in it.
 
     Raises:
-        ValueError: conflicting arguments (``tasks_file`` with shard
-            args, shard args without ``stream_path``, or half a shard
-            pair).
+        ValueError: ``workers`` below 1, or conflicting arguments
+            (``tasks_file`` with shard args, shard args without
+            ``stream_path``, or half a shard pair).
         StreamError: ``stream_path`` exists but is not this campaign's
             stream (bad header or mismatched spec hash).
         repro.experiments.scheduler.AssignmentIdleTimeout: the
             ``tasks_file`` supervisor went quiet past ``wait_timeout``.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if tasks_file is not None:
         if shard_index is not None or shard_count is not None:
             raise ValueError(
@@ -1029,46 +1070,70 @@ def run_campaign(
                 "tasks_file campaigns need stream_path: the stream is "
                 "how the scheduler sees recorded tasks"
             )
-        return _run_tasks_campaign(
-            spec,
-            tasks_file=tasks_file,
-            stream_path=stream_path,
-            workers=workers,
-            cache_dir=cache_dir,
-            progress=progress,
-            wait_timeout=wait_timeout,
-            on_wait=on_wait,
-        )
+        if wait_timeout is not None and wait_timeout <= 0:
+            raise ValueError("wait_timeout must be positive (or None)")
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     # Entry keys feed shard selection and the stream (resume map,
     # records, rebuild); when neither is in play, skip the derivation
     # entirely (the cache memoises its own).
     need_keys = stream_path is not None or shard_count is not None
-    entries: list[_CampaignEntry] = []
-    for label, cell_spec in spec.cell_specs():
-        entries.extend(
-            (label, task, task_key(task) if need_keys else "")
-            for task in cell_spec.tasks()
-        )
+    entries: list[_CampaignEntry] = [
+        (label, task, task_key(task) if need_keys else "")
+        for label, cell_spec in spec.cell_specs()
+        for task in cell_spec.tasks()
+    ]
     entries = _select_shard(entries, shard_index, shard_count)
-
-    recorded: dict[str, dict] = {}
-    record: RecordCallback | None = None
+    recorded: set[str] = set()
     if stream_path is not None:
         spec_hash = campaign_spec_hash(spec)
         info = init_stream(stream_path, spec_hash, spec.to_dict())
-        recorded = {r["key"]: r for r in info.records}
+        recorded = {record["key"] for record in info.records}
 
-        def record(index: int, task: ReplicateTask,
-                   metrics: SimulationMetrics,
-                   cached: bool, wall: float,
-                   profile: dict | None = None) -> None:
+    # The task loop's keys are indices into entries.
+    results: list[SimulationMetrics | None] = [None] * len(entries)
+    #: Entries a progress event went out for (skipped or finished).
+    counted: set[int] = set()
+    #: What the source hands out now: every entry, or the leases.
+    leased: Sequence[int] = range(len(entries))
+    stream_hits = 0
+
+    def tick(index: int, cached: bool, source: str) -> None:
+        counted.add(index)
+        if progress is not None:
+            # A lease file drops done keys on every rewrite, so the
+            # honest denominator is everything counted so far plus
+            # what is leased now, not the file's key count.
+            progress(
+                TaskProgress(
+                    len(counted),
+                    len(counted.union(leased)),
+                    entries[index][1],
+                    cached=cached,
+                    source=source,
+                )
+            )
+
+    def unrecorded(indices: Sequence[int]) -> list[int]:
+        """``indices`` minus the stream's records, skipped visibly."""
+        nonlocal stream_hits
+        pending = []
+        for index in indices:
+            if entries[index][2] not in recorded:
+                pending.append(index)
+            elif index not in counted:
+                stream_hits += 1
+                tick(index, cached=True, source="stream")
+        return pending
+
+    def finish(index: int, metrics: SimulationMetrics, cached: bool,
+               wall: float, profile: dict | None) -> None:
+        results[index] = metrics
+        _, task, key = entries[index]
+        if stream_path is not None:
             append_record(
                 stream_path,
                 make_task_record(
-                    # pending is what execute_tasks runs, in order, so
-                    # the callback index addresses its precomputed key.
-                    key=pending[index][2],
+                    key=key,
                     scenario=task.scenario.name,
                     protocol=task.protocol_label,
                     replicate=task.replicate,
@@ -1079,172 +1144,35 @@ def run_campaign(
                     phase_profile=profile,
                 ),
             )
+            recorded.add(key)
+        tick(index, cached, "cache" if cached else "ran")
 
-    pending: list[_CampaignEntry] = []
-    stream_hits = 0
-    done = 0
-    total = len(entries)
-    for label, task, key in entries:
-        if recorded and key in recorded:
-            stream_hits += 1
-            done += 1
-            if progress is not None:
-                progress(
-                    TaskProgress(
-                        done, total, task, cached=True, source="stream"
-                    )
-                )
-        else:
-            pending.append((label, task, key))
-
-    def shifted_progress(event: TaskProgress) -> None:
-        if progress is not None:
-            progress(
-                dataclasses.replace(
-                    event, done=event.done + stream_hits, total=total
-                )
-            )
-
-    executed = execute_tasks(
-        [task for _, task, _ in pending],
-        workers=workers,
-        cache=cache,
-        progress=shifted_progress if progress is not None else None,
-        record=record,
-    )
-
-    metrics: dict[tuple[str, str], list[SimulationMetrics]] = {}
-    if stream_path is not None:
-        # Aggregation consumes the stream: reload it so the result is
-        # exactly what a later `campaign aggregate` would see.  No
-        # repair here — our own records are fsync'd and complete, and
-        # deleting someone else's in-flight line is the resume path's
-        # call, not ours.
-        info = load_stream(
-            stream_path, campaign_spec_hash(spec), quarantine=False
+    tasks = [task for _, task, _ in entries]
+    if tasks_file is None:
+        # A closed, fixed source, exactly as in execute_tasks.
+        queue = unrecorded(leased)
+        _run_loop(
+            lambda running: (queue, len(tasks), True),
+            tasks,
+            min(workers, len(queue)),
+            cache,
+            finish,
         )
-        by_key = {r["key"]: r for r in info.records}
-        for label, _, key in entries:
-            metrics.setdefault(label, []).append(
-                SimulationMetrics.from_json(by_key[key]["metrics"])
-            )
     else:
-        # execute_tasks preserves input order, so results line up with
-        # the pending entries one-to-one.
-        for (label, _, _), run_metrics in zip(pending, executed):
-            metrics.setdefault(label, []).append(run_metrics)
+        # The lease source: re-read after every finished task, so keys
+        # the supervisor reclaims (work stealing) drop out before they
+        # start and leases granted mid-run join.  The in-flight keys
+        # stay inside the keep window a steal never touches.
+        index_of = {key: index for index, (_, _, key) in enumerate(entries)}
+        doc = None
+        # Supervisor-liveness clock: a rewrite (version), a bare mtime
+        # freshen (the supervisor touches every assignment file each
+        # tick) or a finished task resets it.
+        idle_since = 0.0
+        last_beacon: tuple[int, int, int] | None = None
 
-    return CampaignResult(
-        spec=spec,
-        metrics=metrics,
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
-        cache_enabled=cache is not None,
-        stream_hits=stream_hits,
-    )
-
-
-#: Seconds an idle ``--tasks`` worker sleeps between assignment-file
-#: reads.  The file is about a kilobyte and the heartbeat events an
-#: idle poll emits are throttled, so polling often is cheap.  It must
-#: sit well under the supervisor's poll interval: the last worker of a
-#: run has to see its file close and exit within one supervisor tick,
-#: or the whole run waits a tick longer.
-_ASSIGNMENT_POLL_S = 0.02
-
-
-def _run_tasks_campaign(
-    spec: CampaignSpec,
-    tasks_file: str | Path,
-    stream_path: str | Path,
-    workers: int,
-    cache_dir: str | Path | None,
-    progress: ProgressCallback | None,
-    wait_timeout: float | None,
-    on_wait: Callable[[], None] | None,
-) -> CampaignResult:
-    """The ``--tasks FILE`` worker loop: keep leases in flight until closed.
-
-    The assignment file is the supervisor's half of the work-stealing
-    protocol (:mod:`repro.experiments.scheduler`); this is the worker's
-    half.  Strictly a reader of the file and an appender to its own
-    stream — all coordination state lives in those two files.
-
-    With ``workers > 1`` one process pool serves the worker's whole
-    lifetime.  Each finished task re-reads the file and tops the pool
-    back up to the file's ``batch`` keys in flight, so there is no
-    batch barrier (one slow key never idles the other slots) and the
-    in-flight keys stay inside the keep window a steal never touches.
-    Cache hits are recorded at top-up time and never take a slot.
-    """
-    if wait_timeout is not None and wait_timeout <= 0:
-        raise ValueError("wait_timeout must be positive (or None)")
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    spec_hash = campaign_spec_hash(spec)
-    entries: list[_CampaignEntry] = []
-    for label, cell_spec in spec.cell_specs():
-        entries.extend(
-            (label, task, task_key(task)) for task in cell_spec.tasks()
-        )
-    by_key = {key: (label, task) for label, task, key in entries}
-
-    info = init_stream(stream_path, spec_hash, spec.to_dict())
-    recorded: set[str] = {record["key"] for record in info.records}
-    #: Keys we have emitted a progress event for (skipped or executed).
-    counted: set[str] = set()
-    pending: list[str] = []
-    in_flight: dict[Future, str] = {}
-    pool: ProcessPoolExecutor | None = None
-    stream_hits = 0
-    # Supervisor-liveness clock for the wait loop below: any sign of a
-    # live supervisor — a rewrite (version) or even a bare mtime
-    # freshen (the supervision loop touches every assignment file each
-    # tick) — resets it.
-    idle_since: float | None = None
-    last_beacon: tuple[int, int] | None = None
-
-    def tick(key: str, cached: bool, source: str) -> None:
-        counted.add(key)
-        if progress is not None:
-            # `counted` spans every assignment version this worker has
-            # seen, while the supervisor prunes done keys out of the
-            # file on each rewrite — so the honest denominator is
-            # "everything ever counted plus what is still pending or in
-            # flight", not the file's key count.
-            progress(
-                TaskProgress(
-                    len(counted),
-                    len(counted) + len(pending) + len(in_flight),
-                    by_key[key][1],
-                    cached=cached,
-                    source=source,
-                )
-            )
-
-    def finish(key: str, metrics: SimulationMetrics, cached: bool,
-               wall: float, profile: dict | None = None) -> None:
-        task = by_key[key][1]
-        if cache is not None and not cached:
-            cache.store(task, metrics)
-        append_record(
-            stream_path,
-            make_task_record(
-                key=key,
-                scenario=task.scenario.name,
-                protocol=task.protocol_label,
-                replicate=task.replicate,
-                seed=task.scenario.seed,
-                metrics_json=metrics.to_json(),
-                cached=cached,
-                wall_time_s=wall,
-                phase_profile=profile,
-            ),
-        )
-        recorded.add(key)
-        tick(key, cached, "cache" if cached else "ran")
-
-    try:
-        while True:
+        def read(running: set[int]) -> tuple[list[int], int, bool]:
+            nonlocal doc, leased
             doc = read_assignment(tasks_file)
             if doc.spec_hash != spec_hash:
                 raise SchedulerError(
@@ -1252,71 +1180,27 @@ def _run_tasks_campaign(
                     f"{doc.spec_hash[:12]}..., this campaign is "
                     f"{spec_hash[:12]}...; refusing to mix campaigns"
                 )
-            unknown = [key for key in doc.keys if key not in by_key]
+            unknown = [key for key in doc.keys if key not in index_of]
             if unknown:
                 raise SchedulerError(
                     f"assignment {tasks_file} lists {len(unknown)} task "
                     f"key(s) this campaign does not expand to "
                     f"(first: {unknown[0][:12]}...)"
                 )
-            running = set(in_flight.values())
-            pending = [
-                key for key in doc.keys
-                if key not in recorded and key not in running
-            ]
-            for key in doc.keys:
-                if key in recorded and key not in counted:
-                    # Already in our stream (resume): skip it, visibly.
-                    stream_hits += 1
-                    tick(key, cached=True, source="stream")
+            leased = [index_of[key] for key in doc.keys]
+            pending = [i for i in unrecorded(leased) if i not in running]
+            return pending, doc.batch, doc.closed
 
-            # Top up to `batch` keys in flight.  Cache hits are recorded
-            # on the spot and never take a slot; a single-process worker
-            # runs one key inline, then re-reads the file.
-            simulated = False
-            while pending and len(in_flight) < doc.batch:
-                key = pending.pop(0)
-                task = by_key[key][1]
-                metrics = cache.load(task) if cache is not None else None
-                if metrics is not None:
-                    finish(key, metrics, cached=True, wall=0.0)
-                elif workers == 1:
-                    metrics, wall, profile = _run_task_timed(task)
-                    finish(key, metrics, cached=False, wall=wall,
-                           profile=profile)
-                    simulated = True
-                    break
-                else:
-                    if pool is None:
-                        pool = ProcessPoolExecutor(
-                            max_workers=min(workers, doc.batch)
-                        )
-                    in_flight[pool.submit(_run_task_timed, task)] = key
-            if in_flight:
-                finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    key = in_flight.pop(future)
-                    metrics, wall, profile = future.result()
-                    finish(key, metrics, cached=False, wall=wall,
-                           profile=profile)
-                simulated = True
-            if simulated:
-                idle_since = None
-                last_beacon = None
-                continue
-
-            # Nothing pending, nothing in flight.
-            if doc.closed:
-                break
+        def idle() -> None:
+            nonlocal idle_since, last_beacon
             if wait_timeout is not None:
                 try:
-                    beacon = (
-                        os.stat(tasks_file).st_mtime_ns, doc.version
-                    )
+                    mtime = os.stat(tasks_file).st_mtime_ns
                 except OSError:
-                    beacon = (0, doc.version)
+                    mtime = 0
+                beacon = (mtime, doc.version, len(counted))
                 now = time.monotonic()
-                if beacon != last_beacon or idle_since is None:
+                if beacon != last_beacon:
                     last_beacon = beacon
                     idle_since = now
                 elif now - idle_since > wait_timeout:
@@ -1330,25 +1214,33 @@ def _run_tasks_campaign(
             if on_wait is not None:
                 on_wait()
             time.sleep(_ASSIGNMENT_POLL_S)
-    finally:
-        if pool is not None:
-            # A clean exit has nothing in flight; on an error, drop the
-            # queued keys and wait out the running ones, so no pool
-            # child outlives this worker.
-            pool.shutdown(wait=True, cancel_futures=True)
 
-    # The stream is the source of truth, exactly as in shard mode.  It
-    # may hold keys later stolen *away* from this worker (we ran them
-    # before the lease moved) — still valid records of this campaign.
-    info = load_stream(stream_path, spec_hash, quarantine=False)
-    by_stream = {record["key"]: record for record in info.records}
+        _run_loop(read, tasks, workers, cache, finish, idle)
+
     metrics: dict[tuple[str, str], list[SimulationMetrics]] = {}
-    for label, _, key in entries:
-        record_doc = by_stream.get(key)
-        if record_doc is not None:
-            metrics.setdefault(label, []).append(
-                SimulationMetrics.from_json(record_doc["metrics"])
-            )
+    if stream_path is not None:
+        # The stream is the source of truth: reload it so the result is
+        # exactly what a later `campaign aggregate` would see.  No
+        # repair here — our own records are fsync'd and complete, and
+        # deleting someone else's in-flight line is the resume path's
+        # call, not ours.  A --tasks worker's stream holds only its
+        # leases, and may hold keys later stolen *away* from it (still
+        # valid records of this campaign).
+        by_key = {
+            record["key"]: record
+            for record in load_stream(
+                stream_path, spec_hash, quarantine=False
+            ).records
+        }
+        for label, _, key in entries:
+            if key in by_key:
+                metrics.setdefault(label, []).append(
+                    SimulationMetrics.from_json(by_key[key]["metrics"])
+                )
+    else:
+        for (label, _, _), run_metrics in zip(entries, results):
+            metrics.setdefault(label, []).append(run_metrics)
+
     return CampaignResult(
         spec=spec,
         metrics=metrics,

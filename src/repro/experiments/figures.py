@@ -151,7 +151,7 @@ def fig3_check_interval(
             ),
             protocol="glr",
             runs=effort.runs,
-            glr_config=GLRConfig(check_interval=interval),
+            protocol_config=GLRConfig(check_interval=interval),
         )
         for interval in intervals
     ]

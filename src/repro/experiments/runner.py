@@ -10,21 +10,14 @@ it runnable here with no further wiring.
 ``protocol_config`` is the single configuration argument: it accepts a
 declarative :class:`~repro.experiments.protocols.ProtocolConfig` (the
 campaign sweep axis) or a concrete config dataclass instance
-(``GLRConfig``, ``EpidemicConfig``, ...).  The historical per-protocol
-keywords (``glr_config``/``epidemic_config``/``spray_config``) remain
-as deprecation shims that collapse onto the same path, bit-identically
-(see :func:`resolve_run_config`).
+(``GLRConfig``, ``EpidemicConfig``, ...).  A config is either applied
+or refused: the registry rejects a concrete config of the wrong class.
 """
 
 from __future__ import annotations
 
-import warnings
-
 from repro.baselines.registry import available_protocols as _available_protocols
 from repro.baselines.registry import protocol_factory, resolve_protocol
-from repro.baselines.epidemic import EpidemicConfig
-from repro.baselines.spray_and_wait import SprayAndWaitConfig
-from repro.core.protocol import GLRConfig
 from repro.experiments.protocols import ProtocolConfig
 from repro.experiments.scenarios import Scenario
 from repro.experiments.workload import generate_workload
@@ -50,61 +43,26 @@ def available_protocols() -> list[str]:
 def resolve_run_config(
     protocol: str,
     protocol_config: "ProtocolConfig | object | None" = None,
-    glr_config: GLRConfig | None = None,
-    epidemic_config: EpidemicConfig | None = None,
-    spray_config: SprayAndWaitConfig | None = None,
-    warn: bool = False,
 ) -> object | None:
-    """Collapse every config spelling into one concrete config (or None).
+    """The concrete config a run of ``protocol`` uses (None: defaults).
 
-    The single translation point between the legacy per-protocol
-    keywords and the unified ``protocol_config`` path, so both APIs
-    construct bit-identical protocols:
-
-    - a declarative :class:`ProtocolConfig` is validated against the
-      protocol and built into its concrete config dataclass;
-    - a concrete config instance passes through (the registry
-      type-checks it at factory build time);
-    - with no ``protocol_config``, the legacy keyword matching the
-      protocol is selected and the others are ignored — exactly how the
-      old per-protocol branch chain behaved.
-
-    ``warn`` emits a :class:`DeprecationWarning` when legacy keywords
-    are in use (the public entry points pass True; internal callers
-    translating stored task fields stay quiet).
+    A declarative :class:`ProtocolConfig` is validated against the
+    protocol and built into its concrete config dataclass; a concrete
+    config instance passes through (the registry type-checks it at
+    factory build time).
     """
-    canonical = resolve_protocol(protocol)
-    legacy = {
-        "glr": glr_config,
-        "epidemic": epidemic_config,
-        "spray_and_wait": spray_config,
-    }
-    legacy_given = [k for k, v in legacy.items() if v is not None]
-    if legacy_given and warn:
-        warnings.warn(
-            "glr_config/epidemic_config/spray_config are deprecated; "
-            "pass the config object via protocol_config instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    if protocol_config is not None:
-        if legacy_given:
+    if isinstance(protocol_config, ProtocolConfig):
+        canonical = resolve_protocol(protocol)
+        # A declarative ProtocolConfig (campaign protocol axis) must
+        # name the protocol it configures; accepting a mismatch would
+        # make it ambiguous which one a run keyed on.
+        if protocol_config.protocol != canonical:
             raise ValueError(
-                "pass either protocol_config or a concrete "
-                "glr/epidemic/spray config, not both"
+                f"protocol config is for {protocol_config.protocol!r}, "
+                f"but the run requests {canonical!r}"
             )
-        if isinstance(protocol_config, ProtocolConfig):
-            # A declarative ProtocolConfig (campaign protocol axis) must
-            # name the protocol it configures; accepting a mismatch
-            # would make it ambiguous which one a run keyed on.
-            if protocol_config.protocol != canonical:
-                raise ValueError(
-                    f"protocol config is for {protocol_config.protocol!r}, "
-                    f"but the run requests {canonical!r}"
-                )
-            return protocol_config.build()
-        return protocol_config
-    return legacy.get(canonical)
+        return protocol_config.build()
+    return protocol_config
 
 
 def _build_scenario_mobility(
@@ -135,9 +93,6 @@ def _build_scenario_mobility(
 def build_world(
     scenario: Scenario,
     protocol: str,
-    glr_config: GLRConfig | None = None,
-    epidemic_config: EpidemicConfig | None = None,
-    spray_config: SprayAndWaitConfig | None = None,
     buffer_limit: int | None = None,
     protocol_config: "ProtocolConfig | object | None" = None,
     profiler=None,
@@ -148,14 +103,7 @@ def build_world(
     threads into every subsystem hook; ``None`` means the shared no-op.
     """
     canonical = resolve_protocol(protocol)
-    config = resolve_run_config(
-        canonical,
-        protocol_config,
-        glr_config,
-        epidemic_config,
-        spray_config,
-        warn=True,
-    )
+    config = resolve_run_config(canonical, protocol_config)
     node_ids = list(range(scenario.n_nodes))
     mobility = _build_scenario_mobility(scenario, node_ids)
     world_config = WorldConfig(
@@ -188,28 +136,17 @@ def build_world(
 def run_single(
     scenario: Scenario,
     protocol: str,
-    glr_config: GLRConfig | None = None,
-    epidemic_config: EpidemicConfig | None = None,
-    spray_config: SprayAndWaitConfig | None = None,
     buffer_limit: int | None = None,
     protocol_config: "ProtocolConfig | object | None" = None,
     profiler=None,
 ) -> SimulationMetrics:
     """Run one simulation to the scenario horizon."""
     canonical = resolve_protocol(protocol)
-    config = resolve_run_config(
-        canonical,
-        protocol_config,
-        glr_config,
-        epidemic_config,
-        spray_config,
-        warn=True,
-    )
     world = build_world(
         scenario,
         canonical,
         buffer_limit=buffer_limit,
-        protocol_config=config,
+        protocol_config=protocol_config,
         profiler=profiler,
     )
     return world.run(until=scenario.sim_time, protocol_name=canonical)
@@ -219,9 +156,7 @@ def run_replicates(
     scenario: Scenario,
     protocol: str,
     runs: int = 10,
-    glr_config: GLRConfig | None = None,
-    epidemic_config: EpidemicConfig | None = None,
-    spray_config: SprayAndWaitConfig | None = None,
+    protocol_config: "ProtocolConfig | object | None" = None,
     buffer_limit: int | None = None,
     workers: int = 1,
     cache_dir: str | None = None,
@@ -240,9 +175,7 @@ def run_replicates(
         raise ValueError("need at least one run")
     if workers == 1 and cache_dir is None:
         canonical = resolve_protocol(protocol)
-        config = resolve_run_config(
-            canonical, None, glr_config, epidemic_config, spray_config
-        )
+        config = resolve_run_config(canonical, protocol_config)
         return [
             run_single(
                 scenario.with_seed(replicate_seed(scenario.seed, i)),
@@ -259,10 +192,8 @@ def run_replicates(
         scenario=scenario,
         protocol=protocol,
         runs=runs,
-        glr_config=glr_config,
-        epidemic_config=epidemic_config,
-        spray_config=spray_config,
         buffer_limit=buffer_limit,
+        protocol_config=protocol_config,
     )
     return run_replicate_specs(
         [spec], workers=workers, cache_dir=cache_dir

@@ -91,7 +91,9 @@ def table2_location(
             ),
             protocol="glr",
             runs=effort.runs,
-            glr_config=GLRConfig(copies_override=copies, location_mode=mode),
+            protocol_config=GLRConfig(
+                copies_override=copies, location_mode=mode
+            ),
         )
         for _, _, copies, mode in situations
     ]
@@ -147,7 +149,7 @@ def table3_custody(
             ),
             protocol="glr",
             runs=effort.runs,
-            glr_config=GLRConfig(custody=custody),
+            protocol_config=GLRConfig(custody=custody),
         )
         for custody in custody_values
     ]
@@ -199,7 +201,7 @@ def table4_storage_vs_load(
             ),
             protocol="glr",
             runs=effort.runs,
-            glr_config=GLRConfig(copies_override=3),
+            protocol_config=GLRConfig(copies_override=3),
         )
         for load in loads
     ]

@@ -1,7 +1,5 @@
 """Tests for the protocol registry and the unified config API."""
 
-import warnings
-
 import pytest
 
 from repro.baselines.direct import DirectDeliveryProtocol
@@ -15,7 +13,6 @@ from repro.baselines.registry import (
     resolve_config,
     resolve_protocol,
 )
-from repro.baselines.spray_and_wait import SprayAndWaitConfig
 from repro.core.protocol import GLRConfig, GLRProtocol
 from repro.experiments.protocols import ProtocolConfig, sweepable_protocols
 from repro.experiments.runner import resolve_run_config, run_single
@@ -148,36 +145,7 @@ class TestFactory:
 
 
 class TestLegacyShimParity:
-    """Old per-protocol kwargs and the unified path build identically."""
-
-    def test_resolve_run_config_selects_matching_legacy(self):
-        glr = GLRConfig(custody=False)
-        epidemic = EpidemicConfig(tick_interval=2.0)
-        spray = SprayAndWaitConfig(initial_copies=4)
-        assert (
-            resolve_run_config(
-                "glr",
-                glr_config=glr,
-                epidemic_config=epidemic,
-                spray_config=spray,
-            )
-            is glr
-        )
-        assert (
-            resolve_run_config("epidemic", epidemic_config=epidemic)
-            is epidemic
-        )
-        assert resolve_run_config("snw", spray_config=spray) is spray
-        # Mismatched legacy configs are ignored (old chain behaviour).
-        assert resolve_run_config("direct", glr_config=glr) is None
-
-    def test_protocol_config_conflicts_with_legacy(self):
-        with pytest.raises(ValueError, match="not both"):
-            resolve_run_config(
-                "glr",
-                protocol_config=GLRConfig(),
-                glr_config=GLRConfig(),
-            )
+    """Every spelling of a protocol config builds the same run."""
 
     def test_declarative_config_must_match_protocol(self):
         with pytest.raises(ValueError, match="requests"):
@@ -191,31 +159,6 @@ class TestLegacyShimParity:
         )
         assert isinstance(config, GLRConfig)
         assert config.custody is False
-
-    def test_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="protocol_config"):
-            resolve_run_config(
-                "glr", glr_config=GLRConfig(), warn=True
-            )
-
-    @pytest.mark.parametrize(
-        ("protocol", "kwarg", "config"),
-        [
-            ("glr", "glr_config", GLRConfig(custody=False)),
-            ("epidemic", "epidemic_config", EpidemicConfig(tick_interval=2.0)),
-            (
-                "spray_and_wait",
-                "spray_config",
-                SprayAndWaitConfig(initial_copies=4),
-            ),
-        ],
-    )
-    def test_run_single_parity_old_vs_new(self, protocol, kwarg, config):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_legacy = run_single(SMALL, protocol, **{kwarg: config})
-        via_unified = run_single(SMALL, protocol, protocol_config=config)
-        assert via_legacy == via_unified
 
     @pytest.mark.parametrize(
         "protocol",

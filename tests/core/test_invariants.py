@@ -124,7 +124,7 @@ class TestStorageLimitInteraction:
         world = build_world(
             scenario,
             "glr",
-            glr_config=GLRConfig(storage_limit=3),
+            protocol_config=GLRConfig(storage_limit=3),
         )
         metrics = world.run(until=scenario.sim_time, protocol_name="glr")
         # Tight storage may drop messages (delivery < 1), but every

@@ -169,7 +169,7 @@ class TestEndToEnd:
             radius=100.0, message_count=20, sim_time=180.0, seed=5
         )
         world = build_world(
-            scenario, "glr", glr_config=GLRConfig(custody=False)
+            scenario, "glr", protocol_config=GLRConfig(custody=False)
         )
         metrics = world.run(until=scenario.sim_time, protocol_name="glr")
         # Without custody some messages may be lost, but the machinery
@@ -188,7 +188,7 @@ class TestEndToEnd:
             world = build_world(
                 scenario,
                 "glr",
-                glr_config=GLRConfig(location_mode=mode),
+                protocol_config=GLRConfig(location_mode=mode),
             )
             results[mode] = world.run(
                 until=scenario.sim_time, protocol_name="glr"

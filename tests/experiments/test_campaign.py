@@ -11,6 +11,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.baselines.epidemic import EpidemicConfig
+from repro.baselines.receipts import ReceiptEpidemicConfig
 from repro.core.protocol import GLRConfig
 from repro.experiments import campaign as campaign_module
 from repro.experiments.campaign import (
@@ -26,6 +28,7 @@ from repro.experiments.campaign import (
     task_key,
     task_payload,
 )
+from repro.experiments.protocols import ProtocolConfig
 from repro.experiments.runner import run_replicates
 from repro.experiments.scenarios import Scenario
 from repro.experiments.scheduler import write_assignment
@@ -63,7 +66,9 @@ class TestTaskKey:
         )
         assert task_key(base) != task_key(ReplicateTask(TINY, "epidemic", 0))
         assert task_key(base) != task_key(
-            ReplicateTask(TINY, "glr", 0, glr_config=GLRConfig(custody=False))
+            ReplicateTask(
+                TINY, "glr", 0, protocol_config=GLRConfig(custody=False)
+            )
         )
         assert task_key(base) != task_key(
             ReplicateTask(TINY, "glr", 0, buffer_limit=5)
@@ -76,7 +81,7 @@ class TestTaskKey:
 
     def test_payload_is_json_round_trippable(self):
         task = ReplicateTask(
-            TINY, "glr", 0, glr_config=GLRConfig(copies_override=3)
+            TINY, "glr", 0, protocol_config=GLRConfig(copies_override=3)
         )
         payload = task_payload(task)
         assert json.loads(json.dumps(payload)) == payload
@@ -118,6 +123,58 @@ class TestReplicateSpec:
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError):
             ReplicateSpec(scenario=TINY, protocol="glr", runs=0)
+
+    def test_alias_keys_like_its_canonical_name(self):
+        alias = ReplicateSpec(scenario=TINY, protocol="snw", runs=1)
+        canonical = ReplicateSpec(
+            scenario=TINY, protocol="spray_and_wait", runs=1
+        )
+        assert alias.protocol == "spray_and_wait"
+        assert task_key(alias.tasks()[0]) == task_key(canonical.tasks()[0])
+
+    def test_alias_task_hits_the_cache(self, tmp_path):
+        tasks = ReplicateSpec(scenario=TINY, protocol="snw", runs=1).tasks()
+        cache = ResultCache(tmp_path)
+        execute_tasks(tasks, cache=cache)
+        execute_tasks(tasks, cache=cache)
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_alias_accepts_a_config_spelled_with_the_alias(self):
+        spec = ReplicateSpec(
+            scenario=TINY,
+            protocol="snw",
+            protocol_config=ProtocolConfig.of("snw", initial_copies=4),
+        )
+        assert spec.protocol_config == ProtocolConfig.of(
+            "spray_and_wait", initial_copies=4
+        )
+
+    def test_concrete_config_is_applied(self):
+        default, limited = (
+            ReplicateSpec(
+                scenario=TINY,
+                protocol="epidemic_receipts",
+                runs=1,
+                protocol_config=config,
+            ).tasks()[0]
+            for config in (None, ReceiptEpidemicConfig(buffer_limit=1))
+        )
+        assert task_key(default) != task_key(limited)
+        default_metrics, limited_metrics = execute_tasks([default, limited])
+        assert metrics_fingerprint(limited_metrics) != metrics_fingerprint(
+            default_metrics
+        )
+        assert limited_metrics.max_peak_storage <= 1
+
+    @pytest.mark.parametrize(
+        ("protocol", "config"),
+        [("direct", GLRConfig()), ("epidemic_receipts", EpidemicConfig())],
+    )
+    def test_wrong_concrete_config_class_rejected(self, protocol, config):
+        with pytest.raises(ValueError, match="takes no config|expects a"):
+            ReplicateSpec(
+                scenario=TINY, protocol=protocol, protocol_config=config
+            )
 
 
 class TestCache:
@@ -723,12 +780,23 @@ class TestTasksWorkerLoop:
         assert overlapped == [True]
 
     def test_cache_hit_is_recorded_without_a_pool_slot(
-        self, tmp_path, pools
+        self, tmp_path, pools, monkeypatch
     ):
         tasks = self._tasks()
         keys = list(tasks)[:3]
         cache_dir = tmp_path / "cache"
         execute_tasks([tasks[keys[0]]], cache=ResultCache(cache_dir))
+        # Both simulations must be in flight at once to pass the
+        # barrier; a loop that gave the cache hit a slot would start the
+        # second only after the first returned, and break it.
+        both_running = threading.Barrier(2, timeout=5.0)
+        simulate = campaign_module._run_task_timed
+
+        def run(task):
+            both_running.wait()
+            return simulate(task)
+
+        monkeypatch.setattr(campaign_module, "_run_task_timed", run)
         self._run(
             tmp_path,
             self._assign(tmp_path, keys, batch=2),
@@ -876,7 +944,7 @@ class TestProtocolAxis:
         result = run_campaign(spec)
         [[campaign_metrics]] = result.metrics.values()
         direct = run_single(
-            TINY, "glr", glr_config=GLRConfig(custody=False)
+            TINY, "glr", protocol_config=GLRConfig(custody=False)
         )
         assert metrics_fingerprint(campaign_metrics) == metrics_fingerprint(
             direct
@@ -916,19 +984,6 @@ class TestProtocolAxis:
         assert task_key(via_config.tasks()[0]) == task_key(
             bare.tasks()[0]
         )
-
-    def test_spec_rejects_protocol_config_plus_concrete_config(self):
-        # The conflict must surface at spec build time, not inside a
-        # worker process mid-campaign.
-        from repro.experiments.protocols import ProtocolConfig
-
-        with pytest.raises(ValueError, match="not both"):
-            ReplicateSpec(
-                scenario=TINY,
-                protocol="glr",
-                glr_config=GLRConfig(custody=False),
-                protocol_config=ProtocolConfig.of("glr", custody=False),
-            )
 
     def test_bare_variant_tasks_have_no_protocol_config(self):
         # ProtocolConfig with no params must key identically to the

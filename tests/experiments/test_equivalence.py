@@ -24,10 +24,16 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 
 import pytest
 
+from repro.baselines.epidemic import EpidemicConfig
+from repro.baselines.receipts import ReceiptEpidemicConfig
+from repro.baselines.spray_and_wait import SprayAndWaitConfig
+from repro.core.location import LocationMode
+from repro.core.protocol import GLRConfig
 from repro.experiments.campaign import (
     CACHE_FORMAT,
     CampaignSpec,
@@ -900,6 +906,27 @@ class TestPinnedIdentities:
         "blackhole": ReplicateTask(
             TINY.but(adversary="blackhole:0.2"), "epidemic", 0
         ),
+        # Concrete configs key in the slot of the per-protocol keyword
+        # they used to be passed as (glr_config / epidemic_config /
+        # spray_config), so these values predate protocol_config being
+        # the only config field.
+        "glr-concrete": ReplicateTask(
+            TINY, "glr", 0, protocol_config=GLRConfig(custody=False)
+        ),
+        "glr-concrete-oracle": ReplicateTask(
+            TINY, "glr", 0,
+            protocol_config=GLRConfig(
+                copies_override=3, location_mode=LocationMode.ORACLE
+            ),
+        ),
+        "epidemic-concrete": ReplicateTask(
+            TINY, "epidemic", 0,
+            protocol_config=EpidemicConfig(tick_interval=2.0),
+        ),
+        "spray-concrete": ReplicateTask(
+            TINY, "spray_and_wait", 0, buffer_limit=2,
+            protocol_config=SprayAndWaitConfig(initial_copies=4),
+        ),
     }
 
     @pytest.mark.parametrize(
@@ -914,10 +941,61 @@ class TestPinnedIdentities:
             ("gauss-markov", "d0914c7085ee4258a3e0bfdb6efca57783ec82d4d36c250a298e7c8955ac88fc"),
             ("manhattan-param", "1619db780fd45de9738e66f71912cc91f49224e0bafb788dd303dc4b8442d3c0"),
             ("blackhole", "0c81dcd82f4c7a7d33dc02e5b3648f777b37490373c673f4539725d9e13244a4"),
+            ("glr-concrete", "f070fd814c25f2c757a688e5c72445152b8550d0b4af5085a500dca99ec384ed"),
+            ("glr-concrete-oracle", "6fa6e35c733a296b24d9454d380ae40fc80a08b0ea51458e012e67c3cb12bcae"),
+            ("epidemic-concrete", "f2e55ada4a14563df5c0a9d6d820e2ad6a436f6c919a8e353af62186cfab0751"),
+            ("spray-concrete", "65fc41a9a16254a6928b41ed504fd389f495b2e37b2dad398fa1bb683d0bde4d"),
         ],
     )
     def test_axis_task_key_is_pinned(self, name, expected):
         assert task_key(self.AXIS_TASKS[name]) == expected
+
+    def test_ignored_config_key_is_never_reused(self):
+        # When configs still had per-protocol keywords, a receipt config
+        # passed as epidemic_config= was dropped (the run used the
+        # defaults) yet keyed under this value; the cache entries there
+        # hold default-config results.
+        spec = ReplicateSpec(
+            TINY, "epidemic_receipts", runs=1,
+            protocol_config=ReceiptEpidemicConfig(buffer_limit=1),
+        )
+        assert task_key(spec.tasks()[0]) != (
+            "e382a43ab7591e0e7c010a29c61e3820909000d0504ba6cfc36516fd4fd3d5bc"
+        )
+
+    def test_driver_task_keys_are_pinned(self, monkeypatch):
+        """Every figure, table and ablation driver at its defaults."""
+        from repro.experiments import ablations, figures, tables
+
+        class Captured(Exception):
+            pass
+
+        keys: list[str] = []
+
+        def capture(specs, *args, **kwargs):
+            keys.extend(
+                task_key(task) for spec in specs for task in spec.tasks()
+            )
+            raise Captured
+
+        for module, prefix in (
+            (figures, "fig"), (tables, "table"), (ablations, "ablation_")
+        ):
+            monkeypatch.setattr(module, "run_replicate_specs", capture)
+            for name, driver in sorted(vars(module).items()):
+                if (
+                    name.startswith(prefix)
+                    and inspect.isfunction(driver)
+                    and driver.__module__ == module.__name__
+                ):
+                    try:
+                        driver()
+                    except Captured:
+                        pass
+        assert len(keys) == 178
+        assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == (
+            "482666e7c53466d658ce3b9764ea8ec99c005c9b25eb9f74f012521ebdd7b5f4"
+        )
 
     def test_multi_axis_spec_hash_is_pinned(self):
         spec = CampaignSpec(

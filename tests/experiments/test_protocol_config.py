@@ -273,7 +273,7 @@ class TestRunnerThreading:
             protocol_config=ProtocolConfig.of("glr", custody=False),
         )
         via_config = run_single(
-            TINY, "glr", glr_config=GLRConfig(custody=False)
+            TINY, "glr", protocol_config=GLRConfig(custody=False)
         )
         assert via_axis == via_config
 
@@ -282,15 +282,6 @@ class TestRunnerThreading:
             run_single(
                 TINY,
                 "epidemic",
-                protocol_config=ProtocolConfig.of("glr"),
-            )
-
-    def test_both_config_forms_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            run_single(
-                TINY,
-                "glr",
-                glr_config=GLRConfig(),
                 protocol_config=ProtocolConfig.of("glr"),
             )
 
@@ -306,7 +297,7 @@ class TestRunnerThreading:
         explicit = run_single(
             TINY,
             "spray_and_wait",
-            spray_config=SprayAndWaitConfig(
+            protocol_config=SprayAndWaitConfig(
                 initial_copies=4, buffer_limit=2
             ),
         )
