@@ -39,7 +39,21 @@ def orientation_value(a: Point, b: Point, c: Point) -> float:
 
 
 def orientation(a: Point, b: Point, c: Point) -> Orientation:
-    """Classify the turn ``a -> b -> c`` with tolerance for collinearity."""
+    """Classify the turn ``a -> b -> c`` with tolerance for collinearity.
+
+    The determinant and its tolerance are taken about the lexicographically
+    smallest of the three points.  Every rotation of the triple then
+    computes the same floats, and swapping two points negates them, so a
+    near-collinear triple cannot land inside the band for one rotation and
+    outside it for another.
+    """
+    if (b.x, b.y) < (a.x, a.y):
+        if (c.x, c.y) < (b.x, b.y):
+            a, b, c = c, a, b
+        else:
+            a, b, c = b, c, a
+    elif (c.x, c.y) < (a.x, a.y):
+        a, b, c = c, a, b
     value = orientation_value(a, b, c)
     scale = (
         abs(b.x - a.x) * abs(c.y - a.y) + abs(b.y - a.y) * abs(c.x - a.x) + 1.0

@@ -55,6 +55,19 @@ class TestOrientation:
     def test_cyclic_rotation_preserves_orientation(self, a, b, c):
         assert orientation(a, b, c) == orientation(b, c, a)
 
+    @pytest.mark.parametrize(
+        "a, b, c",
+        [
+            (Point(0.0, 1e-12), Point(2.0, 1.0), Point(0.0, 0.0)),
+            (Point(0.0, 1.0), Point(1.0, 0.0), Point(0.0, 1.0 + 1e-12)),
+        ],
+    )
+    def test_near_collinear_triple_agrees_in_every_order(self, a, b, c):
+        first = orientation(a, b, c)
+        assert orientation(b, c, a) == orientation(c, a, b) == first
+        for x, y, z in ((a, c, b), (c, b, a), (b, a, c)):
+            assert orientation(x, y, z) == -first
+
 
 class TestInCircle:
     def test_center_inside_unit_circumcircle(self):
