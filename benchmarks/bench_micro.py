@@ -6,12 +6,14 @@ engine dominate the simulation profile, so regressions here translate
 directly into slower experiment harness runs.  Layers of a paper
 Table-1 task each have one here: the two k-LDTG epochs at paper density
 (planarization), the beacon rebuild (mobility + UDG), calendar push/pop
-at a task's pending-event depth, and the MAC medium's three queries
-over a paper-density set of live transmissions.
+at a task's pending-event depth, the MAC medium's three queries over a
+paper-density set of live transmissions, and the world build itself.
 """
 
 import random
 
+from repro.experiments.runner import build_world
+from repro.experiments.scenarios import PAPER_TABLE1
 from repro.geometry.delaunay import delaunay_triangulation
 from repro.geometry.primitives import Point
 from repro.graphs.ldt import local_delaunay_graph
@@ -150,22 +152,26 @@ def _noop():
     pass
 
 
+def _noop_element(i):
+    pass
+
+
 def test_calendar_push_pop_table1_depth(benchmark):
     """Calendar push/pop at a paper Table-1 task's depth.
 
-    The task's calendar holds its 1,980 scheduled message creations
-    (one per whole second) plus the per-node timers: 50 protocol ticks
-    re-armed every second with 5% jitter, the beacon tick and the
-    storage sampler.  Running 200 simulated seconds fires ~10,400
-    events, every pop and push against a ~2,000-deep heap, with the
-    whole-second ties the paper's traffic makes.
+    The task's calendar holds its 1,980 message creations (one per
+    whole second) as one series entry, plus the per-node timers: 50
+    protocol ticks re-armed every second with 5% jitter, the beacon tick
+    and the storage sampler.  Running 200 simulated seconds fires
+    ~10,400 events against a ~50-entry heap, with the whole-second ties
+    the paper's traffic makes; ``pending_events`` still counts the
+    ~1,800 creations the series owes.
     """
 
     def run_200_seconds():
         sim = Simulator()
         rng = random.Random(9)
-        for i in range(1980):
-            sim.schedule_at(1.0 + i, _noop)
+        sim.schedule_series([1.0 + i for i in range(1980)], _noop_element)
         for _ in range(50):
             PeriodicTask(sim, 1.0, _noop, jitter=0.05, uniform=rng.uniform,
                          start_offset=rng.uniform(0.0, 1.0))
@@ -176,6 +182,14 @@ def test_calendar_push_pop_table1_depth(benchmark):
 
     events, pending = benchmark(run_200_seconds)
     assert events > 10_000 and 1_700 < pending < 2_100
+
+
+def test_build_world_table1(benchmark):
+    """``build_world`` for a paper Table-1 GLR task: mobility, 50
+    protocol stacks, the epoch-0 beacon snapshot and the 1,980-message
+    traffic series."""
+    world = benchmark(build_world, PAPER_TABLE1, "glr")
+    assert len(world.protocols) == 50
 
 
 def test_medium_queries_paper_density(benchmark):

@@ -20,7 +20,7 @@ from repro.baselines.registry import available_protocols as _available_protocols
 from repro.baselines.registry import protocol_factory, resolve_protocol
 from repro.experiments.protocols import ProtocolConfig
 from repro.experiments.scenarios import Scenario
-from repro.experiments.workload import generate_workload
+from repro.experiments.workload import traffic_schedule
 from repro.mobility.base import MobilityModel
 from repro.mobility.random_waypoint import RandomWaypointMobility
 from repro.mobility.registry import build_mobility
@@ -123,13 +123,9 @@ def build_world(
     world = World(
         mobility, factory, world_config, profiler=profiler, adversary=adversary
     )
-    for spec in generate_workload(scenario):
-        world.schedule_message(
-            spec.source,
-            spec.dest,
-            spec.at_time,
-            size_bytes=scenario.payload_bytes,
-        )
+    world.schedule_traffic(
+        *traffic_schedule(scenario), size_bytes=scenario.payload_bytes
+    )
     return world
 
 

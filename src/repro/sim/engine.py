@@ -9,13 +9,20 @@ never compared.  Beacons, message creations and storage samples all land
 on whole seconds, so these ties are the common case, not a corner.
 Cancellation is lazy: handles are flagged and skipped when popped, which
 keeps cancel O(1).
+
+A run's message creations are one :class:`EventSeries`, not one entry
+each: the series holds a single heap entry and pushes element ``i + 1``
+when element ``i`` fires.  Its tiebreakers ``base .. base + k - 1`` are
+reserved when it is scheduled, so every key, and with it every pop and
+every same-time tie, is the one ``k`` eager :meth:`Simulator.schedule_at`
+calls would have made.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 
 class EventHandle:
@@ -27,6 +34,9 @@ class EventHandle:
 
     __slots__ = ("time", "callback", "cancelled")
 
+    #: Events this handle's heap entry stands for (a series owes more).
+    owed = 1
+
     def __init__(self, time: float, callback: Callable[[], None]):
         self.time = time
         self.callback = callback
@@ -34,6 +44,52 @@ class EventHandle:
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if already fired)."""
+        self.cancelled = True
+
+
+class EventSeries:
+    """Events at ``times[0], times[1], ...`` that hold one heap entry.
+
+    Element ``i`` fires ``fire(i)`` under the key ``(times[i], base +
+    i)``; ``base`` was reserved when the series was scheduled.  Only the
+    next owed element is on the heap: the loop calls :meth:`callback`,
+    which pushes element ``i + 1`` before it fires element ``i``.
+    :meth:`cancel` drops every element not yet fired.
+    """
+
+    __slots__ = ("cancelled", "_heap", "_times", "_fire", "_base", "_next")
+
+    def __init__(
+        self,
+        heap: list,
+        times: Sequence[float],
+        fire: Callable[[int], None],
+        base: int,
+    ):
+        self.cancelled = False
+        self._heap = heap
+        self._times = times
+        self._fire = fire
+        self._base = base
+        self._next = 0
+
+    @property
+    def owed(self) -> int:
+        """Elements not yet fired (the one on the heap included)."""
+        return len(self._times) - self._next
+
+    def callback(self) -> None:
+        """Fire the element the loop just popped; push the one after it."""
+        i = self._next
+        self._next = i + 1
+        if i + 1 < len(self._times):
+            heapq.heappush(
+                self._heap, (self._times[i + 1], self._base + i + 1, self)
+            )
+        self._fire(i)
+
+    def cancel(self) -> None:
+        """Drop every element not yet fired."""
         self.cancelled = True
 
 
@@ -66,6 +122,40 @@ class Simulator:
         heapq.heappush(self._heap, (time, self._seq, event))
         self._seq += 1
         return event
+
+    def schedule_series(
+        self, times: Sequence[float], fire: Callable[[int], None]
+    ) -> EventSeries | None:
+        """Schedule ``fire(i)`` at ``times[i]`` for every ``i``.
+
+        ``times`` must be non-decreasing from now.  The series takes
+        ``len(times)`` tiebreakers at once, so it orders against every
+        other event exactly as ``schedule_at(times[i], ...)`` calls made
+        here, one per element, would; it returns None when ``times`` is
+        empty (nothing is scheduled).
+        """
+        previous = self.now
+        for time in times:
+            if not time >= previous:
+                if math.isnan(time):
+                    raise ValueError("event time may not be NaN")
+                if time < self.now:
+                    raise ValueError(
+                        f"cannot schedule into the past: {time} < now "
+                        f"{self.now}"
+                    )
+                raise ValueError(
+                    f"series times must be non-decreasing: {time} < "
+                    f"{previous}"
+                )
+            previous = time
+        if not times:
+            return None
+        base = self._seq
+        self._seq += len(times)
+        series = EventSeries(self._heap, times, fire, base)
+        heapq.heappush(self._heap, (times[0], base, series))
+        return series
 
     def schedule(
         self, delay: float, callback: Callable[[], None]
@@ -128,8 +218,13 @@ class Simulator:
             self.now = max(self.now, until)
 
     def pending_events(self) -> int:
-        """Number of scheduled, non-cancelled events."""
-        return sum(1 for _, _, event in self._heap if not event.cancelled)
+        """Number of scheduled, non-cancelled events.
+
+        A series counts every element it still owes.
+        """
+        return sum(
+            event.owed for _, _, event in self._heap if not event.cancelled
+        )
 
 
 class PeriodicTask:

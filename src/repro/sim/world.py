@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.geometry.primitives import Point
 from repro.graphs.udg import NodeId
@@ -335,15 +335,34 @@ class World:
         self, source: NodeId, dest: NodeId, at_time: float, size_bytes: int = 1000
     ) -> None:
         """Schedule creation of one application message."""
-        if source not in self.protocols or dest not in self.protocols:
+        self.schedule_traffic((at_time,), (source, dest), size_bytes)
+
+    def schedule_traffic(
+        self,
+        times: Sequence[float],
+        pairs: Sequence[NodeId],
+        size_bytes: int = 1000,
+    ) -> None:
+        """Schedule message ``i`` from ``pairs[2i]`` to ``pairs[2i + 1]``
+        at ``times[i]`` (non-decreasing).
+
+        The messages are one calendar series: one heap entry however
+        many there are, with the tiebreakers one ``schedule_at`` call per
+        message would have taken, so they fire exactly as if scheduled
+        one by one, here.
+        """
+        if len(pairs) != 2 * len(times):
+            raise ValueError("need one (source, dest) pair per time")
+        if not self.protocols.keys() >= set(pairs):
             raise KeyError("source and destination must be world nodes")
 
-        def create() -> None:
+        def create(i: int) -> None:
+            source = pairs[2 * i]
             seq = self._message_seq[source]
             self._message_seq[source] = seq + 1
             message = Message.create(
                 source=source,
-                dest=dest,
+                dest=pairs[2 * i + 1],
                 seq=seq,
                 created_at=self.sim.now,
                 size_bytes=size_bytes,
@@ -353,49 +372,50 @@ class World:
             self.protocols[source].on_message_created(message)
             self.profiler.add(PHASE_PROTOCOL, t0)
 
-        self.sim.schedule_at(at_time, create)
+        self.sim.schedule_series(times, create)
 
     def run(self, until: float, protocol_name: str | None = None) -> SimulationMetrics:
         """Start protocols, run to the horizon, and return the metrics."""
-        t0 = self.profiler.start()
-        if not self._started:
-            for protocol in self.protocols.values():
-                protocol.start()
-            self._started = True
-        self.sim.run(until=until)
-        self.profiler.add(PHASE_CALENDAR, t0)
+        with self.profiler.charging_gc():
+            t0 = self.profiler.start()
+            if not self._started:
+                for protocol in self.protocols.values():
+                    protocol.start()
+                self._started = True
+            self.sim.run(until=until)
+            self.profiler.add(PHASE_CALENDAR, t0)
 
-        t0 = self.profiler.start()
-        for node, protocol in self.protocols.items():
-            protocol.sample_storage(self.sim.now)
-            self.metrics.record_storage(
-                node,
-                protocol.storage_peak(),
-                protocol.storage_time_average(self.sim.now),
+            t0 = self.profiler.start()
+            for node, protocol in self.protocols.items():
+                protocol.sample_storage(self.sim.now)
+                self.metrics.record_storage(
+                    node,
+                    protocol.storage_peak(),
+                    protocol.storage_time_average(self.sim.now),
+                )
+
+            totals: dict[str, int] = {}
+            for stats in self._mac_stats.values():
+                for key in (
+                    "frames_sent",
+                    "frames_delivered",
+                    "frames_lost_collision",
+                    "frames_lost_range",
+                    "frames_dropped_queue",
+                    "retries",
+                    "bytes_sent",
+                ):
+                    totals[key] = totals.get(key, 0) + getattr(stats, key)
+
+            name = protocol_name
+            if name is None:
+                first = next(iter(self.protocols.values()), None)
+                name = first.name if first is not None else "none"
+            metrics = self.metrics.snapshot(
+                protocol=name,
+                duration=self.sim.now,
+                mac_totals=totals,
+                events_processed=self.sim.events_processed,
             )
-
-        totals: dict[str, int] = {}
-        for stats in self._mac_stats.values():
-            for key in (
-                "frames_sent",
-                "frames_delivered",
-                "frames_lost_collision",
-                "frames_lost_range",
-                "frames_dropped_queue",
-                "retries",
-                "bytes_sent",
-            ):
-                totals[key] = totals.get(key, 0) + getattr(stats, key)
-
-        name = protocol_name
-        if name is None:
-            first = next(iter(self.protocols.values()), None)
-            name = first.name if first is not None else "none"
-        metrics = self.metrics.snapshot(
-            protocol=name,
-            duration=self.sim.now,
-            mac_totals=totals,
-            events_processed=self.sim.events_processed,
-        )
-        self.profiler.add(PHASE_DELIVERY, t0)
-        return metrics
+            self.profiler.add(PHASE_DELIVERY, t0)
+            return metrics

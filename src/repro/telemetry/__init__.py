@@ -29,6 +29,7 @@ from repro.telemetry.profile import (
     NULL_PROFILER,
     PHASE_CALENDAR,
     PHASE_DELIVERY,
+    PHASE_GC,
     PHASE_MAC,
     PHASE_MOBILITY,
     PHASE_PLANARIZE,
@@ -58,6 +59,7 @@ __all__ = [
     "NULL_PROFILER",
     "PHASE_CALENDAR",
     "PHASE_DELIVERY",
+    "PHASE_GC",
     "PHASE_MAC",
     "PHASE_MOBILITY",
     "PHASE_PLANARIZE",

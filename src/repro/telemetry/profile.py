@@ -7,7 +7,8 @@ total.  This module provides ``perf_counter_ns`` accumulators that the
 engine threads through :class:`~repro.sim.world.World` and its
 subsystems.  The ``calendar`` phase brackets the event loop, so it
 takes whatever the other phases leave and a run's phases add up to its
-wall time.
+wall time.  The ``gc`` phase takes the cyclic collector's pauses out of
+whichever phase they interrupted.
 
 Two hard requirements shape the design:
 
@@ -31,6 +32,8 @@ profiler on (the equivalence tests pin this).
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import os
 import time
 from typing import Iterable, Mapping
@@ -49,6 +52,9 @@ PHASE_DELIVERY = "delivery"
 #: timer re-arming and world glue.  With it, phases sum to the run's
 #: wall time.
 PHASE_CALENDAR = "calendar"
+#: Cyclic-collector pauses during a run, taken out of whichever phase
+#: was open when the collection fired (:meth:`PhaseProfiler.charging_gc`).
+PHASE_GC = "gc"
 
 #: Every phase the hot path instruments, in display order.
 PHASES = (
@@ -59,6 +65,7 @@ PHASES = (
     PHASE_PROTOCOL,
     PHASE_DELIVERY,
     PHASE_CALENDAR,
+    PHASE_GC,
 )
 
 
@@ -96,6 +103,28 @@ class PhaseProfiler:
         if self._stack:
             self._stack[-1] += elapsed
 
+    @contextlib.contextmanager
+    def charging_gc(self):
+        """Charge every cyclic-GC pause inside the block to ``gc``.
+
+        A ``gc.callbacks`` hook brackets each collection with
+        ``start``/``add``, so the pause nests like any other phase and
+        the phase that was open when it fired is not charged for it.
+        """
+        started: list[int] = []
+
+        def hook(phase: str, info: dict) -> None:
+            if phase == "start":
+                started.append(self.start())
+            elif started:
+                self.add(PHASE_GC, started.pop())
+
+        gc.callbacks.append(hook)
+        try:
+            yield
+        finally:
+            gc.callbacks.remove(hook)
+
     def snapshot(self) -> dict[str, float]:
         """Accumulated seconds per phase, every phase always present.
 
@@ -122,6 +151,9 @@ class _NullProfiler:
 
     def add(self, phase: str, t0: int) -> None:
         pass
+
+    def charging_gc(self) -> contextlib.nullcontext:
+        return contextlib.nullcontext()
 
     def snapshot(self) -> dict[str, float]:
         return {}

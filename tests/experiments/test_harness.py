@@ -1,5 +1,6 @@
 """Tests for scenarios, workload generation, and the runner."""
 
+import gc
 import math
 
 import pytest
@@ -197,6 +198,95 @@ class TestWorkload:
         scenario = Scenario(message_count=10, active_nodes=3)
         specs = generate_workload(scenario)  # 6 distinct pairs, cycles
         assert len(specs) == 10
+
+
+class TestWorldTraffic:
+    """The messages a built world creates, and the epoch each one sees.
+
+    A world's traffic is one calendar series whose tiebreakers were
+    reserved when ``build_world`` scheduled it, so each same-second tie
+    with the beacon resolves as it would for one event per message: the
+    t=1 message sees epoch 1 (that beacon was scheduled first), every
+    later one fires before its second's beacon and sees epoch t-1.
+    """
+
+    @staticmethod
+    def created(scenario, protocol):
+        world = build_world(scenario, protocol)
+        seen = []
+        for protocol_instance in world.protocols.values():
+            def record(message, inner=protocol_instance.on_message_created):
+                seen.append((
+                    (message.created_at, message.source, message.dest,
+                     message.seq),
+                    world.neighbor_service.epoch,
+                ))
+                inner(message)
+
+            protocol_instance.on_message_created = record
+        metrics = world.run(until=scenario.sim_time)
+        assert metrics.messages_created == len(seen)
+        return seen
+
+    @staticmethod
+    def expected(specs):
+        per_source = {}
+        out = []
+        for spec in specs:
+            seq = per_source.get(spec.source, 0)
+            per_source[spec.source] = seq + 1
+            out.append((spec.at_time, spec.source, spec.dest, seq))
+        return out
+
+    @pytest.mark.parametrize("protocol", ["glr", "one_hop"])
+    def test_table1_messages_and_epochs(self, protocol):
+        scenario = PAPER_TABLE1.but(sim_time=12.0)
+        seen = self.created(scenario, protocol)
+        assert [m for m, _ in seen] == self.expected(
+            generate_workload(scenario)[:12]
+        )
+        assert [epoch for _, epoch in seen] == [1, *range(1, 12)]
+
+    def test_pairs_cycle_past_the_distinct_pairs(self):
+        scenario = PAPER_TABLE1.but(
+            message_count=2000, message_interval=0.001, sim_time=3.0
+        )
+        seen = self.created(scenario, "one_hop")
+        specs = generate_workload(scenario)
+        assert [m for m, _ in seen] == self.expected(specs)
+        assert specs[1980].source == specs[0].source
+        assert specs[1980].dest == specs[0].dest
+
+    def test_traffic_adds_no_object_per_message(self):
+        """The traffic is two flat arrays and one calendar entry, so a
+        world with 1,980 messages holds no more GC-tracked objects than
+        one with a single message (an entry per message added ~15,800)."""
+        scenario = PAPER_TABLE1.but(sim_time=12.0)
+        build_world(scenario, "glr")
+        added = {}
+        gc.disable()
+        try:
+            for count in (1, 1980):
+                gc.collect()
+                before = len(gc.get_objects())
+                world = build_world(scenario.but(message_count=count), "glr")
+                added[count] = len(gc.get_objects()) - before
+                del world
+        finally:
+            gc.enable()
+        assert added[1980] - added[1] < 20
+
+    def test_no_messages_schedules_nothing(self):
+        scenario = PAPER_TABLE1.but(sim_time=12.0)
+        pending = {
+            count: build_world(
+                scenario.but(message_count=count), "one_hop"
+            ).sim.pending_events()
+            for count in (0, 12, 1980)
+        }
+        assert pending[12] - pending[0] == 12
+        assert pending[1980] - pending[0] == 1980
+        assert self.created(scenario.but(message_count=0), "one_hop") == []
 
 
 class TestRunner:

@@ -1,5 +1,6 @@
 """Tests for the telemetry fabric: event log, profiler, CLI surface."""
 
+import gc
 import json
 import time
 
@@ -24,6 +25,7 @@ from repro.telemetry.events import (
 from repro.telemetry.profile import (
     NULL_PROFILER,
     PHASE_CALENDAR,
+    PHASE_GC,
     PHASE_MAC,
     PHASE_PROTOCOL,
     PHASES,
@@ -399,9 +401,15 @@ class TestRunPhaseCoverage:
     @pytest.mark.parametrize("protocol", ["one_hop", "glr"])
     def test_phases_sum_to_run_wall_time(self, protocol):
         """``calendar`` brackets the event loop and keeps only what no
-        other phase claims, so a run's phases add up to its wall time."""
+        other phase claims, and ``gc`` takes collector pauses out of the
+        phase they interrupt, so a run's phases add up to its wall
+        time."""
         profiler = PhaseProfiler()
         world = build_world(self.SCENARIO, protocol, profiler=profiler)
+        # Collections in the middle of the run, from a protocol timer
+        # and from the calendar itself.
+        world.protocols[0].api.schedule(10.0, gc.collect)
+        world.sim.schedule_at(20.0, gc.collect)
         before = sum(profiler.snapshot().values())
         start = time.perf_counter()
         world.run(until=self.SCENARIO.sim_time)
@@ -409,6 +417,41 @@ class TestRunPhaseCoverage:
         snap = profiler.snapshot()
         assert 0.95 * wall <= sum(snap.values()) - before <= wall + 1e-6
         assert snap[PHASE_CALENDAR] > 0.0
+        assert snap[PHASE_GC] > 0.0
+
+    def test_forced_collection_lands_in_gc(self):
+        """A pause inside a protocol timer is charged to ``gc``, not to
+        the protocol phase that was open when it fired."""
+        profiler = PhaseProfiler()
+        world = build_world(
+            self.SCENARIO.but(message_count=0), "one_hop", profiler=profiler
+        )
+        garbage = [[] for _ in range(200_000)]
+        for item in garbage:
+            item.append(item)
+        paused = []
+
+        def collect() -> None:
+            garbage.clear()  # 200,000 unreachable cycles
+            start = time.perf_counter()
+            gc.collect()
+            paused.append(time.perf_counter() - start)
+
+        world.protocols[0].api.schedule(1.0, collect)
+        hooks = list(gc.callbacks)
+        world.run(until=5.0)
+        snap = profiler.snapshot()
+        assert snap[PHASE_GC] >= 0.8 * paused[0]
+        assert snap[PHASE_PROTOCOL] < 0.5 * paused[0]
+        assert gc.callbacks == hooks
+
+    def test_no_gc_hook_with_profiling_off(self):
+        world = build_world(self.SCENARIO.but(message_count=0), "one_hop")
+        during = []
+        world.sim.schedule_at(1.0, lambda: during.append(list(gc.callbacks)))
+        hooks = list(gc.callbacks)
+        world.run(until=2.0)
+        assert during == [hooks]
 
     @pytest.mark.parametrize("kind", ["schedule", "periodic"])
     def test_node_timers_are_charged_to_protocol(self, kind):

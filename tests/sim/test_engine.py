@@ -1,6 +1,7 @@
 """Tests for the discrete-event scheduler."""
 
 import bisect
+import itertools
 import math
 
 import pytest
@@ -144,6 +145,72 @@ class TestCancellation:
         assert not Simulator().step()
 
 
+class TestSeries:
+    def test_elements_fire_in_order_with_their_index(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule_series([1.0, 1.0, 2.5], lambda i: fired.append((i, sim.now)))
+        sim.run()
+        assert fired == [(0, 1.0), (1, 1.0), (2, 2.5)]
+        assert sim.events_processed == 3
+
+    def test_ties_keep_the_order_of_eager_scheduling(self):
+        """Element i takes the tiebreaker reserved for it, so an event
+        scheduled after the series but before element i fires still
+        fires after it at the same time."""
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(2.0, lambda: fired.append("before"))
+        sim.schedule_series([1.0, 2.0], lambda i: fired.append(i))
+        sim.schedule_at(2.0, lambda: fired.append("after"))
+        sim.run()
+        assert fired == [0, "before", 1, "after"]
+
+    def test_one_heap_entry_but_pending_counts_every_owed_element(self):
+        sim = Simulator()
+        sim.schedule_series([1.0, 2.0, 3.0, 4.0], lambda i: None)
+        assert len(sim._heap) == 1
+        assert sim.pending_events() == 4
+        sim.run(until=2.5)
+        assert sim.pending_events() == 2
+        assert sim.peek_time() == 3.0
+
+    def test_cancel_drops_elements_not_yet_fired(self):
+        sim = Simulator()
+        fired = []
+        series = sim.schedule_series([1.0, 2.0, 3.0], fired.append)
+        sim.run(until=1.5)
+        series.cancel()
+        assert sim.pending_events() == 0
+        sim.run()
+        assert fired == [0]
+
+    def test_empty_series_schedules_nothing(self):
+        sim = Simulator()
+        assert sim.schedule_series([], lambda i: None) is None
+        assert sim.pending_events() == 0
+
+    @pytest.mark.parametrize(
+        "times, match",
+        [
+            ([1.0, 0.5], "non-decreasing"),
+            ([math.nan], "NaN"),
+            ([1.0, math.nan], "NaN"),
+        ],
+    )
+    def test_bad_times_rejected(self, times, match):
+        sim = Simulator()
+        with pytest.raises(ValueError, match=match):
+            sim.schedule_series(times, lambda i: None)
+        assert sim.pending_events() == 0
+
+    def test_past_times_rejected(self):
+        sim = Simulator()
+        sim.run(until=5.0)
+        with pytest.raises(ValueError, match="past"):
+            sim.schedule_series([4.0, 6.0], lambda i: None)
+
+
 class TestPeriodicTask:
     def test_fires_repeatedly(self):
         sim = Simulator()
@@ -227,11 +294,28 @@ class SortedListCalendar:
         self._pending = []
         self._seq = 0
 
+    class Group:
+        def __init__(self, handles):
+            self.handles = handles
+
+        def cancel(self):
+            for handle in self.handles:
+                handle.cancel()
+
     def schedule_at(self, time, callback):
         handle = self.Handle(time, self._seq, callback)
         self._seq += 1
         bisect.insort(self._pending, handle, key=lambda h: (h.time, h.seq))
         return handle
+
+    def schedule_series(self, times, fire):
+        """A series is its elements scheduled eagerly, all at once."""
+        if not times:
+            return None
+        return self.Group([
+            self.schedule_at(time, lambda i=i: fire(i))
+            for i, time in enumerate(times)
+        ])
 
     def run(self, until=None):
         while self._pending:
@@ -255,18 +339,20 @@ class SortedListCalendar:
 #: simulator's whole-second beacons, message creations and samples).
 DELAYS = st.sampled_from([0.0, 0.25, 1.0, 1.0, 2.0])
 
+#: What one fired event does: the delays of the children it schedules,
+#: and which earlier handle (if any) it cancels.
+ACTIONS = st.tuples(st.lists(DELAYS, max_size=2), st.none() | st.integers(0, 50))
+
 #: One program step.  ``schedule``: an event ``delay`` after now that,
-#: when it fires, schedules one child per entry of ``children`` and may
-#: cancel an earlier handle; ``cancel``: cancel an earlier handle (it
-#: may have fired already); ``run``: a ``run(until=now + delta)``
+#: when it fires, performs its action; ``series``: a series whose
+#: element j fires ``sum(delays[:j + 1])`` after now (non-decreasing,
+#: with repeats) and performs its own action; ``cancel``: cancel an
+#: earlier handle (it may have fired already; a series handle drops
+#: every element still owed); ``run``: a ``run(until=now + delta)``
 #: checkpoint.
 STEPS = st.one_of(
-    st.tuples(
-        st.just("schedule"),
-        DELAYS,
-        st.lists(DELAYS, max_size=2),
-        st.none() | st.integers(0, 50),
-    ),
+    st.tuples(st.just("schedule"), DELAYS, ACTIONS),
+    st.tuples(st.just("series"), st.lists(st.tuples(DELAYS, ACTIONS), max_size=4)),
     st.tuples(st.just("cancel"), st.integers(0, 50)),
     st.tuples(st.just("run"), st.sampled_from([0.0, 0.5, 1.0, 3.0])),
 )
@@ -278,12 +364,14 @@ def execute(calendar, program):
     handles = []
     checkpoints = []
 
-    def event(tag, children, cancels):
+    def event(tag, action):
+        children, cancels = action
+
         def fire():
             fired.append((tag, calendar.now))
             for j, delay in enumerate(children):
                 handles.append(calendar.schedule_at(
-                    calendar.now + delay, event((tag, j), (), None)
+                    calendar.now + delay, event((tag, j), ((), None))
                 ))
             if cancels is not None and handles:
                 handles[cancels % len(handles)].cancel()
@@ -300,10 +388,22 @@ def execute(calendar, program):
 
     for i, step in enumerate(program):
         if step[0] == "schedule":
-            _, delay, children, cancels = step
+            _, delay, action = step
             handles.append(calendar.schedule_at(
-                calendar.now + delay, event(i, children, cancels)
+                calendar.now + delay, event(i, action)
             ))
+        elif step[0] == "series":
+            times = list(itertools.accumulate(
+                (delay for delay, _ in step[1]), initial=calendar.now
+            ))[1:]
+            fires = [
+                event((i, j), action) for j, (_, action) in enumerate(step[1])
+            ]
+            series = calendar.schedule_series(
+                times, lambda j, fires=fires: fires[j]()
+            )
+            if series is not None:
+                handles.append(series)
         elif step[0] == "cancel":
             if handles:
                 handles[step[1] % len(handles)].cancel()

@@ -76,6 +76,13 @@ class TestWorldLifecycle:
         with pytest.raises(KeyError):
             world.schedule_message(0, 99, at_time=1.0)
 
+    def test_traffic_needs_one_pair_per_time(self):
+        world = build_recorder_world()
+        pending = world.sim.pending_events()
+        with pytest.raises(ValueError, match="pair"):
+            world.schedule_traffic([0.5, 0.6], [0, 1])
+        assert world.sim.pending_events() == pending
+
     def test_metrics_record_created_messages(self):
         world = build_recorder_world()
         world.schedule_message(0, 1, at_time=0.5)
