@@ -12,8 +12,9 @@ sweep and writes a machine-readable ``BENCH_campaign.json``:
 - orchestrated wall time for the same spec fanned out over shard
   worker subprocesses (supervision + merge overhead included);
 - distributed wall time for the same spec over two simulated hosts
-  (``ObjectStoreTransport`` roots — the full push/mirror transport
-  path, minus the network);
+  (``store:`` directory roots — the full push/mirror transport path,
+  minus the network; the orchestrated run takes the same supervision
+  path with the run dir as every slot's root);
 - a profiled cold run (``REPRO_PROFILE_PHASES=1``): measures the
   phase profiler's overhead against the plain cold run and reports
   where the probe sweep's time goes, phase by phase.

@@ -4,11 +4,12 @@ Demonstrates the cross-machine orchestration fabric end to end,
 entirely on the local machine:
 
 1. define a campaign (a radius x protocol sweep);
-2. stand up two *pseudo-hosts* — ``ObjectStoreTransport`` roots that
-   exercise the full remote protocol (spec push, lease pushes, stream
-   and heartbeat mirror pulls) with local directories standing in for
-   the wire (on a real fleet you would pass ``user@host`` specs
-   instead, which ride the same code path over ssh/scp);
+2. stand up two *pseudo-hosts* — ``store:`` directory roots (a
+   ``LocalTransport`` each) that exercise the full remote protocol
+   (spec push, lease pushes, stream and heartbeat mirror pulls) with
+   local directories standing in for the wire (on a real fleet you
+   would pass ``user@host`` specs instead, which ride the same code
+   path over ssh/scp);
 3. hand both to ``orchestrate_campaign(hosts=[...])``: each host gets
    the spec and a lease assignment, runs its worker against *its own*
    root, and the supervisor mirrors every stream back into the run dir

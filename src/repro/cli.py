@@ -285,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="SPEC[,SPEC...]",
         help="distribute over these hosts instead of local shards: "
         "'user@h1' / 'h1:/data/run' (SSH), 'store:/shared/h1' "
-        "(directory-backed object store pseudo-host), 'local:/path' "
+        "(directory-root pseudo-host), 'local:/path' "
         "(shared-filesystem root); specs are validated here at parse "
         "time",
     )

@@ -20,30 +20,47 @@ How it works:
   appends one record per task to its own JSONL stream.  Assignment
   files and streams are the only coordination medium: there is no IPC
   to lose, and a worker death costs at most the tasks in flight.
-- Every tick the supervisor folds newly streamed keys into the board
+- Every lease-board slot is backed by a
+  :class:`~repro.experiments.transport.Transport`.  A ``shards=N`` run
+  gets N slots whose transport is a
+  :class:`~repro.experiments.transport.LocalTransport` on the run dir
+  itself, where every push and pull is a same-file no-op; a
+  ``hosts=[...]`` run gets one slot per host.  Both kinds share one
+  path for launch, beacon, mirror pulls, transport-failure strikes and
+  stall detection.
+- Every tick the supervisor runs one transport round per live slot: it
+  freshens the slot's assignment file (an idle worker's sign that the
+  supervisor lives) and mirrors the worker's stream, heartbeat and
+  event file into the run dir (atomic replace, host mtime kept).  It
+  then folds newly streamed keys into the board
   (:class:`~repro.experiments.stream.StreamTailKeys` reads only the
-  appended bytes), polls worker liveness (``Popen.poll``) and the
-  heartbeat file each worker touches per finished task, and freshens
-  every assignment file's mtime (an idle worker's sign that the
-  supervisor lives).  A dead or stalled worker's slot is relaunched on
-  the next free slot and resumes from its stream; ``max_attempts``
-  failures of one slot abort the campaign with that slot's log tail.
+  appended bytes) and polls worker liveness (``Popen.poll``) and the
+  heartbeat each worker touches per finished task.  A dead or stalled
+  worker's slot is relaunched on the next free slot and resumes from
+  its stream; ``max_attempts`` failures of one slot abort the campaign
+  with that slot's log tail.
 - Work stealing: when a worker sits idle while another still holds
   unstarted leases, the supervisor moves some of them over.  Requeue
   granularity is one task, which cuts tail latency on sweeps with
   wildly non-uniform per-cell cost (dense/epidemic cells cost orders of
   magnitude more than sparse forwarding cells).
+- Membership is elastic: host specs appended to the run dir's
+  ``hosts.json`` join mid-campaign as fresh slots that fill by
+  stealing, and a slot whose transport keeps failing (or the
+  ``chaos_kill_host`` injection) is declared lost — never relaunched,
+  its leases taking the reclaim path onto live workers.
 - Once every task is recorded, the supervisor closes the assignment
   files (idle workers exit), merges the streams
   (:func:`~repro.experiments.stream.merge_streams`) and aggregates
   (:func:`~repro.experiments.campaign.campaign_result_from_stream`) —
   bit-identical to an unsharded run of the same spec, however the
-  leases moved, which ``tests/experiments/test_equivalence.py``
-  asserts.
+  leases moved and whichever hosts ran them, which
+  ``tests/experiments/test_equivalence.py`` asserts.
 
-Fault injection: ``chaos_kill_shard`` SIGKILLs one shard's first
-worker once its stream holds ``chaos_kill_after`` records (CI's
-chaos-smoke job proves the requeue path with it), and
+Fault injection: one injector SIGKILLs a slot's first worker once its
+stream holds ``chaos_kill_after`` records — ``chaos_kill_shard`` (CI's
+orchestrator smoke job proves the requeue path with it) or
+``chaos_kill_host``, which also declares the slot's host lost.
 ``chaos_slow_shard``/``chaos_slow_s`` injects a per-task sleep into
 one worker's environment — a simulated slow machine, which the same
 job uses to force steals.
@@ -53,21 +70,6 @@ growing) shard streams in memory — ``quarantine=False`` throughout, so
 a live stream's in-flight tail is never repaired away — and rebuilds
 the partial per-cell aggregate with the honest ``runs`` column.
 ``repro campaign watch`` re-renders it on an interval.
-
-Cross-machine campaigns (``hosts=[...]`` / ``--hosts``): the protocol
-is already fully file-based, so distribution is a transport problem.
-Each lease-board slot is backed by a
-:class:`~repro.experiments.transport.Transport`; the supervisor ships
-the spec out, pushes every assignment rewrite through the board's
-``on_write`` hook, and mirrors each host's stream + heartbeat back
-into the local run dir on every supervision tick (atomic replace, so
-the same tail cursors — and ``repro campaign watch`` — run on the
-mirrors unchanged).  Membership is elastic: specs appended to the run
-dir's ``hosts.json`` join mid-campaign as fresh slots that fill by
-stealing, and a vanished host (transport errors, or the
-``chaos_kill_host`` injection) is declared lost — its slot is never
-relaunched and its leases take the reclaim path onto live workers.
-Equivalence is unchanged: N hosts merge bit-identical to serial.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ import json
 import os
 import signal
 import subprocess
-import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -96,6 +97,7 @@ from repro.experiments.campaign import (
 from repro.experiments.layout import RunLayout
 from repro.experiments.scheduler import LeaseBoard, plan_steals
 from repro.experiments.transport import (
+    LocalTransport,
     Transport,
     TransportError,
     parse_host,
@@ -209,13 +211,13 @@ class ShardStatus:
     #: to it from a laggard or a workerless slot.
     stolen_from: int = 0
     stolen_to: int = 0
-    #: ``pending`` | ``running`` | ``done`` | ``lost`` (multi-host: the
-    #: slot's host vanished; never relaunched, its leases reclaimed
-    #: onto live workers).
+    #: ``pending`` | ``running`` | ``done`` | ``lost`` (the slot's
+    #: transport vanished; never relaunched, its leases reclaimed onto
+    #: live workers).
     state: str = "pending"
     exit_codes: list[int] = field(default_factory=list)
-    #: Multi-host runs: the backing transport's label (e.g.
-    #: ``store:/tmp/h0``); empty for single-machine slots.
+    #: Host slots: the backing transport's label (e.g.
+    #: ``store:/tmp/h0``); empty for run-dir (``shards``) slots.
     host: str = ""
 
 
@@ -226,8 +228,8 @@ class OrchestratorResult:
     result: CampaignResult
     merged_stream: Path
     shards: list[ShardStatus]
-    #: Multi-host runs: one transport label per slot, in slot order
-    #: (joined hosts included).  Empty for single-machine runs.
+    #: One transport label per host slot, in slot order (joined hosts
+    #: included).  Empty when every slot ran on the run dir.
     hosts: tuple[str, ...] = ()
 
     @property
@@ -271,13 +273,13 @@ def _worker_command(
 ) -> list[str]:
     """Slot ``index``'s worker command: ``repro campaign --tasks``.
 
-    ``head`` invokes the ``repro`` CLI on the worker's machine (this
-    interpreter for a local slot, the transport's command head for a
-    host) and ``layout`` is the run dir as the worker sees it: the
-    local one, or the same artifact names under a transport's root.
-    ``cache_dir`` is interpreted on the worker's host (a per-host
-    cache, which is the only kind that makes sense without a shared
-    filesystem).
+    ``head`` is the transport's command head (the argv prefix that
+    invokes the ``repro`` CLI on the worker's machine) and ``layout``
+    is the run dir as the worker sees it: the same artifact names under
+    the transport's root, which for a ``shards`` slot is the run dir
+    itself.  ``cache_dir`` is interpreted on the worker's host (a
+    per-host cache, which is the only kind that makes sense without a
+    shared filesystem).
     """
     command = [
         *head,
@@ -301,29 +303,12 @@ def _worker_command(
     return command
 
 
-def _local_launch(
-    command: Sequence[str], stdout, env: dict[str, str] | None
-) -> subprocess.Popen:
-    """Start a worker on this machine (the non-transport launcher)."""
-    return subprocess.Popen(
-        list(command),
-        stdout=stdout,
-        stderr=subprocess.STDOUT,
-        env=env,
-        # Own session/process group, so killing a worker also reaps
-        # its simulation pool children (see _Worker.kill).
-        start_new_session=True,
-    )
-
-
 def _spawn_worker(
+    transport: Transport,
     command: Sequence[str],
     log_path: Path,
     attempt: int,
     env: dict[str, str] | None,
-    launcher: Callable[
-        [Sequence[str], object, dict[str, str] | None], subprocess.Popen
-    ] = _local_launch,
 ) -> tuple[subprocess.Popen, object]:
     """Open the worker's log and start its process, leak-free.
 
@@ -337,24 +322,11 @@ def _spawn_worker(
     try:
         handle.write(f"--- attempt {attempt} ---\n")
         handle.flush()
-        process = launcher(command, handle, env)
+        process = transport.launch(command, handle, env)
     except BaseException:
         handle.close()
         raise
     return process, handle
-
-
-def _worker_environment(
-    status: ShardStatus,
-    chaos_slow_shard: int | None,
-    chaos_slow_s: float,
-) -> dict[str, str]:
-    """The worker env, with the chaos per-task sleep injected if this
-    shard is the designated slow one."""
-    env = _worker_env()
-    if chaos_slow_shard == status.index and chaos_slow_s > 0:
-        env[CHAOS_TASK_SLEEP_ENV] = str(chaos_slow_s)
-    return env
 
 
 def _tail(path: Path, lines: int = 15) -> str:
@@ -396,13 +368,20 @@ class _Worker:
             pass
 
 
-#: The argv prefix that invokes the ``repro`` CLI for a local slot.
-_LOCAL_HEAD = (sys.executable, "-m", "repro.cli")
-
-#: Consecutive transport failures against one host before its slot is
+#: Consecutive transport failures against one slot before it is
 #: declared lost and its leases reclaimed (one flaky tick is noise; a
 #: streak means the machine is gone).
 VANISH_AFTER = 3
+
+
+def _shard_status(layout: RunLayout, index: int, host: str) -> ShardStatus:
+    return ShardStatus(
+        index=index,
+        stream=layout.stream(index),
+        heartbeat=layout.heartbeat(index),
+        log=layout.log(index),
+        host=host,
+    )
 
 
 def orchestrate_campaign(
@@ -449,12 +428,13 @@ def orchestrate_campaign(
 
     A worker that dies (any nonzero exit) or stalls (no heartbeat
     touch for ``stall_timeout`` seconds — workers touch per finished
-    task, so set this above your slowest single task) is killed and
-    its shard requeued onto the next free slot, up to ``max_attempts``
-    launches per shard; after that the campaign aborts with the
-    shard's log tail.  ``max_concurrent`` caps simultaneous workers
-    (default: all ``shards`` at once); the leases of a shard waiting
-    for a slot are reclaimed onto idle workers.
+    task, so set this above your slowest single task; a heartbeat
+    older than the worker's launch counts from the launch) is killed
+    and its shard requeued onto the next free slot, up to
+    ``max_attempts`` launches per shard; after that the campaign
+    aborts with the shard's log tail.  ``max_concurrent`` caps
+    simultaneous workers (default: no cap); the leases of a shard
+    waiting for a slot are reclaimed onto idle workers.
 
     ``chaos_kill_shard``/``chaos_kill_after`` are fault injection for
     tests and CI: SIGKILL that shard's *first* worker once its stream
@@ -467,24 +447,23 @@ def orchestrate_campaign(
     it simulates a slow *machine*, not a flaky process), the imbalance
     work stealing recovers from.
 
-    ``hosts`` switches to cross-machine mode: one lease-board slot per
-    entry, each backed by a transport (a
+    ``hosts`` backs the slots with other machines: one lease-board slot
+    per entry, each a transport (a
     :class:`~repro.experiments.transport.Transport` instance, or a
     spec string for :func:`~repro.experiments.transport.parse_host` —
     ``user@h1``, ``h1:/data/run``, ``store:/shared/h1``,
     ``local:/mnt/nfs/h1``).  Pass *either* ``hosts`` or ``shards``,
     never both; the per-shard chaos knobs give way to
-    ``chaos_kill_host``: SIGKILL that host's worker once its stream
-    holds ``chaos_kill_after`` records *and declare the host vanished*
-    — the slot is never relaunched and its leases reclaim onto live
-    workers, which is the path a genuinely unreachable host (repeated
-    transport errors) takes too.  Mid-campaign joins are read from
-    ``hosts.json`` in the run dir (``{"join": ["store:/tmp/h3", ...]}``,
-    append-only).
+    ``chaos_kill_host``: the same kill, which also *declares the host
+    vanished* — the slot is never relaunched and its leases reclaim
+    onto live workers, which is the path a genuinely unreachable host
+    (``VANISH_AFTER`` consecutive transport errors) takes too.  In
+    every run, hosts join mid-campaign through ``hosts.json`` in the
+    run dir (``{"join": ["store:/tmp/h3", ...]}``, append-only).
 
     Args:
         spec: the validated campaign to fan out.
-        shards: local shard-worker count (exactly one of ``shards`` /
+        shards: run-dir shard-worker count (exactly one of ``shards`` /
             ``hosts``).
         run_dir: run directory (default: ``orchestrated-<name>``).
         workers_per_shard: process-pool size inside each worker.
@@ -495,7 +474,7 @@ def orchestrate_campaign(
             steal, ...); the CLI prints them, telemetry records them.
         lease_batch / steal_threshold: work-stealing tuning.
         chaos_*: fault injection for tests and CI.
-        hosts: transports (or spec strings) for cross-machine mode.
+        hosts: transports (or spec strings) for cross-machine slots.
 
     Returns:
         An :class:`OrchestratorResult`: the aggregated
@@ -504,13 +483,12 @@ def orchestrate_campaign(
 
     Raises:
         ValueError: conflicting arguments (``hosts`` with ``shards``,
-            per-shard chaos in hosts mode).
+            per-shard chaos with ``hosts``).
         OrchestratorError: a shard exhausted ``max_attempts``, a
             transport failed permanently, or the merged stream does not
             cover the campaign (the CLI maps this to exit code 3).
     """
     transports: dict[int, Transport] = {}
-    hosts_mode = hosts is not None
     if hosts is not None:
         if shards is not None:
             raise ValueError("pass hosts or shards, not both")
@@ -539,9 +517,6 @@ def orchestrate_campaign(
             if labels.count(label) > 1:
                 raise ValueError(f"host {label} listed twice")
         shards = len(hosts)
-        if max_concurrent is None:
-            # Elastic joins must be launchable the tick they register.
-            max_concurrent = 10**9
     else:
         if shards is None:
             raise ValueError("shards is required without hosts")
@@ -559,9 +534,7 @@ def orchestrate_campaign(
         raise ValueError("poll_interval must be positive")
     if stall_timeout <= 0:
         raise ValueError("stall_timeout must be positive")
-    if max_concurrent is None:
-        max_concurrent = shards
-    if max_concurrent < 1:
+    if max_concurrent is not None and max_concurrent < 1:
         raise ValueError("max_concurrent must be >= 1")
     if lease_batch is not None and lease_batch < 1:
         raise ValueError("lease_batch must be >= 1")
@@ -581,6 +554,26 @@ def orchestrate_campaign(
         raise ValueError("chaos_slow_s must be positive")
 
     layout = RunLayout(run_dir).ensure()
+    # A host slot is labelled with its transport; a ``shards`` slot's
+    # transport is the run dir itself, so it needs no label and every
+    # push and pull below is a same-file no-op for it.
+    statuses = [
+        _shard_status(
+            layout, index,
+            transports[index].describe() if index in transports else "",
+        )
+        for index in range(shards)
+    ]
+    for index in range(shards):
+        transports.setdefault(index, LocalTransport(layout.root))
+    cap = max_concurrent if max_concurrent is not None else float("inf")
+    # One injector serves both kills; at most one of them is armed.
+    chaos_shard = (
+        chaos_kill_shard if chaos_kill_host is None else chaos_kill_host
+    )
+    chaos_action = "kill" if chaos_kill_host is None else "kill_host"
+    chaos_pending = chaos_shard is not None
+
     event = _EventSink(
         on_event, EventLog(layout.events, origin="supervisor").ensure()
     )
@@ -603,7 +596,7 @@ def orchestrate_campaign(
         "run_start",
         shards=shards,
         total_tasks=total_tasks,
-        hosts=[transport.describe() for transport in transports.values()],
+        hosts=[status.host for status in statuses if status.host],
     )
     adversaries = _adversary_specs(spec)
     if adversaries:
@@ -612,30 +605,20 @@ def orchestrate_campaign(
         # a post-mortem reads before blaming the protocol or the fleet.
         event.emit("adversary", specs=adversaries)
 
-    statuses = [
-        ShardStatus(
-            index=index,
-            stream=layout.stream(index),
-            heartbeat=layout.heartbeat(index),
-            log=layout.log(index),
-            host=transports[index].describe() if hosts_mode else "",
-        )
-        for index in range(shards)
-    ]
     lost: set[int] = set()
     failures: dict[int, int] = {status.index: 0 for status in statuses}
 
     def push_assignment(worker: int, path: Path) -> None:
-        """Board ``on_write`` hook: mirror the rewrite to the host.
+        """Board ``on_write`` hook: mirror the rewrite to the slot.
 
-        A push to a lost host is skipped (its leases are reclaimed or
+        A push to a lost slot is skipped (its leases are reclaimed or
         about to be); a *failing* push feeds the same strike counter
         the mirror pulls use, so an unreachable host converges to lost
         no matter which direction noticed first.
         """
-        transport = transports.get(worker)
-        if transport is None or worker in lost:
+        if worker in lost:
             return
+        transport = transports[worker]
         try:
             transport.push(path, RunLayout.assignment_name(worker))
             failures[worker] = 0
@@ -647,23 +630,21 @@ def orchestrate_campaign(
                 f"{VANISH_AFTER}): {exc}"
             )
 
-    if hosts_mode:
-        for index, transport in sorted(transports.items()):
-            transport.push(spec_file, RunLayout.spec_name())
+    for status in statuses:
+        transport = transports[status.index]
+        transport.push(spec_file, RunLayout.spec_name())
+        if status.host:
             event.emit(
                 "host_join",
-                f"host {transport.describe()}: registered as shard "
-                f"{index}",
-                shard=index,
-                host=transport.describe(),
+                f"host {status.host}: registered as shard {status.index}",
+                shard=status.index,
+                host=status.host,
                 joined_mid_run=False,
             )
-            # Resume support: mirror whatever stream the host already
-            # holds before the board is built, so its records count as
-            # done exactly like a local resumed run dir's would.
-            transport.pull(
-                RunLayout.stream_name(index), layout.stream(index)
-            )
+        # Resume support: mirror whatever stream the host already
+        # holds before the board is built, so its records count as
+        # done exactly like a local resumed run dir's would.
+        transport.pull(RunLayout.stream_name(status.index), status.stream)
 
     # Resume: anything any existing stream records is done for good;
     # the lease board never hands those keys out again.  Validating
@@ -695,7 +676,7 @@ def orchestrate_campaign(
         spec_hash=spec_hash,
         batch=batch,
         done=pre_done,
-        on_write=push_assignment if hosts_mode else None,
+        on_write=push_assignment,
     )
     for status in statuses:
         event(
@@ -708,8 +689,6 @@ def orchestrate_campaign(
     tailers = {
         status.index: StreamTailKeys(status.stream) for status in statuses
     }
-    chaos_pending = chaos_kill_shard is not None
-    chaos_host_pending = chaos_kill_host is not None
     joined = 0
     closed = False
     last_progress = -1
@@ -722,7 +701,7 @@ def orchestrate_campaign(
         status.recorded = len(seen[status.index])
 
     def declare_lost(status: ShardStatus, why: str) -> None:
-        """A host vanished: retire its slot, leave its leases to reclaim.
+        """A slot's host vanished: retire it, leave its leases to reclaim.
 
         The slot is never relaunched (unlike a dead *worker*, whose
         machine is still there) — its undone leases stay on the board
@@ -806,13 +785,7 @@ def orchestrate_campaign(
             failures[index] = 0
             seen[index] = set()
             board.add_worker()
-            status = ShardStatus(
-                index=index,
-                stream=layout.stream(index),
-                heartbeat=layout.heartbeat(index),
-                log=layout.log(index),
-                host=transport.describe(),
-            )
+            status = _shard_status(layout, index, transport.describe())
             statuses.append(status)
             tailers[index] = StreamTailKeys(status.stream)
             queue.append(status)
@@ -825,36 +798,71 @@ def orchestrate_campaign(
                 joined_mid_run=True,
             )
 
+    def inject_chaos(worker: _Worker, when: str) -> None:
+        """The fault injector, checked at launch and on every poll.
+
+        Fires once, at the armed slot's *first* worker: SIGKILL it once
+        its stream holds ``chaos_kill_after`` records — ``kill_host``
+        also declares the slot's host lost — or, if the poll already
+        saw the worker exit, report that nothing was killed.
+        """
+        nonlocal chaos_pending
+        status = worker.status
+        if (
+            not chaos_pending
+            or status.index != chaos_shard
+            or status.attempts != 1
+        ):
+            return
+        exited = worker.process.returncode is not None
+        if not exited and len(seen[status.index]) < chaos_kill_after:
+            return
+        chaos_pending = False
+        if exited:
+            message = (
+                f"chaos: shard {status.index} worker finished before the "
+                f"injection could fire; nothing killed"
+            )
+        else:
+            vanishes = (
+                "; its host vanishes" if chaos_action == "kill_host" else ""
+            )
+            message = (
+                f"chaos: SIGKILL shard {status.index} worker "
+                f"(pid {worker.process.pid}) {when}{vanishes}"
+            )
+        event.emit(
+            "chaos",
+            message,
+            shard=status.index,
+            host=status.host,
+            attempt=status.attempts,
+            action=chaos_action,
+            fired=not exited,
+        )
+        if exited:
+            return
+        if chaos_action == "kill_host":
+            declare_lost(status, "chaos host kill")
+        else:
+            worker.kill()
+
     def launch(status: ShardStatus) -> None:
-        nonlocal chaos_pending, chaos_host_pending
         status.attempts += 1
         status.state = "running"
-        # Arm the stall clock at launch: a worker that wedges before
-        # its first task still trips the timeout.  (In hosts mode the
-        # local mirror is the clock; remote mtimes overwrite it only
-        # once the host's heartbeat exists.)
-        status.heartbeat.touch()
-        if hosts_mode:
-            transport = transports[status.index]
-            command = _worker_command(
-                transport.command_head(), RunLayout(transport.root),
-                status.index, workers_per_shard, cache_dir,
-            )
-            env = _worker_env() if transport.runs_locally else None
-            launcher = transport.launch
-        else:
-            command = _worker_command(
-                _LOCAL_HEAD, layout, status.index, workers_per_shard,
-                cache_dir,
-            )
-            env = _worker_environment(
-                status, chaos_slow_shard, chaos_slow_s
-            )
-            launcher = _local_launch
-        process, handle = _spawn_worker(
-            command, status.log, status.attempts, env, launcher
+        transport = transports[status.index]
+        command = _worker_command(
+            transport.command_head(), RunLayout(transport.root),
+            status.index, workers_per_shard, cache_dir,
         )
-        running.append(_Worker(status, process, handle, time.monotonic()))
+        env = _worker_env() if transport.runs_locally else None
+        if status.index == chaos_slow_shard:
+            env[CHAOS_TASK_SLEEP_ENV] = str(chaos_slow_s)
+        process, handle = _spawn_worker(
+            transport, command, status.log, status.attempts, env
+        )
+        worker = _Worker(status, process, handle, time.monotonic())
+        running.append(worker)
         host_note = f" on {status.host}" if status.host else ""
         event.emit(
             "launch",
@@ -868,41 +876,7 @@ def orchestrate_campaign(
             pid=process.pid,
             leased=len(board.remaining(status.index)),
         )
-        if (
-            chaos_pending
-            and status.index == chaos_kill_shard
-            and status.attempts == 1
-            and chaos_kill_after <= len(seen[status.index])
-        ):
-            process.kill()
-            chaos_pending = False
-            event.emit(
-                "chaos",
-                f"chaos: SIGKILL shard {status.index} worker "
-                f"(pid {process.pid}) at launch",
-                shard=status.index,
-                attempt=status.attempts,
-                action="kill",
-                fired=True,
-            )
-        if (
-            chaos_host_pending
-            and status.index == chaos_kill_host
-            and status.attempts == 1
-            and chaos_kill_after <= len(seen[status.index])
-        ):
-            chaos_host_pending = False
-            event.emit(
-                "chaos",
-                f"chaos: SIGKILL shard {status.index} worker "
-                f"(pid {process.pid}) at launch; its host vanishes",
-                shard=status.index,
-                host=status.host,
-                attempt=status.attempts,
-                action="kill_host",
-                fired=True,
-            )
-            declare_lost(status, "chaos host kill")
+        inject_chaos(worker, "at launch")
 
     def abort(status: ShardStatus, why: str) -> None:
         for worker in running:
@@ -930,7 +904,7 @@ def orchestrate_campaign(
                     f"assignments so idle workers exit"
                 )
             if not closed:
-                while queue and len(running) < max_concurrent:
+                while queue and len(running) < cap:
                     launch(queue.popleft())
             if not running and not queue:
                 if closed:
@@ -942,113 +916,71 @@ def orchestrate_campaign(
                     f"recorded; shard streams are incomplete"
                 )
             time.sleep(poll_interval)
-            if hosts_mode:
-                poll_joins()
-                # Beacon + mirror tick, one transport round per live
-                # slot: freshen the remote assignment's mtime (the
-                # idle worker's supervisor-liveness signal), then pull
-                # the host's stream and heartbeat into the local
-                # layout — atomic replace with the remote mtime kept,
-                # so the tail cursors and the stall clock below read
-                # the mirrors as if the worker were local.
-                for status in list(statuses):
-                    if status.index in lost or status.state == "done":
-                        continue
-                    transport = transports[status.index]
-                    try:
-                        transport.touch(
-                            RunLayout.assignment_name(status.index)
+            poll_joins()
+            # Beacon + mirror tick, one transport round per live slot:
+            # freshen the slot's assignment mtime, so an idle worker's
+            # supervisor-death timeout (`repro campaign --tasks
+            # --wait-timeout`) never fires while this loop runs, then
+            # pull the worker's stream, heartbeat and event file into
+            # the run dir —
+            # atomic replace with the host mtime kept, so the tail
+            # cursors, the stall clock and the endgame event merge read
+            # the mirrors as if the worker were local.  Each pull is a
+            # no-op until the worker first writes that file, and every
+            # one is a same-file no-op for a ``shards`` slot.
+            for status in list(statuses):
+                if status.index in lost or status.state == "done":
+                    continue
+                transport = transports[status.index]
+                try:
+                    transport.touch(RunLayout.assignment_name(status.index))
+                    event.heartbeat(status.index, "supervisor-beacon")
+                    transport.pull(
+                        RunLayout.stream_name(status.index), status.stream
+                    )
+                    transport.pull(
+                        RunLayout.heartbeat_name(status.index),
+                        status.heartbeat,
+                    )
+                    transport.pull(
+                        RunLayout.shard_events_name(status.index),
+                        layout.shard_events(status.index),
+                    )
+                    failures[status.index] = 0
+                except TransportError as exc:
+                    failures[status.index] += 1
+                    if failures[status.index] >= VANISH_AFTER:
+                        declare_lost(
+                            status,
+                            f"{failures[status.index]} consecutive "
+                            f"transport failures; last: {exc}",
                         )
-                        event.heartbeat(status.index, "supervisor-beacon")
-                        transport.pull(
-                            RunLayout.stream_name(status.index),
-                            status.stream,
-                        )
-                        transport.pull(
-                            RunLayout.heartbeat_name(status.index),
-                            status.heartbeat,
-                        )
-                        # Mirror the worker's own event file so the
-                        # endgame merge sees every host's history (pull
-                        # is a no-op until the worker first emits).
-                        transport.pull(
-                            RunLayout.shard_events_name(status.index),
-                            layout.shard_events(status.index),
-                        )
-                        failures[status.index] = 0
-                    except TransportError as exc:
-                        failures[status.index] += 1
-                        if failures[status.index] >= VANISH_AFTER:
-                            declare_lost(
-                                status,
-                                f"{failures[status.index]} consecutive "
-                                f"transport failures; last: {exc}",
-                            )
-            else:
-                # Liveness beacon: freshen every assignment file's
-                # mtime so an idle worker's supervisor-death timeout
-                # (`repro campaign --tasks --wait-timeout`) never
-                # fires while this loop runs.
-                for status in statuses:
-                    try:
-                        os.utime(board.path(status.index))
-                        event.heartbeat(status.index, "supervisor-beacon")
-                    except OSError:  # pragma: no cover - replaced mid-utime
-                        pass
             for status in statuses:
                 ingest(status)
             for worker in list(running):
                 status = worker.status
-                return_code = worker.process.poll()
-                if (
-                    chaos_host_pending
-                    and status.index == chaos_kill_host
-                    and status.attempts == 1
-                    and len(seen[status.index]) >= chaos_kill_after
-                    and return_code is None
-                ):
-                    chaos_host_pending = False
-                    event.emit(
-                        "chaos",
-                        f"chaos: SIGKILL shard {status.index} worker "
-                        f"(pid {worker.process.pid}) after "
-                        f"{status.recorded} recorded task(s); its host "
-                        f"vanishes",
-                        shard=status.index,
-                        host=status.host,
-                        attempt=status.attempts,
-                        action="kill_host",
-                        fired=True,
-                    )
-                    declare_lost(status, "chaos host kill")
+                worker.process.poll()
+                inject_chaos(
+                    worker, f"after {status.recorded} recorded task(s)"
+                )
+                if status.state == "lost":
                     continue
-                if (
-                    chaos_pending
-                    and status.index == chaos_kill_shard
-                    and status.attempts == 1
-                    and len(seen[status.index]) >= chaos_kill_after
-                    and return_code is None
-                ):
-                    worker.kill()
-                    chaos_pending = False
-                    event.emit(
-                        "chaos",
-                        f"chaos: SIGKILL shard {status.index} worker "
-                        f"(pid {worker.process.pid}) after "
-                        f"{status.recorded} recorded task(s)",
-                        shard=status.index,
-                        attempt=status.attempts,
-                        action="kill",
-                        fired=True,
-                    )
-                    return_code = worker.process.poll()
+                # The poll's exit code, or the one a chaos kill reaped.
+                return_code = worker.process.returncode
                 if return_code is None:
                     try:
-                        heartbeat_age = (
+                        beat_age = (
                             time.time() - status.heartbeat.stat().st_mtime
                         )
                     except OSError:
-                        heartbeat_age = time.monotonic() - worker.launched_at
+                        beat_age = float("inf")
+                    # A heartbeat older than this launch was left by an
+                    # earlier worker (an interrupted run of this run
+                    # dir, or the one whose stall caused the relaunch),
+                    # so the age counts from the launch at most.
+                    heartbeat_age = min(
+                        beat_age, time.monotonic() - worker.launched_at
+                    )
                     if heartbeat_age > stall_timeout:
                         event.emit(
                             "stall",
@@ -1064,37 +996,6 @@ def orchestrate_campaign(
                         return_code = worker.process.poll()
                 if return_code is None:
                     continue
-                if (
-                    chaos_pending
-                    and status.index == chaos_kill_shard
-                    and status.attempts == 1
-                ):
-                    chaos_pending = False
-                    event.emit(
-                        "chaos",
-                        f"chaos: shard {status.index} worker finished "
-                        f"before the injection could fire; nothing killed",
-                        shard=status.index,
-                        attempt=status.attempts,
-                        action="kill",
-                        fired=False,
-                    )
-                if (
-                    chaos_host_pending
-                    and status.index == chaos_kill_host
-                    and status.attempts == 1
-                ):
-                    chaos_host_pending = False
-                    event.emit(
-                        "chaos",
-                        f"chaos: shard {status.index} worker finished "
-                        f"before the injection could fire; nothing killed",
-                        shard=status.index,
-                        host=status.host,
-                        attempt=status.attempts,
-                        action="kill_host",
-                        fired=False,
-                    )
                 running.remove(worker)
                 worker.close_log()
                 status.exit_codes.append(return_code)
@@ -1241,11 +1142,8 @@ def orchestrate_campaign(
     ]
     return _collect(
         layout, streams, total_tasks, statuses, event,
-        hosts=tuple(
-            transports[index].describe() for index in sorted(transports)
-        ),
+        hosts=tuple(status.host for status in statuses if status.host),
     )
-
 
 
 def _adversary_specs(spec: CampaignSpec) -> list[str]:

@@ -21,7 +21,8 @@ the only possible damage from a crash or a full disk is a torn *tail*.
 :func:`load_stream` detects any undecodable line, moves the raw bytes
 to a ``<stream>.quarantined`` sidecar, and atomically rewrites the
 stream with the surviving records — a resume then recomputes exactly
-the quarantined tasks.
+the quarantined tasks.  That line discipline lives in
+:mod:`repro.jsonl`, shared with the run-event logs.
 
 Record schema (``kind == "task"``)::
 
@@ -44,6 +45,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from repro.jsonl import (
+    append_line,
+    encode_line,
+    quarantine_lines,
+    scan_lines,
+    write_lines,
+)
 from repro.sim.stats import SimulationMetrics
 
 #: Bump when the stream record schema changes incompatibly.
@@ -76,10 +84,6 @@ class StreamInfo:
     def keys(self) -> set[str]:
         """Task content keys already recorded in the stream."""
         return {record["key"] for record in self.records}
-
-
-def _encode_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def make_header(spec_hash: str, spec_doc: dict) -> dict:
@@ -143,7 +147,7 @@ def init_stream(
         return load_stream(target, expected_spec_hash=spec_hash)
     target.parent.mkdir(parents=True, exist_ok=True)
     header = make_header(spec_hash, spec_doc)
-    _atomic_write(target, [header])
+    write_lines(target, [header])
     return StreamInfo(path=target, header=header, records=[])
 
 
@@ -153,10 +157,7 @@ def append_record(path: str | Path, record: dict) -> None:
     One line, one ``write``, then flush+fsync: a crash can tear only
     the final line, which the next :func:`load_stream` quarantines.
     """
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(_encode_line(record))
-        handle.flush()
-        os.fsync(handle.fileno())
+    append_line(path, record)
 
 
 def _parse_line(line: str) -> dict | None:
@@ -219,24 +220,7 @@ def load_stream(
     except OSError as exc:
         raise StreamError(f"cannot read stream {target}: {exc}") from exc
 
-    header: dict | None = None
-    records: list[dict] = []
-    bad_lines: list[str] = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        record = _parse_line(line)
-        if record is None:
-            bad_lines.append(line)
-        elif record["kind"] == "header":
-            if header is None:
-                header = record
-            else:
-                # A second header is noise (e.g. a botched manual cat).
-                bad_lines.append(line)
-        else:
-            records.append(record)
-
+    header, records, bad_lines = scan_lines(text, _parse_line)
     if header is None:
         raise StreamError(
             f"stream {target} has no valid header line; not a campaign "
@@ -253,12 +237,7 @@ def load_stream(
         )
 
     if bad_lines and quarantine:
-        sidecar = target.with_name(target.name + ".quarantined")
-        with open(sidecar, "a", encoding="utf-8",
-                  errors="surrogateescape") as handle:
-            for line in bad_lines:
-                handle.write(line + "\n")
-        _atomic_write(target, [header, *records])
+        quarantine_lines(target, bad_lines, [header, *records])
 
     return StreamInfo(
         path=target,
@@ -266,16 +245,6 @@ def load_stream(
         records=records,
         quarantined=len(bad_lines),
     )
-
-
-def _atomic_write(path: Path, records: Sequence[dict]) -> None:
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(_encode_line(record))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
 
 
 def _record_sort_key(record: dict) -> tuple:
@@ -392,7 +361,7 @@ def union_records(infos: Sequence[StreamInfo]) -> list[dict]:
                     f"#{record['replicate']}); refusing to merge "
                     f"conflicting metrics"
                 )
-            elif _encode_line(record) < _encode_line(existing):
+            elif encode_line(record) < encode_line(existing):
                 by_key[record["key"]] = record
     return sorted(by_key.values(), key=_record_sort_key)
 
@@ -482,7 +451,7 @@ def merge_streams(
     merged = union_records(infos)
     target = Path(out_path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write(target, [infos[0].header, *merged])
+    write_lines(target, [infos[0].header, *merged])
     return StreamInfo(
         path=target,
         header=infos[0].header,

@@ -4,24 +4,23 @@ The orchestrator's worker protocol is entirely file-based — spec,
 stream, heartbeat, and assignment files (see
 :class:`~repro.experiments.layout.RunLayout`) — so running a campaign
 across machines is a *transport* problem, not a protocol change.  This
-module is that transport seam: a small ABC over the file operations the
-supervisor needs, with three implementations.
+module is that transport seam: a small ABC over the six operations the
+supervisor calls, with two implementations.
 
-- :class:`LocalTransport` — direct I/O on a local root.  When the root
-  *is* the supervisor's run dir, ``push``/``pull`` detect that source
-  and destination are one file and become zero-copy no-ops, which is
-  how the single-machine scheduler runs through the same code path as
-  a fleet with no overhead.
+- :class:`LocalTransport` — direct I/O on a directory root, its worker a
+  local subprocess.  Every ``--shards`` slot is one whose root *is* the
+  supervisor's run dir: ``push``/``pull`` detect that source and
+  destination are one file and become no-ops, which is how the
+  single-machine scheduler runs through the same code path as a fleet.
+  A *different* root (``store:PATH`` or ``local:PATH``) behaves like a
+  remote host that happens to share the filesystem — an NFS or bucket
+  mount, and the CI-testable stand-in for a remote machine: its worker
+  reads and writes its run files under that root, so multi-host
+  orchestration runs end to end with no network at all.
 - :class:`SSHTransport` — ``scp``/``ssh`` file movement plus remote
   worker launch (``python3 -m repro.cli campaign --tasks ...`` over
   ``ssh``).  The remote host only needs the ``repro`` package
   importable by ``python3``; everything else is plain OpenSSH.
-- :class:`ObjectStoreTransport` — S3-style put/get/list object
-  semantics backed by a local directory.  It stands in for a shared
-  filesystem or bucket, and doubles as the CI-testable remote: a
-  "host" is just a store root, its worker a local subprocess whose
-  files live there, so multi-host orchestration is exercised end to
-  end with no network at all.
 
 Path arguments are *names relative to the transport's root* (the
 strings :class:`~repro.experiments.layout.RunLayout` defines), so one
@@ -44,7 +43,6 @@ from typing import IO, Sequence
 
 __all__ = [
     "LocalTransport",
-    "ObjectStoreTransport",
     "SSHTransport",
     "Transport",
     "TransportError",
@@ -55,21 +53,6 @@ __all__ = [
 
 class TransportError(RuntimeError):
     """A transport operation failed (unreachable host, bad root, I/O)."""
-
-
-def _atomic_write_file(target: Path, data: bytes) -> None:
-    """Local atomic write: temp file in the target dir, then rename."""
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
-    except OSError as exc:
-        tmp.unlink(missing_ok=True)
-        raise TransportError(f"cannot write {target}: {exc}") from exc
 
 
 class Transport(ABC):
@@ -101,29 +84,15 @@ class Transport(ABC):
     def pull(self, rel: str, local: str | Path) -> bool:
         """Mirror ``rel`` back into a local file (atomic replace).
 
-        Returns ``False`` — touching nothing — when the remote file
-        does not exist yet (a worker that has not started writing).
+        The mirror keeps the host file's mtime: the supervisor's stall
+        detector reads heartbeat ages off the pulled copy.  Returns
+        ``False`` — touching nothing — when the remote file does not
+        exist yet (a worker that has not started writing).
         """
 
     @abstractmethod
     def touch(self, rel: str) -> None:
         """Create ``rel`` if missing and freshen its mtime."""
-
-    @abstractmethod
-    def mtime(self, rel: str) -> float | None:
-        """``rel``'s modification time (host clock), ``None`` if missing."""
-
-    @abstractmethod
-    def exists(self, rel: str) -> bool:
-        """Whether ``rel`` exists on the host."""
-
-    @abstractmethod
-    def atomic_write(self, rel: str, data: bytes) -> None:
-        """Write ``data`` to ``rel`` so no reader ever sees a torn file."""
-
-    @abstractmethod
-    def open_append(self, rel: str) -> IO[bytes]:
-        """An append handle on ``rel`` (workers' stream discipline)."""
 
     @abstractmethod
     def launch(
@@ -153,18 +122,19 @@ class Transport(ABC):
 class LocalTransport(Transport):
     """Direct I/O on a local directory root.
 
-    The degenerate — and most important — case: when ``root`` is the
+    The degenerate — and most common — case: when ``root`` is the
     supervisor's own run dir, every push/pull is a same-file no-op and
-    the transported orchestrator is byte-for-byte the single-machine
-    one.  A *different* local root behaves like a remote host that
-    happens to share the filesystem (useful for NFS-style shared
-    storage, and in tests).
+    the slot is an ordinary ``--shards`` worker.  A *different* root
+    behaves like a remote host that happens to share the filesystem.
+    ``scheme`` is only the label's prefix (``store:PATH`` and
+    ``local:PATH`` host specs both land here).
     """
 
     runs_locally = True
 
-    def __init__(self, root: str | Path) -> None:
+    def __init__(self, root: str | Path, scheme: str = "local") -> None:
         self.root = Path(root)
+        self.scheme = scheme
 
     def _path(self, rel: str) -> Path:
         return self.root / self._check_rel(rel)
@@ -179,6 +149,11 @@ class LocalTransport(Transport):
             return a.resolve() == b.resolve()
 
     def _copy(self, source: Path, target: Path) -> bool:
+        """Copy ``source`` over ``target``: temp file, fsync, rename.
+
+        The target keeps the source's mtime across the hop.  Returns
+        ``False`` when ``source`` does not exist.
+        """
         if self._same_file(source, target):
             return source.exists()
         if not source.exists():
@@ -186,7 +161,12 @@ class LocalTransport(Transport):
         target.parent.mkdir(parents=True, exist_ok=True)
         tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
         try:
-            shutil.copy2(source, tmp)  # copy2: mtime survives the hop
+            with open(source, "rb") as src, open(tmp, "wb") as dst:
+                shutil.copyfileobj(src, dst)
+                dst.flush()
+                os.fsync(dst.fileno())
+                stamp = os.fstat(src.fileno())
+            os.utime(tmp, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
             os.replace(tmp, target)
         except OSError as exc:
             tmp.unlink(missing_ok=True)
@@ -210,177 +190,29 @@ class LocalTransport(Transport):
         except OSError as exc:
             raise TransportError(f"cannot touch {target}: {exc}") from exc
 
-    def mtime(self, rel: str) -> float | None:
-        try:
-            return self._path(rel).stat().st_mtime
-        except OSError:
-            return None
-
-    def exists(self, rel: str) -> bool:
-        return self._path(rel).exists()
-
-    def atomic_write(self, rel: str, data: bytes) -> None:
-        _atomic_write_file(self._path(rel), data)
-
-    def open_append(self, rel: str) -> IO[bytes]:
-        target = self._path(rel)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        return open(target, "ab")
-
     def launch(
         self,
         command: Sequence[str],
         stdout: IO,
         env: dict[str, str] | None = None,
     ) -> subprocess.Popen:
-        try:
-            return subprocess.Popen(
-                list(command),
-                stdout=stdout,
-                stderr=subprocess.STDOUT,
-                env=env,
-                # Own session/process group, so killing the worker also
-                # reaps its simulation pool children.
-                start_new_session=True,
-            )
-        except OSError as exc:
-            raise TransportError(f"cannot launch worker: {exc}") from exc
+        # A launch failure is a local OSError (no such interpreter, out
+        # of processes), not a host going dark: it propagates as is.
+        return subprocess.Popen(
+            list(command),
+            stdout=stdout,
+            stderr=subprocess.STDOUT,
+            env=env,
+            # Own session/process group, so killing the worker also
+            # reaps its simulation pool children.
+            start_new_session=True,
+        )
 
     def command_head(self) -> list[str]:
         return [sys.executable, "-m", "repro.cli"]
 
     def describe(self) -> str:
-        return f"local:{self.root}"
-
-
-class ObjectStoreTransport(Transport):
-    """A directory-backed object store: put/get/list over whole objects.
-
-    The S3-usage model — atomic whole-object ``put``, whole-object
-    ``get``, prefix ``list`` — implemented on a plain directory, so it
-    works unchanged as a shared-filesystem stand-in, a bucket-mount
-    stand-in, and the CI-testable double for a remote host: since the
-    backing directory *is* a real filesystem, a pseudo-host's worker is
-    simply a local subprocess whose run files live in the store.
-
-    ``open_append`` is the one place the stand-in is more capable than
-    a real bucket (objects here support append because files do);
-    workers rely on it for their streams, which is exactly why a real
-    S3 deployment would keep worker streams on local disk and sync —
-    the supervisor side only ever uses whole-object pull.
-    """
-
-    runs_locally = True
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-
-    def _backing(self, key: str) -> Path:
-        return self.root / self._check_rel(key)
-
-    # -- the object API -------------------------------------------------
-
-    def put(self, key: str, data: bytes) -> None:
-        """Store a whole object atomically (last writer wins)."""
-        _atomic_write_file(self._backing(key), data)
-
-    def get(self, key: str) -> bytes:
-        """The object's full content; :class:`TransportError` if absent."""
-        try:
-            return self._backing(key).read_bytes()
-        except OSError as exc:
-            raise TransportError(
-                f"no object {key!r} in store {self.root}: {exc}"
-            ) from exc
-
-    def list(self, prefix: str = "") -> list[str]:
-        """Keys under ``prefix``, sorted (S3-style flat enumeration)."""
-        if prefix:
-            self._check_rel(prefix)
-        if not self.root.is_dir():
-            return []
-        keys = [
-            str(path.relative_to(self.root))
-            for path in self.root.rglob("*")
-            if path.is_file()
-        ]
-        return sorted(key for key in keys if key.startswith(prefix))
-
-    # -- the Transport surface, mapped onto put/get ---------------------
-
-    def push(self, local: str | Path, rel: str) -> None:
-        try:
-            data = Path(local).read_bytes()
-        except OSError as exc:
-            raise TransportError(
-                f"cannot push missing file {local}"
-            ) from exc
-        self.put(rel, data)
-
-    def pull(self, rel: str, local: str | Path) -> bool:
-        if not self.exists(rel):
-            return False
-        data = self.get(rel)
-        target = Path(local)
-        _atomic_write_file(target, data)
-        remote_mtime = self.mtime(rel)
-        if remote_mtime is not None:
-            # Mirrors keep the object's timestamp, so freshness checks
-            # on a pulled copy agree with ``mtime()`` on the store.
-            os.utime(target, (remote_mtime, remote_mtime))
-        return True
-
-    def touch(self, rel: str) -> None:
-        backing = self._backing(rel)
-        try:
-            if backing.exists():
-                os.utime(backing)
-            else:
-                self.put(rel, b"")
-        except OSError as exc:
-            raise TransportError(f"cannot touch {rel!r}: {exc}") from exc
-
-    def mtime(self, rel: str) -> float | None:
-        try:
-            return self._backing(rel).stat().st_mtime
-        except OSError:
-            return None
-
-    def exists(self, rel: str) -> bool:
-        return self._backing(rel).is_file()
-
-    def atomic_write(self, rel: str, data: bytes) -> None:
-        self.put(rel, data)
-
-    def open_append(self, rel: str) -> IO[bytes]:
-        backing = self._backing(rel)
-        backing.parent.mkdir(parents=True, exist_ok=True)
-        return open(backing, "ab")
-
-    def launch(
-        self,
-        command: Sequence[str],
-        stdout: IO,
-        env: dict[str, str] | None = None,
-    ) -> subprocess.Popen:
-        # A store pseudo-host's worker is a local subprocess whose run
-        # files live in the store root — same kill discipline as local.
-        try:
-            return subprocess.Popen(
-                list(command),
-                stdout=stdout,
-                stderr=subprocess.STDOUT,
-                env=env,
-                start_new_session=True,
-            )
-        except OSError as exc:
-            raise TransportError(f"cannot launch worker: {exc}") from exc
-
-    def command_head(self) -> list[str]:
-        return [sys.executable, "-m", "repro.cli"]
-
-    def describe(self) -> str:
-        return f"store:{self.root}"
+        return f"{self.scheme}:{self.root}"
 
 
 class SSHTransport(Transport):
@@ -483,6 +315,15 @@ class SSHTransport(Transport):
             )
         return done
 
+    def _exists(self, rel: str) -> bool:
+        try:
+            self._run(self.ssh_argv(
+                f"test -e {shlex.quote(self._remote_path(rel))}"
+            ))
+        except TransportError:
+            return False
+        return True
+
     def push(self, local: str | Path, rel: str) -> None:
         try:
             data = Path(local).read_bytes()
@@ -493,7 +334,7 @@ class SSHTransport(Transport):
         self._run(self.scp_push_argv(local, rel), input_bytes=data)
 
     def pull(self, rel: str, local: str | Path) -> bool:
-        if not self.exists(rel):
+        if not self._exists(rel):
             return False
         target = Path(local)
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -510,37 +351,6 @@ class SSHTransport(Transport):
             f"mkdir -p {shlex.quote(self.root)} && touch "
             f"{shlex.quote(self._remote_path(rel))}"
         ))
-
-    def mtime(self, rel: str) -> float | None:
-        try:
-            done = self._run(self.ssh_argv(
-                f"stat -c %Y {shlex.quote(self._remote_path(rel))}"
-            ))
-        except TransportError:
-            return None
-        try:
-            return float(done.stdout.decode("ascii").strip())
-        except ValueError:
-            return None
-
-    def exists(self, rel: str) -> bool:
-        try:
-            self._run(self.ssh_argv(
-                f"test -e {shlex.quote(self._remote_path(rel))}"
-            ))
-        except TransportError:
-            return False
-        return True
-
-    def atomic_write(self, rel: str, data: bytes) -> None:
-        self._run(self.scp_push_argv("<memory>", rel), input_bytes=data)
-
-    def open_append(self, rel: str) -> IO[bytes]:
-        raise TransportError(
-            "append handles are not supported over SSH; remote workers "
-            "write their streams on their own host and the supervisor "
-            "pulls whole-file mirrors"
-        )
 
     def launch(
         self,
@@ -576,8 +386,8 @@ def parse_host(spec: str) -> Transport:
 
         user@host            SSH, default remote root (repro-run)
         host:/data/run       SSH with an explicit remote root
-        store:/shared/h1     directory-backed object store (pseudo-host)
-        local:/mnt/nfs/h1    plain local/shared-filesystem root
+        store:/shared/h1     directory root (shared filesystem, mount)
+        local:/mnt/nfs/h1    directory root, labelled local:
 
     Raises :class:`ValueError` on anything malformed — the CLI calls
     this at parse time, so a typo'd fleet spec dies before a single
@@ -587,14 +397,12 @@ def parse_host(spec: str) -> Transport:
     if not text:
         raise ValueError("empty host spec")
     scheme, sep, rest = text.partition(":")
-    if sep and scheme == "store":
+    if sep and scheme in ("store", "local"):
         if not rest:
-            raise ValueError(f"host spec {spec!r}: store: needs a directory")
-        return ObjectStoreTransport(rest)
-    if sep and scheme == "local":
-        if not rest:
-            raise ValueError(f"host spec {spec!r}: local: needs a directory")
-        return LocalTransport(rest)
+            raise ValueError(
+                f"host spec {spec!r}: {scheme}: needs a directory"
+            )
+        return LocalTransport(rest, scheme=scheme)
     address, _, root = text.partition(":")
     user, at, host = address.rpartition("@")
     if at and not user:

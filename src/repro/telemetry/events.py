@@ -2,8 +2,8 @@
 
 Supervision used to narrate itself through throwaway callback strings;
 this module gives every supervision fact a durable, typed record.  The
-file discipline is the metric streams' (:mod:`repro.experiments.stream`),
-reused deliberately rather than reinvented:
+file discipline is the metric streams' (:mod:`repro.jsonl`, which
+:mod:`repro.experiments.stream` uses too):
 
 - each event is one ``\\n``-terminated JSON line written with a single
   ``write`` + flush + fsync, so a crash can tear only the tail;
@@ -40,11 +40,18 @@ encoded line — the merged order is deterministic, not globally causal.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from repro.jsonl import (
+    append_line,
+    encode_line,
+    quarantine_lines,
+    scan_lines,
+    write_lines,
+)
 
 #: Bump when the event record schema changes incompatibly.
 EVENTS_FORMAT = 1
@@ -86,35 +93,6 @@ HEARTBEAT_EVERY_S = 5.0
 
 class EventLogError(ValueError):
     """An events file is unusable as a whole (bad header, wrong file)."""
-
-
-# The three line-discipline helpers below mirror stream.py's byte-for-
-# byte.  They are redefined rather than imported because telemetry must
-# stay an import leaf: the sim layer pulls in repro.telemetry.profile,
-# and importing anything from repro.experiments here would close a
-# cycle through stream -> sim.stats.
-
-
-def _encode_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _append_line(path: Path, record: dict) -> None:
-    """One line, one ``write``, flush+fsync: a crash tears only a tail."""
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(_encode_line(record))
-        handle.flush()
-        os.fsync(handle.fileno())
-
-
-def _atomic_write(path: Path, records: Sequence[dict]) -> None:
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(_encode_line(record))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)
@@ -235,23 +213,7 @@ def load_events(
             f"cannot read events file {target}: {exc}"
         ) from exc
 
-    header: dict | None = None
-    records: list[dict] = []
-    bad_lines: list[str] = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        record = _parse_event_line(line)
-        if record is None:
-            bad_lines.append(line)
-        elif record["kind"] == "header":
-            if header is None:
-                header = record
-            else:
-                bad_lines.append(line)
-        else:
-            records.append(record)
-
+    header, records, bad_lines = scan_lines(text, _parse_event_line)
     if header is None:
         raise EventLogError(
             f"events file {target} has no valid header line; not an "
@@ -259,13 +221,7 @@ def load_events(
         )
 
     if bad_lines and quarantine:
-        sidecar = target.with_name(target.name + ".quarantined")
-        with open(
-            sidecar, "a", encoding="utf-8", errors="surrogateescape"
-        ) as handle:
-            for line in bad_lines:
-                handle.write(line + "\n")
-        _atomic_write(target, [header, *records])
+        quarantine_lines(target, bad_lines, [header, *records])
 
     return EventLogInfo(
         path=target,
@@ -293,7 +249,7 @@ class EventLog:
         if not self._ready:
             if not self.path.exists() or self.path.stat().st_size == 0:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                _atomic_write(self.path, [make_events_header(self.origin)])
+                write_lines(self.path, [make_events_header(self.origin)])
             self._ready = True
         return self
 
@@ -319,7 +275,7 @@ class EventLog:
             msg=msg,
             payload=dict(payload),
         )
-        _append_line(self.path, record)
+        append_line(self.path, record)
         return record
 
     def emit_throttled(
@@ -344,7 +300,7 @@ class EventLog:
 
 
 def _merge_sort_key(record: dict) -> tuple:
-    return (record["t_mono"], _encode_line(record))
+    return (record["t_mono"], encode_line(record))
 
 
 def merge_events(
@@ -373,7 +329,7 @@ def merge_events(
     merged: list[dict] = []
     for info in infos:
         for record in info.records:
-            encoded = _encode_line(record)
+            encoded = encode_line(record)
             if encoded in seen:
                 continue
             seen.add(encoded)
@@ -383,7 +339,7 @@ def merge_events(
     target = Path(out_path)
     target.parent.mkdir(parents=True, exist_ok=True)
     header = make_events_header("merged")
-    _atomic_write(target, [header, *merged])
+    write_lines(target, [header, *merged])
     return EventLogInfo(
         path=target,
         header=header,

@@ -11,7 +11,9 @@ counts, and it never mutates or repairs a live stream.
 from __future__ import annotations
 
 import json
+import os
 import sys
+import time
 
 import pytest
 
@@ -30,6 +32,8 @@ from repro.experiments.orchestrator import (
 )
 from repro.experiments.scenarios import Scenario
 from repro.experiments.stream import StreamError, load_stream, stream_task_count
+from repro.experiments.transport import LocalTransport, TransportError
+from repro.telemetry.events import load_events
 
 TINY = Scenario(
     name="orch-tiny",
@@ -166,6 +170,90 @@ class TestOrchestratedRun:
             )
 
 
+class TestRunDirSlots:
+    """``shards=N`` slots are transports too: ``LocalTransport`` on the
+    run dir, on the same supervision path as host slots."""
+
+    def test_shards_launch_through_the_run_dir_transport(
+        self, tmp_path, monkeypatch, serial_reference
+    ):
+        launched: list[tuple] = []
+        real_launch = LocalTransport.launch
+
+        def spy(transport, command, stdout, env=None):
+            launched.append((transport.root, list(command), env))
+            return real_launch(transport, command, stdout, env)
+
+        monkeypatch.setattr(LocalTransport, "launch", spy)
+        run_dir = tmp_path / "run"
+        outcome = orchestrate_campaign(
+            SPEC, shards=2, run_dir=run_dir, poll_interval=0.05
+        )
+        assert len(launched) == sum(s.attempts for s in outcome.shards) == 2
+        for root, command, env in launched:
+            assert root == run_dir
+            assert command[:3] == [sys.executable, "-m", "repro.cli"]
+            assert str(run_dir / "spec.json") in command
+            assert "PYTHONPATH" in env
+        # Run-dir slots carry no host label anywhere.
+        assert outcome.hosts == ()
+        assert all(status.host == "" for status in outcome.shards)
+        records = load_events(run_dir / "events.jsonl", quarantine=False).records
+        assert all(record["host"] is None for record in records)
+        assert "host_join" not in {record["type"] for record in records}
+        assert outcome.result.metrics == serial_reference.metrics
+
+    def test_failing_run_dir_slot_is_declared_lost_and_reclaimed(
+        self, tmp_path, monkeypatch, serial_reference
+    ):
+        # A run-dir slot whose beacon touch keeps failing takes the
+        # host path: VANISH_AFTER strikes, lost, leases reclaimed.
+        real_touch = LocalTransport.touch
+
+        def failing_for_shard1(transport, rel):
+            if rel == "shard1.tasks.json":
+                raise TransportError("simulated unwritable run dir")
+            return real_touch(transport, rel)
+
+        monkeypatch.setattr(LocalTransport, "touch", failing_for_shard1)
+        events: list[str] = []
+        outcome = orchestrate_campaign(
+            SPEC, shards=2, run_dir=tmp_path / "run", poll_interval=0.05,
+            on_event=events.append,
+        )
+        assert outcome.shards[1].state == "lost"
+        assert outcome.shards[0].state == "done"
+        assert any(
+            "(shard 1) vanished (3 consecutive transport failures" in event
+            for event in events
+        )
+        assert outcome.result.metrics == serial_reference.metrics
+
+    def test_hosts_json_join_reaches_a_shards_run(
+        self, tmp_path, serial_reference
+    ):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "hosts.json").write_text(
+            json.dumps({"join": [f"store:{tmp_path}/h-late"]}),
+            encoding="utf-8",
+        )
+        events: list[str] = []
+        outcome = orchestrate_campaign(
+            SPEC, shards=1, run_dir=run_dir, poll_interval=0.05,
+            lease_batch=1, steal_threshold=1, on_event=events.append,
+        )
+        assert outcome.hosts == (f"store:{tmp_path}/h-late",)
+        assert [status.host for status in outcome.shards] == [
+            "", f"store:{tmp_path}/h-late",
+        ]
+        assert any("registered as shard 1" in event for event in events)
+        late = outcome.shards[1]
+        assert late.attempts >= 1
+        assert late.stolen_to >= 1
+        assert outcome.result.metrics == serial_reference.metrics
+
+
 class TestChaosRecovery:
     def test_sigkilled_worker_is_requeued_and_campaign_completes(
         self, tmp_path, serial_reference
@@ -186,6 +274,54 @@ class TestChaosRecovery:
         assert outcome.shards[0].attempts >= 2
         # Recovery is invisible in the result: still bit-identical.
         assert outcome.result.render() == serial_reference.render()
+        assert outcome.result.metrics == serial_reference.metrics
+
+    @pytest.mark.parametrize("fires", [True, False])
+    @pytest.mark.parametrize("kind", ["shard", "host"])
+    def test_injection_records_one_typed_chaos_event(
+        self, tmp_path, serial_reference, kind, fires
+    ):
+        # One injector serves both kills; when the worker outruns it
+        # (chaos_kill_after above the campaign's size) it says so.
+        placement = (
+            {"shards": 2, "chaos_kill_shard": 0} if kind == "shard"
+            else {
+                "hosts": [f"store:{tmp_path}/h0", f"store:{tmp_path}/h1"],
+                "chaos_kill_host": 0,
+            }
+        )
+        events: list[str] = []
+        run_dir = tmp_path / "run"
+        outcome = orchestrate_campaign(
+            SPEC,
+            run_dir=run_dir,
+            poll_interval=0.05,
+            on_event=events.append,
+            chaos_kill_after=0 if fires else SPEC.total_tasks() + 1,
+            **placement,
+        )
+        chaos = [
+            record
+            for record in load_events(
+                run_dir / "events.jsonl", quarantine=False
+            ).records
+            if record["type"] == "chaos"
+        ]
+        assert len(chaos) == 1
+        assert chaos[0]["shard"] == 0
+        assert chaos[0]["host"] == (
+            None if kind == "shard" else f"store:{tmp_path}/h0"
+        )
+        assert chaos[0]["payload"] == {
+            "action": "kill" if kind == "shard" else "kill_host",
+            "fired": fires,
+        }
+        missed = any(
+            "finished before the injection could fire" in event
+            for event in events
+        )
+        assert missed == (not fires)
+        assert (outcome.requeues >= 1) == fires
         assert outcome.result.metrics == serial_reference.metrics
 
     def test_chaos_shard_must_exist(self, tmp_path):
@@ -610,10 +746,8 @@ class TestHostedOrchestration:
         assert outcome.result.metrics == serial_reference.metrics
         # The workers really ran against the store roots, not the
         # run dir: each host holds its own stream object...
-        from repro.experiments.transport import ObjectStoreTransport
-
         stored = [
-            ObjectStoreTransport(tmp_path / f"h{index}").list()
+            [path.name for path in (tmp_path / f"h{index}").iterdir()]
             for index in range(2)
         ]
         assert any(f"shard{i}.jsonl" in keys
@@ -690,6 +824,40 @@ class TestHostedOrchestration:
         assert late.stolen_to >= 1
         assert late.recorded >= 1
         assert outcome.result.render() == serial_reference.render()
+        assert outcome.result.metrics == serial_reference.metrics
+
+    @pytest.mark.parametrize("slot", ["store-host", "run-dir"])
+    def test_stale_heartbeat_from_an_earlier_worker_is_not_a_stall(
+        self, tmp_path, serial_reference, slot
+    ):
+        """A heartbeat left by an earlier worker (an interrupted run of
+        the same dir, or the worker whose stall caused a relaunch) must
+        not kill the new worker before its own startup touch.  A host
+        slot used to mirror the stale file over the launch-time touch
+        and lose every attempt to the stall check."""
+        run_dir = tmp_path / "run"
+        root = tmp_path / "h0" if slot == "store-host" else run_dir
+        root.mkdir()
+        heartbeat = root / "shard0.heartbeat"
+        heartbeat.touch()
+        stale = time.time() - 3600
+        os.utime(heartbeat, (stale, stale))
+        placement = (
+            {"hosts": [f"store:{root}"]} if slot == "store-host"
+            else {"shards": 1}
+        )
+        events: list[str] = []
+        outcome = orchestrate_campaign(
+            SPEC,
+            run_dir=run_dir,
+            poll_interval=0.05,
+            stall_timeout=60,
+            max_attempts=2,
+            on_event=events.append,
+            **placement,
+        )
+        assert not any("stalled" in event for event in events)
+        assert outcome.shards[0].attempts == 1
         assert outcome.result.metrics == serial_reference.metrics
 
     def test_join_of_bad_spec_burns_the_entry_not_the_run(

@@ -1,13 +1,13 @@
 """Tests for the campaign file transports.
 
-The multi-host supervisor only works if every transport means the same
-thing by ``atomic_write``/``touch``/``mtime``/``exists``/``push``/
-``pull``, so the core here is a *property* suite run against both
-concrete local transports — LocalTransport and ObjectStoreTransport —
-asserting they agree observable-behaviour-for-observable-behaviour,
-including that a torn atomic write never surfaces.  SSH is exercised
-at the argv-builder level (the commands are pure functions of the
-spec), since CI has no remote host to talk to.
+The supervisor runs every slot through the same six operations, so the
+core here is a *property* suite against the directory transport
+(LocalTransport), run once per host spec that reaches it — ``local:``
+and ``store:`` — asserting both behave the same: atomic, fsynced,
+mtime-keeping copies, a torn copy never surfacing, and the worker launch
+discipline.  Same-file no-ops on the run dir have their own tests.  SSH
+is exercised at the argv-builder level (the commands are pure functions
+of the spec), since CI has no remote host to talk to.
 """
 
 from __future__ import annotations
@@ -19,115 +19,118 @@ import pytest
 
 from repro.experiments.transport import (
     LocalTransport,
-    ObjectStoreTransport,
     SSHTransport,
-    Transport,
     TransportError,
     parse_host,
     parse_hosts,
 )
 
-#: The two directory-backed transports that must be interchangeable.
+
+#: The host specs served by the directory transport; they must be
+#: interchangeable.
 BACKENDS = ("local", "store")
 
 
 @pytest.fixture
-def make_transport(tmp_path):
-    def build(kind: str) -> Transport:
-        root = tmp_path / f"{kind}-root"
-        if kind == "local":
-            return LocalTransport(root)
-        return ObjectStoreTransport(root)
-
-    return build
+def transport(kind, tmp_path):
+    return parse_host(f"{kind}:{tmp_path / f'{kind}-root'}")
 
 
 @pytest.mark.parametrize("kind", BACKENDS)
 class TestTransportProperties:
-    """Behaviours LocalTransport and ObjectStoreTransport must share."""
+    """Behaviours every ``local:`` and ``store:`` slot must share."""
 
-    def test_exists_starts_false_then_tracks_writes(self, make_transport, kind):
-        transport = make_transport(kind)
-        assert not transport.exists("a.txt")
-        transport.atomic_write("a.txt", b"payload")
-        assert transport.exists("a.txt")
-
-    def test_atomic_write_round_trips_bytes(
-        self, make_transport, kind, tmp_path
-    ):
-        transport = make_transport(kind)
-        transport.atomic_write("data.bin", b"\x00\xff binary \n lines \n")
+    def test_pull_round_trips_bytes(self, transport, tmp_path):
+        transport.root.mkdir()
+        (transport.root / "data.bin").write_bytes(b"\x00\xff binary \n lines \n")
         target = tmp_path / "out.bin"
         assert transport.pull("data.bin", target)
         assert target.read_bytes() == b"\x00\xff binary \n lines \n"
 
-    def test_atomic_write_replaces_whole_content(self, make_transport, kind):
-        transport = make_transport(kind)
-        transport.atomic_write("f", b"first version, quite long")
-        transport.atomic_write("f", b"second")
-        root = transport.root
-        assert (root / "f").read_bytes() == b"second"
+    def test_push_replaces_whole_content(self, transport, tmp_path):
+        source = tmp_path / "src.txt"
+        source.write_bytes(b"first version, quite long")
+        transport.push(source, "f")
+        source.write_bytes(b"second")
+        transport.push(source, "f")
+        assert (transport.root / "f").read_bytes() == b"second"
 
     def test_torn_write_leaves_target_untouched(
-        self, make_transport, kind, monkeypatch
+        self, transport, tmp_path, monkeypatch
     ):
-        """An atomic_write that dies mid-flight must not damage the file.
+        """A copy that dies mid-flight must not damage the file.
 
         The replace step is forced to fail, simulating a crash between
         writing the temp file and renaming it over the target: the old
         content must survive byte-for-byte and no temp litter may be
-        mistaken for the file.
+        left beside it.
         """
-        transport = make_transport(kind)
-        transport.atomic_write("f", b"survives")
-        real_replace = os.replace
+        source = tmp_path / "src.txt"
+        source.write_bytes(b"survives")
+        transport.push(source, "f")
+        source.write_bytes(b"never lands")
 
         def torn(src, dst, *args, **kwargs):
             raise OSError("simulated crash mid-replace")
 
         monkeypatch.setattr(os, "replace", torn)
         with pytest.raises(TransportError):
-            transport.atomic_write("f", b"never lands")
-        monkeypatch.setattr(os, "replace", real_replace)
+            transport.push(source, "f")
+        monkeypatch.undo()
         assert (transport.root / "f").read_bytes() == b"survives"
+        assert sorted(p.name for p in transport.root.iterdir()) == ["f"]
 
-    def test_mtime_none_until_exists_then_fresh(self, make_transport, kind):
-        transport = make_transport(kind)
-        assert transport.mtime("f") is None
-        transport.atomic_write("f", b"x")
-        mtime = transport.mtime("f")
-        assert mtime is not None
-        assert mtime == pytest.approx((transport.root / "f").stat().st_mtime)
+    def test_copy_is_fsynced_before_it_is_renamed_into_place(
+        self, transport, tmp_path, monkeypatch
+    ):
+        source = tmp_path / "src.txt"
+        source.write_bytes(b"durable")
+        calls: list[str] = []
+        real_fsync, real_replace = os.fsync, os.replace
 
-    def test_touch_creates_then_freshens(self, make_transport, kind):
-        transport = make_transport(kind)
+        def fsync(fd):
+            calls.append("fsync")
+            return real_fsync(fd)
+
+        def replace(src, dst, *args, **kwargs):
+            calls.append("replace")
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        transport.push(source, "f")
+        assert calls == ["fsync", "replace"]
+        calls.clear()
+        assert transport.pull("f", tmp_path / "mirror")
+        assert calls == ["fsync", "replace"]
+
+    def test_touch_creates_then_freshens(self, transport):
         transport.touch("beacon")
-        assert transport.exists("beacon")
-        first = transport.mtime("beacon")
-        os.utime(transport.root / "beacon", (first - 100, first - 100))
+        beacon = transport.root / "beacon"
+        assert beacon.exists()
+        first = beacon.stat().st_mtime
+        os.utime(beacon, (first - 100, first - 100))
         transport.touch("beacon")
-        assert transport.mtime("beacon") >= first - 1
+        assert beacon.stat().st_mtime >= first - 1
 
-    def test_touch_does_not_clobber_content(self, make_transport, kind):
-        transport = make_transport(kind)
-        transport.atomic_write("f", b"content")
+    def test_touch_does_not_clobber_content(self, transport):
+        transport.root.mkdir()
+        (transport.root / "f").write_bytes(b"content")
         transport.touch("f")
         assert (transport.root / "f").read_bytes() == b"content"
 
-    def test_push_then_pull_round_trip(self, make_transport, kind, tmp_path):
-        transport = make_transport(kind)
+    def test_push_then_pull_round_trip(self, transport, tmp_path):
         source = tmp_path / "src.txt"
         source.write_bytes(b"shipped")
         transport.push(source, "dest.txt")
-        assert transport.exists("dest.txt")
+        assert (transport.root / "dest.txt").is_file()
         back = tmp_path / "back.txt"
         assert transport.pull("dest.txt", back)
         assert back.read_bytes() == b"shipped"
 
     def test_pull_missing_returns_false_touches_nothing(
-        self, make_transport, kind, tmp_path
+        self, transport, tmp_path
     ):
-        transport = make_transport(kind)
         target = tmp_path / "mirror.txt"
         assert not transport.pull("absent.txt", target)
         assert not target.exists()
@@ -136,44 +139,33 @@ class TestTransportProperties:
         assert not transport.pull("absent.txt", target)
         assert target.read_bytes() == b"stale but intact"
 
-    def test_pull_preserves_mtime(self, make_transport, kind, tmp_path):
+    def test_pull_preserves_mtime(self, transport, tmp_path):
         """Mirrors must keep the remote timestamp: the supervisor's
         stall detector reads heartbeat ages off the pulled copy."""
-        transport = make_transport(kind)
-        transport.atomic_write("hb", b"")
-        stamp = transport.mtime("hb") - 1234
+        transport.touch("hb")
+        stamp = (transport.root / "hb").stat().st_mtime - 1234
         os.utime(transport.root / "hb", (stamp, stamp))
         target = tmp_path / "hb-mirror"
         assert transport.pull("hb", target)
         assert target.stat().st_mtime == pytest.approx(stamp, abs=2)
 
-    def test_push_missing_source_raises(self, make_transport, kind, tmp_path):
-        transport = make_transport(kind)
+    def test_push_missing_source_raises(self, transport, tmp_path):
         with pytest.raises(TransportError):
             transport.push(tmp_path / "nope.txt", "dest.txt")
 
-    def test_open_append_appends(self, make_transport, kind):
-        transport = make_transport(kind)
-        with transport.open_append("s.jsonl") as handle:
-            handle.write(b"line1\n")
-        with transport.open_append("s.jsonl") as handle:
-            handle.write(b"line2\n")
-        assert (transport.root / "s.jsonl").read_bytes() == b"line1\nline2\n"
-
     @pytest.mark.parametrize("bad", ["/etc/passwd", "../escape", "a/../../b"])
-    def test_rejects_escaping_paths(self, make_transport, kind, bad, tmp_path):
-        transport = make_transport(kind)
+    def test_rejects_escaping_paths(self, transport, bad, tmp_path):
+        source = tmp_path / "src.txt"
+        source.write_bytes(b"x")
         for operation in (
-            lambda: transport.exists(bad),
-            lambda: transport.atomic_write(bad, b"x"),
+            lambda: transport.push(source, bad),
             lambda: transport.touch(bad),
             lambda: transport.pull(bad, tmp_path / "out"),
         ):
             with pytest.raises(TransportError):
                 operation()
 
-    def test_launch_runs_in_its_own_session(self, make_transport, kind, tmp_path):
-        transport = make_transport(kind)
+    def test_launch_runs_in_its_own_session(self, transport, tmp_path):
         log = open(tmp_path / "w.log", "a", encoding="utf-8")
         try:
             process = transport.launch(
@@ -189,14 +181,18 @@ class TestTransportProperties:
         finally:
             log.close()
 
-    def test_launch_captures_worker_output(self, make_transport, kind, tmp_path):
-        transport = make_transport(kind)
+    def test_launch_captures_worker_output(self, transport, tmp_path):
         with open(tmp_path / "w.log", "a", encoding="utf-8") as log:
             process = transport.launch(
                 ["/bin/sh", "-c", "echo started"], stdout=log, env=None
             )
             assert process.wait(timeout=30) == 0
         assert "started" in (tmp_path / "w.log").read_text(encoding="utf-8")
+
+    def test_launch_failure_propagates_as_oserror(self, transport, tmp_path):
+        with open(tmp_path / "w.log", "a", encoding="utf-8") as log:
+            with pytest.raises(OSError):
+                transport.launch([str(tmp_path / "no-such-binary")], log)
 
 
 class TestLocalTransportZeroCopy:
@@ -219,30 +215,6 @@ class TestLocalTransportZeroCopy:
 
     def test_describe(self, tmp_path):
         assert LocalTransport(tmp_path).describe() == f"local:{tmp_path}"
-
-
-class TestObjectStore:
-    def test_put_get_list(self, tmp_path):
-        store = ObjectStoreTransport(tmp_path / "bucket")
-        store.put("a/1.txt", b"one")
-        store.put("a/2.txt", b"two")
-        store.put("b.txt", b"bee")
-        assert store.get("a/1.txt") == b"one"
-        assert store.list() == ["a/1.txt", "a/2.txt", "b.txt"]
-        assert store.list("a/") == ["a/1.txt", "a/2.txt"]
-        assert store.list("nope") == []
-
-    def test_get_missing_raises(self, tmp_path):
-        store = ObjectStoreTransport(tmp_path / "bucket")
-        with pytest.raises(TransportError):
-            store.get("ghost")
-
-    def test_list_of_missing_root_is_empty(self, tmp_path):
-        assert ObjectStoreTransport(tmp_path / "never").list() == []
-
-    def test_describe(self, tmp_path):
-        store = ObjectStoreTransport(tmp_path / "bucket")
-        assert store.describe() == f"store:{tmp_path / 'bucket'}"
 
 
 class TestSSHArgv:
@@ -282,19 +254,17 @@ class TestSSHArgv:
         )
         assert argv[-1].endswith("'a b.json'")
 
-    def test_open_append_is_refused(self):
-        with pytest.raises(TransportError):
-            SSHTransport("h1").open_append("shard0.jsonl")
-
-    def test_exists_and_mtime_map_failures_to_absent(self, monkeypatch):
+    def test_pull_maps_a_failed_existence_check_to_absent(
+        self, monkeypatch, tmp_path
+    ):
         transport = SSHTransport("h1")
 
         def fail(argv, **kwargs):
             raise TransportError("unreachable")
 
         monkeypatch.setattr(transport, "_run", fail)
-        assert not transport.exists("f")
-        assert transport.mtime("f") is None
+        assert not transport.pull("f", tmp_path / "mirror")
+        assert not (tmp_path / "mirror").exists()
 
     def test_operations_raise_on_nonzero_exit(self, monkeypatch):
         transport = SSHTransport("h1")
@@ -312,8 +282,9 @@ class TestSSHArgv:
 class TestParseHost:
     def test_store_spec(self, tmp_path):
         transport = parse_host(f"store:{tmp_path}/h1")
-        assert isinstance(transport, ObjectStoreTransport)
+        assert isinstance(transport, LocalTransport)
         assert str(transport.root) == f"{tmp_path}/h1"
+        assert transport.describe() == f"store:{tmp_path}/h1"
 
     def test_local_spec(self, tmp_path):
         transport = parse_host(f"local:{tmp_path}/h1")
@@ -341,5 +312,5 @@ class TestParseHost:
 
     def test_parse_hosts_order_preserved(self, tmp_path):
         transports = parse_hosts([f"store:{tmp_path}/a", "bob@h9"])
-        assert isinstance(transports[0], ObjectStoreTransport)
+        assert isinstance(transports[0], LocalTransport)
         assert isinstance(transports[1], SSHTransport)
