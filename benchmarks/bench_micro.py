@@ -7,7 +7,8 @@ directly into slower experiment harness runs.  Layers of a paper
 Table-1 task each have one here: the two k-LDTG epochs at paper density
 (planarization), the beacon rebuild (mobility + UDG), calendar push/pop
 at a task's pending-event depth, the MAC medium's three queries over a
-paper-density set of live transmissions, and the world build itself.
+paper-density set of live transmissions, and the world's build and
+close.
 """
 
 import random
@@ -24,6 +25,7 @@ from repro.sim.engine import PeriodicTask, Simulator
 from repro.sim.mac import Medium
 from repro.sim.messages import HEADER_BYTES
 from repro.sim.radio import RadioConfig
+from repro.sim.world import World
 
 
 def _points(n, seed, side=1000.0):
@@ -190,6 +192,24 @@ def test_build_world_table1(benchmark):
     traffic series."""
     world = benchmark(build_world, PAPER_TABLE1, "glr")
     assert len(world.protocols) == 50
+
+
+def test_close_world_table1(benchmark):
+    """``World.close`` on a finished 40-s Table-1 GLR world: stopping 52
+    timers, emptying the calendar and detaching 50 protocol stacks (with
+    their armed custody timers), the teardown every campaign task pays.
+    Each round's world is built and run in the untimed setup."""
+    scenario = PAPER_TABLE1.but(sim_time=40.0)
+    closed = []
+
+    def finished_world():
+        world = build_world(scenario, "glr")
+        world.run(until=scenario.sim_time)
+        closed[:] = [world]
+        return (world,), {}
+
+    benchmark.pedantic(World.close, setup=finished_world, rounds=5)
+    assert closed[0].sim.pending_events() == 0
 
 
 def test_medium_queries_paper_density(benchmark):

@@ -111,6 +111,10 @@ class OneHopProtocol(ContactProtocol):
 
     def on_tick_with_neighbors(self, neighbors: set[NodeId]) -> None:
         assert self.api is not None
+        if not self.buffer:
+            # Nothing to forward: skip the position lookups.
+            self._prune_beliefs()
+            return
         positions = self.api.neighbor_positions()
         my_pos = self.api.position()
         for uid in list(self.buffer.keys()):
@@ -138,6 +142,9 @@ class OneHopProtocol(ContactProtocol):
                     best = nbr
             if best is not None and self._hand_off(uid, best):
                 self.greedy_forwards += 1
+        self._prune_beliefs()
+
+    def _prune_beliefs(self) -> None:
         # Buffer evictions (FIFO when full) leave belief entries behind;
         # prune so the side table cannot outgrow the buffer.
         if len(self._beliefs) > len(self.buffer):

@@ -240,6 +240,14 @@ class GLRProtocol(Protocol):
             self.config.check_interval, self._routing_round, jitter=jitter
         )
 
+    def detach(self) -> None:
+        # The custody manager's armed timers, its ``schedule`` callable
+        # and its ``on_returned`` hook all lead back to this protocol.
+        if self.custody is not None:
+            self.custody.cancel_all()
+            self.custody = None
+        super().detach()
+
     def _require_region(self) -> Region:
         # The region rectangle is needed for random location guesses; it
         # is reconstructed from the world's area assuming the paper's

@@ -136,7 +136,12 @@ def run_single(
     protocol_config: "ProtocolConfig | object | None" = None,
     profiler=None,
 ) -> SimulationMetrics:
-    """Run one simulation to the scenario horizon."""
+    """Run one simulation to the scenario horizon.
+
+    The world is closed once it has run (or raised), so reference
+    counting frees it here rather than a later cyclic collection: a
+    campaign worker holds one world at a time.
+    """
     canonical = resolve_protocol(protocol)
     world = build_world(
         scenario,
@@ -145,7 +150,10 @@ def run_single(
         protocol_config=protocol_config,
         profiler=profiler,
     )
-    return world.run(until=scenario.sim_time, protocol_name=canonical)
+    try:
+        return world.run(until=scenario.sim_time, protocol_name=canonical)
+    finally:
+        world.close()
 
 
 def run_replicates(

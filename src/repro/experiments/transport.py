@@ -180,7 +180,22 @@ class LocalTransport(Transport):
             raise TransportError(f"cannot push missing file {local}")
 
     def pull(self, rel: str, local: str | Path) -> bool:
-        return self._copy(self._path(rel), Path(local))
+        source, target = self._path(rel), Path(local)
+        try:
+            have, want = os.stat(target), os.stat(source)
+        except OSError:
+            pass
+        else:
+            # ``_copy`` gave the mirror the source's mtime, so the same
+            # size and mtime mean the source has not grown or been
+            # touched since.  Pulled files only ever do that; a pushed
+            # file can be rewritten at the same size, so push copies.
+            if (have.st_size, have.st_mtime_ns) == (
+                want.st_size,
+                want.st_mtime_ns,
+            ):
+                return True
+        return self._copy(source, target)
 
     def touch(self, rel: str) -> None:
         target = self._path(rel)

@@ -369,6 +369,10 @@ class AdversaryWrapper(Protocol):
         self.api = api
         self.inner.attach(api)
 
+    def detach(self) -> None:
+        super().detach()
+        self.inner.detach()
+
     def start(self) -> None:
         self.inner.start()
 

@@ -43,8 +43,14 @@ class EventHandle:
         self.cancelled = False
 
     def cancel(self) -> None:
-        """Prevent the event from firing (no-op if already fired)."""
+        """Prevent the event from firing (no-op if already fired).
+
+        The callback is dropped with it: a timer's callback usually
+        refers back to its owner, so a cancelled handle the owner still
+        keeps would otherwise hold that reference cycle.
+        """
         self.cancelled = True
+        self.callback = None
 
 
 class EventSeries:
@@ -226,6 +232,15 @@ class Simulator:
             event.owed for _, _, event in self._heap if not event.cancelled
         )
 
+    def close(self) -> None:
+        """Drop every pending event (end of run).
+
+        Pending callbacks refer back to what scheduled them, and a
+        series refers to the heap that holds it, so a calendar that
+        keeps them keeps its whole world in reference cycles.
+        """
+        self._heap.clear()
+
 
 class PeriodicTask:
     """A self-rescheduling task with optional per-fire jitter.
@@ -274,7 +289,12 @@ class PeriodicTask:
         self._schedule_next(self._interval)
 
     def stop(self) -> None:
-        """Stop firing; pending occurrence is cancelled."""
+        """Stop firing; pending occurrence is cancelled.
+
+        The callback is dropped: it is usually a bound method of the
+        object that keeps this task, a reference cycle otherwise.
+        """
         self._stopped = True
+        self._callback = None
         if self._handle is not None:
             self._handle.cancel()

@@ -232,6 +232,11 @@ class NodeMac:
         """Frames waiting (not counting one in flight)."""
         return len(self._queue)
 
+    def close(self) -> None:
+        """Drop the delivery callback, a reference back into the world
+        (end of run: this MAC delivers nothing more)."""
+        self._deliver = None
+
     def enqueue(self, frame: Frame) -> bool:
         """Queue a frame for transmission.
 

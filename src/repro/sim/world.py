@@ -69,7 +69,8 @@ class Protocol(abc.ABC):
     Lifecycle: constructed by the factory, :meth:`attach`-ed to its node
     API, :meth:`start`-ed when the world begins running, then driven by
     :meth:`on_message_created` (locally generated traffic) and
-    :meth:`on_frame` (frames arriving from the MAC).
+    :meth:`on_frame` (frames arriving from the MAC), and finally
+    :meth:`detach`-ed when the world closes.
     """
 
     name: str = "abstract"
@@ -80,6 +81,16 @@ class Protocol(abc.ABC):
     def attach(self, api: "NodeApi") -> None:
         """Bind this protocol instance to its node."""
         self.api = api
+
+    def detach(self) -> None:
+        """Unbind from the node; called once, when the world closes.
+
+        Drops :attr:`api`, the protocol's reference back into the
+        world.  A protocol that holds further references to itself
+        (timer handles whose callbacks are its methods, say) drops
+        them here too, so reference counting frees it with its world.
+        """
+        self.api = None
 
     @abc.abstractmethod
     def start(self) -> None:
@@ -130,8 +141,11 @@ class NodeApi:
     def periodic(
         self, interval: float, callback: Callable[[], None], jitter: float = 0.0
     ) -> PeriodicTask:
-        """Self-rescheduling timer with optional jitter from the node RNG."""
-        return PeriodicTask(
+        """Self-rescheduling timer with optional jitter from the node RNG.
+
+        The world stops the task when it closes.
+        """
+        task = PeriodicTask(
             self._world.sim,
             interval,
             self._charged(callback),
@@ -139,6 +153,8 @@ class NodeApi:
             uniform=self.rng.uniform,
             start_offset=self.rng.uniform(0.0, interval),
         )
+        self._world._tasks.append(task)
+        return task
 
     def _charged(self, callback: Callable[[], None]) -> Callable[[], None]:
         """``callback`` charged to the protocol phase while profiling.
@@ -274,6 +290,9 @@ class World:
         self.macs: dict[NodeId, NodeMac] = {}
         self._mac_stats: dict[NodeId, MacStats] = {}
         self._started = False
+        self._closed = False
+        #: Every periodic task a protocol asked for (stopped on close).
+        self._tasks: list[PeriodicTask] = []
         self._message_seq: dict[NodeId, int] = {}
         #: The adversary plan in force (an
         #: :class:`repro.sim.adversary.AdversaryPlan`) and the wrapper
@@ -375,7 +394,13 @@ class World:
         self.sim.schedule_series(times, create)
 
     def run(self, until: float, protocol_name: str | None = None) -> SimulationMetrics:
-        """Start protocols, run to the horizon, and return the metrics."""
+        """Start protocols, run to the horizon, and return the metrics.
+
+        Raises:
+            RuntimeError: the world has been closed.
+        """
+        if self._closed:
+            raise RuntimeError("cannot run a closed world")
         with self.profiler.charging_gc():
             t0 = self.profiler.start()
             if not self._started:
@@ -419,3 +444,27 @@ class World:
             )
             self.profiler.add(PHASE_DELIVERY, t0)
             return metrics
+
+    def close(self) -> None:
+        """Release the world's reference cycles (idempotent).
+
+        Stops the beacon, the storage sampler and every protocol timer,
+        empties the calendar, detaches every protocol and drops each
+        MAC's delivery callback.  Each of these refers back into the
+        world, so without this a finished world is freed only by a full
+        cyclic collection; after it, reference counting frees the world
+        as soon as its last outside reference goes.  Metrics that
+        :meth:`run` returned are unaffected; the world cannot run again.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self.neighbor_service.stop()
+        self._sampler.stop()
+        for task in self._tasks:
+            task.stop()
+        self.sim.close()
+        for protocol in self.protocols.values():
+            protocol.detach()
+        for mac in self.macs.values():
+            mac.close()

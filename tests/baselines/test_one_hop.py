@@ -80,6 +80,34 @@ class TestOneHopProtocol:
             sum(p.greedy_forwards for p in world.protocols.values()) > 0
         )
 
+    def test_empty_buffer_tick_looks_nothing_up_and_drops_beliefs(
+        self, monkeypatch
+    ):
+        from repro.experiments.runner import build_world
+        from repro.sim.messages import Message
+
+        world = build_world(SMALL, "one_hop", buffer_limit=1)
+        protocol = world.protocols[0]
+        first = Message.create(source=0, dest=5, seq=0, created_at=0.0)
+        second = Message.create(source=0, dest=6, seq=1, created_at=0.0)
+        protocol.on_message_created(first)
+        protocol.on_message_created(second)  # evicts first, not its belief
+        assert protocol._hand_off(second.uid, 1)
+        assert not protocol.buffer and set(protocol._beliefs) == {first.uid}
+
+        lookups = []
+        monkeypatch.setattr(
+            world.mobility, "position", lambda *args: lookups.append(args)
+        )
+        monkeypatch.setattr(
+            world.neighbor_service,
+            "neighbor_positions",
+            lambda *args: lookups.append(args),
+        )
+        protocol.on_tick_with_neighbors({1, 2})
+        assert lookups == []
+        assert protocol._beliefs == {}
+
     def test_buffer_limit_respected(self):
         from repro.experiments.runner import build_world
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import multiprocessing
 import threading
@@ -35,6 +36,7 @@ from repro.experiments.scheduler import write_assignment
 from repro.experiments.stream import load_stream
 from repro.mobility.registry import MobilityConfig
 from repro.sim.adversary import AdversaryConfig
+from repro.sim.world import World
 
 #: Small enough that a full grid with replicates finishes in seconds.
 TINY = Scenario(
@@ -533,6 +535,28 @@ class TestRunCampaign:
         spec = CampaignSpec(name="nocache", base=TINY, replicates=1)
         result = run_campaign(spec)
         assert result.cache_line() == "cache: disabled"
+
+    def test_serial_campaign_frees_every_world_by_reference_counting(self):
+        """A campaign worker holds one world at a time: with the cyclic
+        collector off, no finished world of a serial run stays behind."""
+        spec = CampaignSpec(
+            name="freed", base=TINY, protocols=("glr", "epidemic"),
+            replicates=2,
+        )
+
+        def worlds() -> set[int]:
+            return {id(obj) for obj in gc.get_objects() if isinstance(obj, World)}
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = worlds()
+            result = run_campaign(spec, workers=1)
+            left = worlds() - before
+        finally:
+            gc.enable()
+        assert sum(map(len, result.metrics.values())) == 4
+        assert left == set()
 
 
 class TestTasksWorkerIdleTimeout:

@@ -350,6 +350,29 @@ class TestRunner:
         assert metrics.messages_created == 5
         assert metrics.duration == 40.0
 
+    def test_run_single_closes_the_world_when_run_raises(self, monkeypatch):
+        from repro.experiments import runner
+
+        built = []
+
+        def fail() -> None:
+            raise ValueError("mid-run failure")
+
+        def build_failing_world(*args, **kwargs):
+            world = build_world(*args, **kwargs)
+            world.sim.schedule(2.0, fail)
+            built.append(world)
+            return world
+
+        monkeypatch.setattr(runner, "build_world", build_failing_world)
+        scenario = Scenario(message_count=5, sim_time=10.0)
+        with pytest.raises(ValueError, match="mid-run failure"):
+            run_single(scenario, "glr")
+        [world] = built
+        assert world.sim.pending_events() == 0
+        with pytest.raises(RuntimeError, match="closed"):
+            world.run(until=scenario.sim_time)
+
     def test_buffer_limit_applied_to_all_protocols(self):
         scenario = Scenario(message_count=2, sim_time=10.0)
         for protocol in ("glr", "epidemic", "direct"):

@@ -149,6 +149,28 @@ class TestTransportProperties:
         assert transport.pull("hb", target)
         assert target.stat().st_mtime == pytest.approx(stamp, abs=2)
 
+    def test_unchanged_pull_copies_nothing_and_a_grown_file_is_copied(
+        self, transport, tmp_path
+    ):
+        """A mirror with the source's size and mtime is already current;
+        once the source grows, the next pull copies it with the new
+        mtime."""
+        transport.root.mkdir()
+        source = transport.root / "shard0.jsonl"
+        source.write_bytes(b"record 1\n")
+        mirror = tmp_path / "shard0.jsonl"
+        assert transport.pull("shard0.jsonl", mirror)
+        inode = mirror.stat().st_ino
+        assert transport.pull("shard0.jsonl", mirror)
+        assert mirror.stat().st_ino == inode
+        with open(source, "ab") as handle:
+            handle.write(b"record 2\n")
+        stamp = source.stat().st_mtime_ns + 5_000_000_000
+        os.utime(source, ns=(stamp, stamp))
+        assert transport.pull("shard0.jsonl", mirror)
+        assert mirror.read_bytes() == b"record 1\nrecord 2\n"
+        assert mirror.stat().st_mtime_ns == stamp
+
     def test_push_missing_source_raises(self, transport, tmp_path):
         with pytest.raises(TransportError):
             transport.push(tmp_path / "nope.txt", "dest.txt")

@@ -3,6 +3,7 @@
 import bisect
 import itertools
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -111,7 +112,30 @@ class TestScheduling:
         assert sim.events_processed == 5
 
 
+class _Owner:
+    """Stands for a timer's owner: its callback is a bound method."""
+
+    def fire(self):
+        pass
+
+
 class TestCancellation:
+    def test_cancel_releases_the_callback_and_the_loop_skips_it(self):
+        sim = Simulator()
+        owner = _Owner()
+        owner_ref = weakref.ref(owner)
+        handle = sim.schedule_at(1.0, owner.fire)
+        fired = []
+        sim.schedule_at(2.0, lambda: fired.append(sim.now))
+        handle.cancel()
+        del owner
+        # The cancelled entry is still on the heap, but no longer keeps
+        # its owner alive.
+        assert owner_ref() is None
+        sim.run()
+        assert fired == [2.0]
+        assert sim.events_processed == 1
+
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
         fired = []
@@ -143,6 +167,19 @@ class TestCancellation:
 
     def test_step_returns_false_when_empty(self):
         assert not Simulator().step()
+
+    def test_close_drops_every_pending_event(self):
+        sim = Simulator()
+        owner = _Owner()
+        owner_ref = weakref.ref(owner)
+        sim.schedule_at(1.0, owner.fire)
+        sim.schedule_series([1.0, 2.0], lambda i: None)
+        del owner
+        sim.close()
+        assert owner_ref() is None
+        assert sim.pending_events() == 0
+        sim.run()
+        assert sim.events_processed == 0
 
 
 class TestSeries:
@@ -226,6 +263,18 @@ class TestPeriodicTask:
         sim.schedule_at(2.5, task.stop)
         sim.run(until=10.0)
         assert all(t <= 2.5 for t in fired)
+
+    def test_stop_releases_the_callback(self):
+        sim = Simulator()
+        owner = _Owner()
+        owner_ref = weakref.ref(owner)
+        task = PeriodicTask(sim, 1.0, owner.fire)
+        sim.run(until=1.5)  # fires at t = 0 and 1
+        task.stop()
+        del owner
+        assert owner_ref() is None
+        sim.run(until=5.0)  # the cancelled t = 2 entry is skipped
+        assert sim.events_processed == 2
 
     def test_start_offset(self):
         sim = Simulator()

@@ -1,11 +1,17 @@
 """Integration tests for World wiring and NodeApi scoping."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.protocol import GLRProtocol
+from repro.experiments.runner import available_protocols, build_world
+from repro.experiments.scenarios import Scenario
 from repro.geometry.primitives import Point
 from repro.mobility.base import Region
 from repro.mobility.static import StaticMobility
+from repro.sim.adversary import AdversaryConfig, available_adversary_modes
 from repro.sim.messages import Frame, Message
 from repro.sim.radio import RadioConfig
 from repro.sim.world import Protocol, World, WorldConfig
@@ -96,6 +102,63 @@ class TestWorldLifecycle:
         assert metrics.protocol == "custom"
         world2 = build_recorder_world()
         assert world2.run(until=1.0).protocol == "recorder"
+
+
+class TestWorldClose:
+    #: Dense enough that every protocol has frames, GLR custody timers
+    #: and (past the horizon) traffic still pending when the run ends.
+    SCENARIO = Scenario(
+        name="close",
+        n_nodes=12,
+        active_nodes=10,
+        region=Region(400.0, 300.0),
+        message_count=40,
+        sim_time=30.0,
+        seed=3,
+    )
+
+    @pytest.mark.parametrize("adversary", [None, *available_adversary_modes()])
+    @pytest.mark.parametrize("protocol", available_protocols())
+    def test_closed_world_is_freed_by_reference_counting(
+        self, protocol, adversary
+    ):
+        scenario = self.SCENARIO.but(
+            adversary=AdversaryConfig.of(adversary, 0.25) if adversary else None
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            world = build_world(scenario, protocol)
+            world.run(until=scenario.sim_time)
+            world.close()
+            protocols = list(world.protocols.values())
+            inner = [p.inner for p in protocols if hasattr(p, "inner")]
+            refs = [weakref.ref(obj) for obj in (world, *protocols, *inner)]
+            del world, protocols, inner
+            alive = sum(ref() is not None for ref in refs)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            left = sorted(
+                {
+                    type(obj).__qualname__
+                    for obj in gc.garbage
+                    if type(obj).__module__.startswith("repro.")
+                }
+            )
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert alive == 0
+        assert left == []
+
+    def test_run_after_close_raises(self):
+        world = build_recorder_world()
+        world.run(until=1.0)
+        world.close()
+        world.close()  # idempotent
+        with pytest.raises(RuntimeError, match="closed"):
+            world.run(until=2.0)
 
 
 class TestNodeApi:
