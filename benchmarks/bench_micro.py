@@ -7,8 +7,8 @@ directly into slower experiment harness runs.  Layers of a paper
 Table-1 task each have one here: the two k-LDTG epochs at paper density
 (planarization), the beacon rebuild (mobility + UDG), calendar push/pop
 at a task's pending-event depth, the MAC medium's three queries over a
-paper-density set of live transmissions, and the world's build and
-close.
+paper-density set of live transmissions, and the world's build, run
+(with and without the phase profiler) and close.
 """
 
 import random
@@ -26,6 +26,7 @@ from repro.sim.mac import Medium
 from repro.sim.messages import HEADER_BYTES
 from repro.sim.radio import RadioConfig
 from repro.sim.world import World
+from repro.telemetry.profile import PhaseProfiler
 
 
 def _points(n, seed, side=1000.0):
@@ -210,6 +211,34 @@ def test_close_world_table1(benchmark):
 
     benchmark.pedantic(World.close, setup=finished_world, rounds=5)
     assert closed[0].sim.pending_events() == 0
+
+
+def _run_table1(benchmark, profiler_type):
+    """``World.run`` on a 40-s Table-1 GLR world, built in the untimed
+    setup with a ``profiler_type()`` profiler (``None``: the no-op)."""
+    scenario = PAPER_TABLE1.but(sim_time=40.0)
+    worlds = []
+
+    def fresh_world():
+        for world in worlds:
+            world.close()
+        worlds[:] = [build_world(scenario, "glr", profiler=profiler_type())]
+        return (worlds[0], scenario.sim_time), {}
+
+    metrics = benchmark.pedantic(World.run, setup=fresh_world, rounds=5)
+    assert metrics.messages_created > 0
+
+
+def test_run_table1(benchmark):
+    """A Table-1 GLR task's run with the phase profiler off."""
+    _run_table1(benchmark, lambda: None)
+
+
+def test_run_table1_profiled(benchmark):
+    """The same run with a ``PhaseProfiler``: its mean over
+    ``test_run_table1``'s is the profiler's overhead
+    (``REPRO_PROFILE_PHASES=1``)."""
+    _run_table1(benchmark, PhaseProfiler)
 
 
 def test_medium_queries_paper_density(benchmark):

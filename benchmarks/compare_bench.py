@@ -1,34 +1,23 @@
-"""CI perf-regression gate and perf-trajectory dashboard.
+"""CI perf gate: run the simulator benchmark and judge it by BENCHMARK.json.
 
-``bench_campaign.py`` writes one ``BENCH_campaign.json`` datapoint per
-CI run; until now those datapoints were write-only — uploaded and never
-compared.  This script closes the loop:
+Everything comes from ``BENCHMARK.json`` at the repository root: the
+``command`` that runs one workload, the ``workloads``, the default
+``run_seconds``, and each ``end_to_end`` metric's ``unit``, the
+direction it gets ``better`` in and the ``bound`` by which it may get
+worse.  The gate runs every workload, writes the JSON result each run
+prints on its last line to ``--out``, and exits 1 if any run is not
+``correct`` or, given a ``--baseline`` result file (CI restores main's
+last green one), if any metric is worse than the baseline's by more
+than its bound.  With no baseline only correctness is judged.  A run
+whose last line is no JSON result exits 2.  ``--trajectory`` appends
+this run as the entry for ``--commit`` to a JSONL file and renders the
+latest commits as a trend table.
 
-- **Gate** (``--baseline``): diff the current datapoint against the
-  baseline restored from the most recent ``main`` run.  The gating
-  metric is *cold tasks per second* (the campaign engine's headline
-  throughput): warn above ``--warn`` (default 15%) slowdown, exit
-  nonzero above ``--fail`` (default 30%).  The full before/after table
-  goes to stdout and (with ``--summary``) the GitHub step summary.
-  A missing baseline skips the gate with a note — the first run on a
-  branch has nothing to compare against.
-- **Trajectory** (``--trajectory`` + ``--append``): accumulate the
-  current datapoint (stamped with ``--commit``) into an append-only
-  ``BENCH_trajectory.jsonl`` carried in the same CI cache, and render
-  a markdown trend table of the last ``--window`` commits (cold wall,
-  tasks/s, stream-resume, orchestrated wall) — the perf dashboard the
-  ROADMAP asks for.
+Run from the repository root::
 
-Timing noise note: shared CI runners jitter by a few percent run to
-run; the 15/30 thresholds are set so only a real engine regression
-(or a badly overloaded runner) trips them.
-
-Run::
-
-    python benchmarks/compare_bench.py --current BENCH_campaign.json \\
-        --baseline .perf-baseline/BENCH_campaign.json \\
-        --trajectory .perf-baseline/BENCH_trajectory.jsonl --append \\
-        --commit "$GITHUB_SHA" --summary "$GITHUB_STEP_SUMMARY"
+    python benchmarks/compare_bench.py --baseline OLD.json \\
+        --trajectory T.jsonl --commit "$GITHUB_SHA" \\
+        --summary "$GITHUB_STEP_SUMMARY"
 """
 
 from __future__ import annotations
@@ -36,110 +25,115 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import subprocess
 import sys
 from pathlib import Path
 
-#: (field, label, lower-is-better) — the comparison table rows.
-METRICS = (
-    ("cold_wall_s", "cold wall (s)", True),
-    ("tasks_per_s", "cold tasks/s", False),
-    ("stream_resume_s", "stream resume (s)", True),
-    ("cache_resume_s", "cache resume (s)", True),
-    ("orchestrated_wall_s", "orchestrated wall (s)", True),
-    ("distributed_wall_s", "distributed wall (s)", True),
-    ("profiled_wall_s", "profiled wall (s)", True),
-    ("profiler_overhead_pct", "profiler overhead (%)", True),
-)
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
 
-#: The gating metric: cold-campaign throughput.
-GATE_METRIC = "tasks_per_s"
-
-#: Trend-table columns (field, short label).
-TREND_FIELDS = (
-    ("cold_wall_s", "cold (s)"),
-    ("tasks_per_s", "tasks/s"),
-    ("stream_resume_s", "stream-resume (s)"),
-    ("orchestrated_wall_s", "orchestrated (s)"),
-    ("distributed_wall_s", "distributed (s)"),
-    ("profiled_wall_s", "profiled (s)"),
-)
+#: Commits shown in the trend table.
+TREND_COMMITS = 10
 
 
-def load_report(path: Path) -> dict | None:
-    """A bench datapoint, or ``None`` when absent/unreadable."""
+def load_json(path: Path) -> dict | None:
+    """A JSON object read from ``path``; ``None`` if absent or unreadable."""
     try:
-        report = json.loads(path.read_text(encoding="utf-8"))
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, UnicodeDecodeError):
         return None
-    if not isinstance(report, dict):
-        return None
-    return report
+    return value if isinstance(value, dict) else None
 
 
-def fmt_delta(
-    base: float, current: float, lower_is_better: bool,
-    warn: float = 0.15,
-) -> str:
-    """``+3.2%`` style delta, marked when it regresses past ``warn``.
-
-    ``warn`` is the gate's ``--warn`` threshold, so the table's ⚠
-    markers agree with the gate verdict when the default is overridden.
-    """
-    if not base:
-        return "n/a"
-    change = (current - base) / base
-    worse = change > 0 if lower_is_better else change < 0
-    marker = " ⚠" if worse and abs(change) >= warn else ""
-    return f"{change:+.1%}{marker}"
+def lookup(value, *keys) -> float | None:
+    """``value[k0][k1]...`` if every step is a mapping and the end is a
+    number, else ``None``: a missing workload or metric, or a damaged
+    file."""
+    for key in keys:
+        if not isinstance(value, dict):
+            return None
+        value = value.get(key)
+    return value if isinstance(value, (int, float)) else None
 
 
-def compare_table(
-    baseline: dict, current: dict, warn: float = 0.15
-) -> str:
-    """Markdown before/after table over every tracked metric."""
-    lines = [
-        "| metric | baseline | current | change |",
-        "|---|---:|---:|---:|",
+def run_workload(
+    command: list[str], workload: str, seed: int, seconds: float
+) -> dict | None:
+    """Run one workload, echo its report, and return the JSON result on
+    its last line; ``None`` if it cannot start or prints no result."""
+    argv = [
+        *command, "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds), "--trace", "0",
     ]
-    for field, label, lower_is_better in METRICS:
-        base, cur = baseline.get(field), current.get(field)
-        if not isinstance(base, (int, float)) or not isinstance(
-            cur, (int, float)
-        ):
-            continue
-        lines.append(
-            f"| {label} | {base:.3f} | {cur:.3f} "
-            f"| {fmt_delta(base, cur, lower_is_better, warn)} |"
-        )
-    return "\n".join(lines)
-
-
-def gate_slowdown(baseline: dict, current: dict) -> float | None:
-    """Fractional throughput loss on the gate metric (negative = faster)."""
-    base, cur = baseline.get(GATE_METRIC), current.get(GATE_METRIC)
+    try:
+        done = subprocess.run(argv, cwd=ROOT, stdout=subprocess.PIPE, text=True)
+    except OSError as exc:
+        print(f"error: cannot run {argv[0]}: {exc}", file=sys.stderr)
+        return None
+    print(done.stdout, end="", flush=True)
+    try:
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        return None
     if (
-        not isinstance(base, (int, float))
-        or not isinstance(cur, (int, float))
-        or not base
+        not isinstance(result, dict)
+        or not isinstance(result.get("correct"), bool)
+        or not isinstance(result.get("metrics"), dict)
     ):
         return None
-    return (base - cur) / base
+    return result
 
 
-def append_trajectory(
-    path: Path, current: dict, commit: str | None
-) -> None:
-    """Append the current datapoint as one trajectory JSONL line."""
+def judge(
+    config: dict, results: dict, baseline: dict | None
+) -> tuple[list[str], list[str]]:
+    """The workload x metric table rows, and every reason to fail.
+
+    A metric is worse when its change relative to the baseline, taken
+    in the direction its ``better`` names, exceeds its ``bound``.  A
+    workload or metric the baseline lacks is shown, not judged.
+    """
+    rows: list[str] = []
+    failures: list[str] = []
+    for workload, result in results.items():
+        if not result["correct"]:
+            failures.append(
+                f"`{workload}` is not correct ({result.get('failed')} of "
+                f"{result.get('attempted')} tasks failed)"
+            )
+        for metric in config["end_to_end"]:
+            name, bound = metric["name"], metric["bound"]
+            sign = 1.0 if metric["better"] == "lower" else -1.0
+            current = lookup(result, "metrics", name, "value")
+            base = lookup(baseline, workload, "metrics", name, "value")
+            change = "–"
+            if current is not None and base:
+                relative = (current - base) / base
+                change = f"{relative:+.1%}"
+                if sign * relative > bound:
+                    change += " ✗"
+                    failures.append(
+                        f"`{workload}` `{name}` is {sign * relative:.1%} "
+                        f"worse than the baseline (bound {bound:.0%})"
+                    )
+            rows.append(
+                f"| {workload} | {name} ({metric['unit']}) | {fmt(base)} "
+                f"| {fmt(current)} | {change} | {sign * bound:+.0%} |"
+            )
+    return rows, failures
+
+
+def fmt(value: float | None) -> str:
+    return "–" if value is None else f"{value:.4g}"
+
+
+def append_trajectory(path: Path, commit: str, results: dict) -> None:
     entry = {
-        "commit": commit or "unknown",
+        "commit": commit,
         "date": datetime.datetime.now(datetime.timezone.utc).strftime(
             "%Y-%m-%d %H:%M"
         ),
-        **{
-            field: current.get(field)
-            for field, _, _ in METRICS
-            if isinstance(current.get(field), (int, float))
-        },
+        "results": results,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a", encoding="utf-8") as handle:
@@ -147,15 +141,14 @@ def append_trajectory(
 
 
 def load_trajectory(path: Path) -> list[dict]:
-    """All decodable trajectory entries, oldest first."""
+    """Every decodable trajectory entry, oldest first; a torn or damaged
+    line is skipped."""
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         return []
     entries = []
     for line in text.splitlines():
-        if not line.strip():
-            continue
         try:
             entry = json.loads(line)
         except ValueError:
@@ -165,140 +158,103 @@ def load_trajectory(path: Path) -> list[dict]:
     return entries
 
 
-def trend_table(entries: list[dict], window: int) -> str:
-    """Markdown trend table over the last ``window`` entries.
-
-    Re-runs of one commit keep only the latest datapoint, so a
-    restarted CI job does not duplicate rows.
-    """
+def trend_table(config: dict, entries: list[dict]) -> str:
+    """Markdown trend of the last ``TREND_COMMITS`` commits: a row per
+    workload and commit, a column per end-to-end metric.  A rerun of
+    one commit keeps only its latest entry, in the commit's first place."""
     latest: dict[str, dict] = {}
-    order: list[str] = []
     for entry in entries:
-        commit = str(entry.get("commit", "unknown"))
-        if commit not in latest:
-            order.append(commit)
-        else:
-            order.remove(commit)
-            order.append(commit)
-        latest[commit] = entry
-    recent = [latest[commit] for commit in order[-window:]]
-    if not recent:
-        return "(no trajectory datapoints yet)"
-    header = "| commit | date | " + " | ".join(
-        label for _, label in TREND_FIELDS
-    ) + " |"
-    lines = [header, "|---|---|" + "---:|" * len(TREND_FIELDS)]
-    for entry in recent:
-        cells = []
-        for field, _ in TREND_FIELDS:
-            value = entry.get(field)
-            cells.append(
-                f"{value:.3f}" if isinstance(value, (int, float)) else "–"
+        latest[str(entry.get("commit"))] = entry
+    recent = list(latest.items())[-TREND_COMMITS:]
+    metrics = config["end_to_end"]
+    lines = [
+        "| workload | commit | date | "
+        + " | ".join(f"{m['name']} ({m['unit']})" for m in metrics) + " |",
+        "|---|---|---|" + "---:|" * len(metrics),
+    ]
+    for workload in (w["name"] for w in config["workloads"]):
+        for commit, entry in recent:
+            cells = " | ".join(
+                fmt(lookup(entry, "results", workload, "metrics", m["name"],
+                           "value"))
+                for m in metrics
             )
-        commit = str(entry.get("commit", "unknown"))[:10]
-        lines.append(
-            f"| `{commit}` | {entry.get('date', '–')} | "
-            + " | ".join(cells) + " |"
-        )
+            lines.append(
+                f"| {workload} | `{commit[:10]}` | {entry.get('date', '–')} "
+                f"| {cells} |"
+            )
     return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1, help="default: 1")
     parser.add_argument(
-        "--current", required=True, help="this run's BENCH_campaign.json"
+        "--seconds", type=float, default=None,
+        help="per workload (default: BENCHMARK.json's run_seconds)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline BENCH_campaign.json (absent file = gate skipped)",
+        "--out", default="BENCH_perfbench.json",
+        help="result file to write (default: BENCH_perfbench.json)",
     )
     parser.add_argument(
-        "--warn", type=float, default=0.15,
-        help="warn at this fractional tasks/s slowdown (default: 0.15)",
+        "--baseline", default=None,
+        help="result file to judge the bounds against (if readable)",
     )
     parser.add_argument(
-        "--fail", type=float, default=0.30,
-        help="fail at this fractional tasks/s slowdown (default: 0.30)",
+        "--trajectory", default=None, help="JSONL file of per-commit entries"
     )
     parser.add_argument(
-        "--trajectory", default=None,
-        help="BENCH_trajectory.jsonl accumulating per-commit datapoints",
-    )
-    parser.add_argument(
-        "--append", action="store_true",
-        help="append the current datapoint to --trajectory before "
-        "rendering the trend",
-    )
-    parser.add_argument(
-        "--commit", default=None, help="commit SHA stamping the datapoint"
-    )
-    parser.add_argument(
-        "--window", type=int, default=20,
-        help="trend-table length in commits (default: 20)",
+        "--commit", default="unknown", help="commit of the trajectory entry"
     )
     parser.add_argument(
         "--summary", default=None,
-        help="also append the markdown to this file "
-        "(CI: $GITHUB_STEP_SUMMARY)",
+        help="also append the markdown here (CI: $GITHUB_STEP_SUMMARY)",
     )
     args = parser.parse_args(argv)
-    if not 0 < args.warn <= args.fail:
-        parser.error("need 0 < --warn <= --fail")
+    config = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    seconds = config["run_seconds"] if args.seconds is None else args.seconds
+    if seconds <= 0:
+        parser.error("--seconds must be positive")
 
-    current = load_report(Path(args.current))
-    if current is None:
-        print(f"error: cannot read current datapoint {args.current}",
-              file=sys.stderr)
-        return 2
-
-    sections: list[str] = ["## Campaign perf gate", ""]
-    exit_code = 0
-    baseline = (
-        load_report(Path(args.baseline)) if args.baseline is not None
-        else None
+    results: dict[str, dict] = {}
+    for workload in (w["name"] for w in config["workloads"]):
+        result = run_workload(config["command"], workload, args.seed, seconds)
+        if result is None:
+            print(f"error: {workload}: no JSON result", file=sys.stderr)
+            return 2
+        results[workload] = result
+    Path(args.out).write_text(
+        json.dumps(results, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+
+    baseline = load_json(Path(args.baseline)) if args.baseline else None
+    rows, failures = judge(config, results, baseline)
+    sections = [
+        f"## Perf gate (seed {args.seed}, {seconds:g} s per workload)",
+        "",
+        "| workload | metric | baseline | current | change | bound |",
+        "|---|---|---:|---:|---:|---:|",
+        *rows,
+        "",
+    ]
     if baseline is None:
         sections.append(
-            "No baseline datapoint to compare against (first run on "
-            "this branch, or the cache expired); gate skipped."
+            "No baseline result (no green main run cached yet, or the "
+            "cache expired): bounds gate skipped, correctness judged."
         )
-    else:
-        sections.append(compare_table(baseline, current, args.warn))
-        sections.append("")
-        slowdown = gate_slowdown(baseline, current)
-        if slowdown is None:
-            sections.append(
-                f"Baseline lacks `{GATE_METRIC}`; gate skipped."
-            )
-        elif slowdown >= args.fail:
-            sections.append(
-                f"**FAIL**: cold throughput fell {slowdown:.1%} vs "
-                f"baseline (fail threshold {args.fail:.0%})."
-            )
-            exit_code = 1
-        elif slowdown >= args.warn:
-            sections.append(
-                f"**WARNING**: cold throughput fell {slowdown:.1%} vs "
-                f"baseline (warn threshold {args.warn:.0%}, fail at "
-                f"{args.fail:.0%})."
-            )
-        else:
-            sections.append(
-                f"OK: cold throughput change {-slowdown:+.1%} vs "
-                f"baseline (warn at -{args.warn:.0%})."
-            )
-
+    sections += [f"**FAIL**: {reason}." for reason in failures] or [
+        "OK: every run is correct"
+        + ("." if baseline is None else " and within its bounds.")
+    ]
     if args.trajectory is not None:
-        trajectory_path = Path(args.trajectory)
-        if args.append:
-            append_trajectory(trajectory_path, current, args.commit)
-        entries = load_trajectory(trajectory_path)
+        trajectory = Path(args.trajectory)
+        append_trajectory(trajectory, args.commit, results)
         sections += [
             "",
-            f"## Perf trajectory (last {args.window} commits)",
+            f"## Perf trajectory (last {TREND_COMMITS} commits)",
             "",
-            trend_table(entries, args.window),
+            trend_table(config, load_trajectory(trajectory)),
         ]
 
     markdown = "\n".join(sections) + "\n"
@@ -306,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.summary:
         with open(args.summary, "a", encoding="utf-8") as handle:
             handle.write(markdown)
-    return exit_code
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -330,14 +330,19 @@ class SSHTransport(Transport):
             )
         return done
 
-    def _exists(self, rel: str) -> bool:
+    def _stamp(self, rel: str) -> list[bytes] | None:
+        """The remote file's size and whole-second mtime, as printed by
+        ``stat``; ``None`` when the file is absent or the host is
+        unreachable."""
+        path = shlex.quote(self._remote_path(rel))
         try:
-            self._run(self.ssh_argv(
-                f"test -e {shlex.quote(self._remote_path(rel))}"
+            # GNU stat, else BSD stat: both print "<size> <mtime>".
+            done = self._run(self.ssh_argv(
+                f"stat -c '%s %Y' {path} 2>/dev/null || stat -f '%z %m' {path}"
             ))
         except TransportError:
-            return False
-        return True
+            return None
+        return done.stdout.split()
 
     def push(self, local: str | Path, rel: str) -> None:
         try:
@@ -349,9 +354,20 @@ class SSHTransport(Transport):
         self._run(self.scp_push_argv(local, rel), input_bytes=data)
 
     def pull(self, rel: str, local: str | Path) -> bool:
-        if not self._exists(rel):
+        stamp = self._stamp(rel)
+        if stamp is None:
             return False
         target = Path(local)
+        try:
+            have = target.stat()
+        except OSError:
+            pass
+        else:
+            # ``scp -p`` gave the mirror the remote whole-second mtime,
+            # and pulled files only grow or get touched, so the same
+            # size and mtime mean nothing changed since the last pull.
+            if stamp == [b"%d" % have.st_size, b"%d" % have.st_mtime]:
+                return True
         target.parent.mkdir(parents=True, exist_ok=True)
         tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
         try:

@@ -107,7 +107,14 @@ class TestExperiment:
         with pytest.raises(SystemExit):
             main(["experiment", "fig99"])
 
-    def test_workers_flag_threads_through(self, capsys, tmp_path):
+    def test_workers_flag_threads_through(self, capsys, tmp_path, monkeypatch):
+        from repro.experiments.common import Effort
+
+        # A lighter bench effort: the subject is --workers reaching the
+        # pool, not the table's numbers.
+        monkeypatch.setitem(
+            EFFORTS, "bench", Effort(runs=2, sim_time=60.0, message_count=10)
+        )
         code = main(
             [
                 "experiment",

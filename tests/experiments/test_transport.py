@@ -288,6 +288,41 @@ class TestSSHArgv:
         assert not transport.pull("f", tmp_path / "mirror")
         assert not (tmp_path / "mirror").exists()
 
+    def test_pull_copies_only_a_grown_or_touched_file(
+        self, monkeypatch, tmp_path
+    ):
+        transport = SSHTransport("h1")
+        remote = {"data": b"line 1\n", "mtime": 1_700_000_000}
+        issued = []
+
+        def run(argv, **kwargs):
+            issued.append(argv[0])
+            if argv[0] == "ssh":  # the remote stat
+                stamp = f"{len(remote['data'])} {remote['mtime']}\n"
+                return subprocess.CompletedProcess(argv, 0, stamp.encode(), b"")
+            with open(argv[-1], "wb") as handle:  # scp -p
+                handle.write(remote["data"])
+            os.utime(argv[-1], (remote["mtime"], remote["mtime"]))
+            return subprocess.CompletedProcess(argv, 0, b"", b"")
+
+        monkeypatch.setattr(transport, "_run", run)
+        mirror = tmp_path / "shard0.jsonl"
+        expected = {
+            "first pull": ["ssh", "scp"],
+            "unchanged": ["ssh"],
+            "grown": ["ssh", "scp"],
+            "touched": ["ssh", "scp"],
+        }
+        for step, calls in expected.items():
+            if step == "grown":
+                remote["data"] += b"line 2\n"
+            elif step == "touched":
+                remote["mtime"] += 1
+            issued.clear()
+            assert transport.pull("shard0.jsonl", mirror)
+            assert issued == calls, step
+            assert mirror.read_bytes() == remote["data"]
+
     def test_operations_raise_on_nonzero_exit(self, monkeypatch):
         transport = SSHTransport("h1")
 
