@@ -1,4 +1,5 @@
-"""Ablation benches for GLR's design choices (DESIGN.md Section 5).
+"""Ablation benches for GLR's design choices (the ``glr`` config fields
+they vary are listed in docs/protocols.md).
 
 Beyond the paper's own tables: each bench isolates one mechanism and
 prints a comparison table; assertions pin the direction each mechanism

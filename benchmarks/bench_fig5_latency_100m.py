@@ -7,7 +7,8 @@ At bench scale we sweep a reduced load range; the asserted shape is
 (a) GLR stays flat, (b) epidemic's latency grows faster than GLR's
 with load, which is the contention mechanism the paper identifies.
 The full crossover (epidemic above GLR) appears at loads >= ~1200
-messages — recorded in EXPERIMENTS.md from spot runs.
+messages in spot runs; no paper-vs-measured record of them is produced
+yet (ROADMAP.md item 5).
 """
 
 from repro.experiments.common import BENCH_EFFORT

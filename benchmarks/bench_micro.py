@@ -4,11 +4,12 @@ These are conventional pytest-benchmark timings (multiple rounds): the
 Delaunay construction, LDTG build, RWP position queries and the event
 engine dominate the simulation profile, so regressions here translate
 directly into slower experiment harness runs.  Layers of a paper
-Table-1 task each have one here: the two k-LDTG epochs at paper density
-(planarization), the beacon rebuild (mobility + UDG), calendar push/pop
-at a task's pending-event depth, the MAC medium's three queries over a
-paper-density set of live transmissions, and the world's build, run
-(with and without the phase profiler) and close.
+Table-1 task each have one here: the k-LDTG epochs at paper density
+(planarization; at N=400 both the full vote and the on-demand vote of
+one epoch's queriers), the beacon rebuild (mobility + UDG), calendar
+push/pop at a task's pending-event depth, the MAC medium's three
+queries over a paper-density set of live transmissions, and the world's
+build, run (with and without the phase profiler) and close.
 """
 
 import random
@@ -17,7 +18,7 @@ from repro.experiments.runner import build_world
 from repro.experiments.scenarios import PAPER_TABLE1
 from repro.geometry.delaunay import delaunay_triangulation
 from repro.geometry.primitives import Point
-from repro.graphs.ldt import local_delaunay_graph
+from repro.graphs.ldt import LdtMemo, local_delaunay_graph
 from repro.graphs.udg import unit_disk_graph
 from repro.mobility.base import Region
 from repro.mobility.random_waypoint import RandomWaypointMobility
@@ -136,6 +137,27 @@ def test_ldtg_epoch_paper_density(benchmark):
 def test_ldtg_epoch_n400_density(benchmark):
     """400 nodes at the same density (region sides x sqrt(8))."""
     _ldtg_epoch(benchmark, 400)
+
+
+def test_ldtg_epoch_n400_on_demand(benchmark):
+    """The same N=400 epoch as the neighbour service votes it: only the
+    links of 26 querying nodes (the median per epoch of a 40-s N=400
+    GLR task), a fixed seeded set, answered through one memo."""
+    udg = unit_disk_graph(_paper_density_mobility(400).positions(120.0), 100.0)
+    queriers = random.Random(26).sample(udg.nodes(), 26)
+
+    def epoch():
+        memo = LdtMemo()
+        for node in queriers:
+            local_delaunay_graph(
+                udg.positions, 100.0, 2, udg, nodes=(node,), memo=memo
+            )
+        return memo
+
+    memo = benchmark(epoch)
+    full = local_delaunay_graph(udg.positions, 100.0, 2, udg)
+    for node in queriers:
+        assert memo.graph.neighbors(node) == full.neighbors(node)
 
 
 def test_rwp_position_queries(benchmark):

@@ -34,7 +34,7 @@ def test_table2_location(run_once):
 
     # Oracle knowledge must beat no knowledge in latency, within the
     # noise floor of the 2-run bench effort (CIs at this scale overlap
-    # heavily; the spot-effort ordering is recorded in EXPERIMENTS.md).
+    # heavily; no spot-effort record is produced yet, ROADMAP.md item 5).
     assert _mean(oracle[3]) <= _mean(none3[3]) * 1.15
     # Oracle-1copy must beat source-1copy (same copy count, strictly
     # more knowledge) — the cleanest pairwise comparison in the table.

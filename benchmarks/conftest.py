@@ -4,7 +4,8 @@ Every bench regenerates one of the paper's tables or figures at
 ``BENCH_EFFORT`` scale (reduced runs/messages/horizon so the suite
 finishes in minutes) and prints the paper-comparable rendering, so
 ``pytest benchmarks/ --benchmark-only`` doubles as the reproduction
-harness.  EXPERIMENTS.md records paper-vs-measured for each artifact.
+harness.  The paper-vs-measured record for each artifact is not
+produced yet (ROADMAP.md item 5).
 
 Benches run their driver exactly once inside the benchmark wrapper
 (rounds=1): the quantity of interest is the experiment output, and each

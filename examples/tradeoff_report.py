@@ -13,7 +13,7 @@ The committed ``docs/example-report.md`` is this script's output
 reproduce it byte-for-byte.
 
 Run:
-    python examples/tradeoff_report.py [--out report.md]
+    python examples/tradeoff_report.py [--out PATH]
 """
 
 import argparse

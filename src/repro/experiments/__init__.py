@@ -1,7 +1,8 @@
 """Experiment harness: scenarios, workloads, runners, and the drivers
 that regenerate every table and figure of the paper's evaluation.
 
-See DESIGN.md Section 4 for the experiment-to-module index.
+docs/architecture.md maps the package and its data flow; ``repro list``
+names every experiment.
 """
 
 from repro.experiments.campaign import (

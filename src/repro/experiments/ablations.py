@@ -1,4 +1,5 @@
-"""Ablation studies for GLR's design choices (DESIGN.md Section 5).
+"""Ablation studies for GLR's design choices (the ``glr`` config fields
+they vary are listed in docs/protocols.md).
 
 These go beyond the paper's evaluation: each ablation isolates one
 mechanism the paper motivates qualitatively, so the benches can show

@@ -16,8 +16,8 @@ class Effort:
 
     The paper's evaluation uses 10 runs of full-length scenarios; the
     benches use a scaled-down effort so the whole suite finishes in
-    minutes.  EXPERIMENTS.md records which effort produced which
-    numbers.
+    minutes.  No record of which effort produced which numbers is
+    produced yet (ROADMAP.md item 5).
     """
 
     runs: int
@@ -39,7 +39,7 @@ PAPER_EFFORT = Effort(runs=10, sim_time=3800.0, message_count=1980)
 #: Reduced effort for the pytest-benchmark harness.
 BENCH_EFFORT = Effort(runs=2, sim_time=420.0, message_count=120)
 
-#: Middle ground used for EXPERIMENTS.md spot checks.
+#: Middle ground for spot checks between the bench and paper efforts.
 SPOT_EFFORT = Effort(runs=3, sim_time=1200.0, message_count=400)
 
 

@@ -2,9 +2,10 @@
 
 An edge ``uv`` belongs to the Gabriel graph when the closed disk having
 ``uv`` as diameter contains no third point.  The Gabriel graph is planar
-and connected whenever the underlying UDG is, which makes it the paper's
-natural ablation spanner: DESIGN.md benchmarks GLR-on-Gabriel against
-GLR-on-LDTG.
+and connected whenever the underlying UDG is, which makes it the natural
+spanner to compare the paper's k-LDTG with:
+``examples/spanner_playground.py`` compares their structure, and
+docs/architecture.md maps the graphs package.
 """
 
 from __future__ import annotations

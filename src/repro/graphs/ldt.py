@@ -23,6 +23,17 @@ Two practical notes reflected below:
 Each node's decision uses only its k-hop neighbourhood — the algorithm is
 k-local in the paper's sense and the simulator evaluates it node-locally.
 
+**Voting on demand.**  :func:`local_delaunay_graph` votes a list of
+links: every UDG link, or only the links incident to the ``nodes`` it
+is given.  A link's verdict reads the frames of its endpoints and of
+their one-hop witnesses, so settling one node's links needs only the
+frames within two hops of it.  An :class:`LdtMemo` carries the k-hop
+sets, the frames with their answers and the verdicts from one call to
+the next over the same snapshot, so each link is voted once however
+the queries arrive.  A frame's answers do not depend on the order in
+which links are asked, so the graph is the same in any query order,
+except on the near-cocircular frames described below.
+
 **The per-link kernel.**  The vote only ever asks "is link ``uv`` an
 edge of ``A(Nk(x))``?", so :func:`local_delaunay_graph` answers exactly
 that instead of triangulating every frame ``Nk(x)``.  ``uv`` is a
@@ -61,7 +72,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from repro.geometry.delaunay import delaunay_edges, super_triangle
 from repro.geometry.primitives import Point
@@ -215,59 +226,110 @@ class _Frame:
         return None
 
 
+class LdtMemo:
+    """The vote over one snapshot so far, continued by later calls.
+
+    Pass one memo to every :func:`local_delaunay_graph` call over the
+    same UDG and ``k``; a new snapshot needs a new memo.  It holds each
+    node's k-hop set, the frames with their answers, and the verdicts:
+    a link is voted with the first of its endpoints to settle, so
+    ``graph`` holds the accepted links and ``settled`` says which links
+    have been voted.  A call that raises leaves the memo unusable.
+
+    Attributes:
+        graph: the accepted links on every node of the snapshot (None
+            before the first call).
+        settled: nodes whose links have all been voted; each has its
+            final adjacency in ``graph``.
+    """
+
+    __slots__ = ("k_hoods", "frames", "graph", "settled")
+
+    def __init__(self) -> None:
+        self.k_hoods: dict[NodeId, frozenset] = {}
+        self.frames: dict[frozenset, _Frame] = {}
+        self.graph: SpatialGraph | None = None
+        self.settled: set[NodeId] = set()
+
+
 def local_delaunay_graph(
     positions: Mapping[NodeId, Point],
     radius: float,
     k: int = 2,
     udg: SpatialGraph | None = None,
+    nodes: Iterable[NodeId] | None = None,
+    memo: LdtMemo | None = None,
 ) -> SpatialGraph:
-    """Build the k-LDTG over ``positions`` with communication ``radius``.
+    """Vote the k-LDTG over ``positions`` with communication ``radius``.
 
     Args:
         positions: node locations.
         radius: transmission range defining the underlying UDG.
         k: locality parameter (paper experiments use k = 2).
         udg: pre-built unit-disk graph to reuse; built when omitted.
+        nodes: vote only the links incident to these nodes; every UDG
+            link when omitted.
+        memo: the :class:`LdtMemo` of earlier calls over the same
+            ``udg`` and ``k``, which this call continues; a new one when
+            omitted.
 
     Returns:
-        A :class:`SpatialGraph` that is a subgraph of the UDG.  For k >= 2
-        the result is planar (verified property-style in the test suite);
-        it preserves the connectivity of the UDG.  Its edges are those of
-        the vote over Bowyer–Watson triangulations of every frame
-        (:func:`node_local_ldt_neighbors`); the per-link kernel in the
-        module docstring computes them without triangulating.
+        The memo's graph: every node of ``positions`` with the links
+        accepted so far, so each of ``nodes`` has its final adjacency,
+        and without ``nodes`` the graph is the whole k-LDTG.  That is a
+        subgraph of the UDG.  For k >= 2 it is planar (verified
+        property-style in the test suite); it preserves the connectivity
+        of the UDG.  Its edges are those of the vote over Bowyer–Watson
+        triangulations of every frame (:func:`node_local_ldt_neighbors`);
+        the per-link kernel in the module docstring computes them without
+        triangulating.
     """
     if k < 1:
         raise ValueError("locality parameter k must be >= 1")
     if udg is None:
         udg = unit_disk_graph(positions, radius)
+    if memo is None:
+        memo = LdtMemo()
+    if memo.graph is None:
+        memo.graph = SpatialGraph(
+            positions=dict(positions),
+            adjacency={node: set() for node in positions},
+        )
+    graph = memo.graph
+    k_hoods = memo.k_hoods
+    frames = memo.frames
+    settled = memo.settled
 
-    k_hoods: dict[NodeId, frozenset] = {
-        node: frozenset(udg.k_hop_neighborhood(node, k) | {node})
-        for node in udg.nodes()
-    }
-    frames: dict[frozenset, _Frame] = {}
+    def k_hood(x: NodeId) -> frozenset:
+        members = k_hoods.get(x)
+        if members is None:
+            members = k_hoods[x] = frozenset(udg.k_hop_neighborhood(x, k) | {x})
+        return members
 
     def in_local_delaunay(x: NodeId, u: NodeId, v: NodeId) -> bool:
-        frame = frames.get(k_hoods[x])
+        members = k_hood(x)
+        frame = frames.get(members)
         if frame is None:
-            frame = frames[k_hoods[x]] = _Frame(udg, x, k, k_hoods[x])
+            frame = frames[members] = _Frame(udg, x, k, members)
         return frame.has_edge(u, v)
 
-    graph = SpatialGraph()
-    for node, p in positions.items():
-        graph.add_node(node, p)
+    # Each link is listed once, with the first of its endpoints to settle.
+    links: list[tuple[NodeId, NodeId]] = []
+    for u in udg.nodes() if nodes is None else nodes:
+        if u not in settled:
+            links += [(u, v) for v in udg.neighbors(u) if v not in settled]
+            settled.add(u)
 
-    for u, v in udg.edges():
+    for u, v in links:
         if not in_local_delaunay(u, u, v) or not in_local_delaunay(v, u, v):
             continue
         witnesses = (udg.neighbors(u) | udg.neighbors(v)) - {u, v}
         accepted = True
         for w in witnesses:
-            if u in k_hoods[w] and v in k_hoods[w]:
-                if not in_local_delaunay(w, u, v):
-                    accepted = False
-                    break
+            hood = k_hood(w)
+            if u in hood and v in hood and not in_local_delaunay(w, u, v):
+                accepted = False
+                break
         if accepted:
             graph.add_edge(u, v)
     return graph

@@ -1,7 +1,8 @@
 """Discrete-event wireless network simulator.
 
-This package replaces the paper's NS-2 substrate (see DESIGN.md for the
-substitution argument).  The pieces:
+This package replaces the paper's NS-2 substrate; each module's
+docstring says what it abstracts and why, and docs/architecture.md maps
+the package.  The pieces:
 
 - :mod:`repro.sim.engine` — event scheduler (binary-heap calendar).
 - :mod:`repro.sim.messages` — application messages and link frames.

@@ -228,10 +228,6 @@ class NodeMac:
         self._queue: deque[Frame] = deque()
         self._busy = False
 
-    def queue_length(self) -> int:
-        """Frames waiting (not counting one in flight)."""
-        return len(self._queue)
-
     def close(self) -> None:
         """Drop the delivery callback, a reference back into the world
         (end of run: this MAC delivers nothing more)."""

@@ -17,9 +17,11 @@ updates each node's timestamped location table with its in-range
 neighbours.  Between beacons all queries answer from the snapshot —
 stale by up to one interval, exactly like IMEP.
 
-The service also owns the per-epoch **LDTG cache**: the k-local Delaunay
-triangulation over the beacon snapshot, computed lazily on first query
-in an epoch.  All nodes acting on the same beacon epoch see mutually
+The service also owns the per-epoch **LDTG memo**: the k-local Delaunay
+triangulation over the beacon snapshot, voted on demand.  A node's first
+query in an epoch votes the links incident to it, k-locally (paper Sec.
+2.1), and the memo keeps every frame and verdict for the rest of the
+epoch.  All nodes acting on the same beacon epoch see mutually
 consistent local triangulations, which is what the k-local construction
 guarantees when neighbourhood information is synchronized.
 
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.geometry.primitives import Point
-from repro.graphs.ldt import local_delaunay_graph
+from repro.graphs.ldt import LdtMemo, local_delaunay_graph
 from repro.graphs.udg import NodeId, SpatialGraph, unit_disk_graph
 from repro.mobility.base import MobilityModel
 from repro.sim.engine import PeriodicTask, Simulator
@@ -60,7 +62,7 @@ class LocationRecord:
 
 
 class NeighborService:
-    """Beacon-driven neighbourhood, location tables, and LDTG cache."""
+    """Beacon-driven neighbourhood, location tables, and LDTG memo."""
 
     def __init__(
         self,
@@ -84,7 +86,7 @@ class NeighborService:
 
         self.epoch = 0
         self._snapshot: SpatialGraph = SpatialGraph()
-        self._ldt_cache: SpatialGraph | None = None
+        self._ldt_memo = LdtMemo()
         self._location_tables: dict[NodeId, dict[NodeId, LocationRecord]] = {
             node: {} for node in mobility.node_ids
         }
@@ -114,7 +116,7 @@ class NeighborService:
             scalar_positions, self._radio.range_m
         )
         positions = self._snapshot.positions
-        self._ldt_cache = None
+        self._ldt_memo = LdtMemo()
         # Location diffusion leg 1: beacon exchange between
         # neighbours.  Adjacency keys follow the snapshot's node order.
         tables = self._location_tables
@@ -159,27 +161,33 @@ class NeighborService:
     def ldt_neighbors(self, node: NodeId) -> set[NodeId]:
         """LDTG neighbours of ``node`` for the current epoch.
 
-        Computed lazily once per epoch for the whole snapshot; every node
-        then reads its own adjacency, modelling each node running the
-        k-local construction on consistent beacon data.
+        A node's first query in an epoch votes the links incident to it
+        over the beacon snapshot, modelling each node running the k-local
+        construction on consistent beacon data; links that an earlier
+        querier shares were voted with it and are not voted again.
         """
-        if self._ldt_cache is None:
-            t0 = self._profiler.start()
-            self._ldt_cache = local_delaunay_graph(
-                self._snapshot.positions,
-                self._radio.range_m,
-                k=self.ldt_k,
-                udg=self._snapshot,
-            )
-            self._profiler.add(PHASE_PLANARIZE, t0)
-        return set(self._ldt_cache.neighbors(node))
+        memo = self._ldt_memo
+        if node not in memo.settled:
+            self._vote((node,))
+        return set(memo.graph.neighbors(node))
 
     def ldt_graph(self) -> SpatialGraph:
-        """Entire cached LDTG for the current epoch (analysis hooks)."""
-        if self._ldt_cache is None:
-            self.ldt_neighbors(next(iter(self._snapshot.positions)))
-        assert self._ldt_cache is not None
-        return self._ldt_cache
+        """The current epoch's whole LDTG (analysis hooks): the epoch's
+        vote, finished over every link."""
+        return self._vote(None)
+
+    def _vote(self, nodes: tuple[NodeId, ...] | None) -> SpatialGraph:
+        t0 = self._profiler.start()
+        graph = local_delaunay_graph(
+            self._snapshot.positions,
+            self._radio.range_m,
+            k=self.ldt_k,
+            udg=self._snapshot,
+            nodes=nodes,
+            memo=self._ldt_memo,
+        )
+        self._profiler.add(PHASE_PLANARIZE, t0)
+        return graph
 
     # ------------------------------------------------------------------
     # Location tables (diffusion legs 2 and 3 happen in the protocol)

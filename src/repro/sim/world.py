@@ -180,10 +180,6 @@ class NodeApi:
         """Hand a frame to the MAC; False when the transmit queue is full."""
         return self._world.macs[self.node_id].enqueue(frame)
 
-    def mac_queue_length(self) -> int:
-        """Frames waiting in this node's transmit queue."""
-        return self._world.macs[self.node_id].queue_length()
-
     # -- neighbourhood (beacon-fresh, i.e. possibly stale) ---------------
 
     def neighbors(self) -> set[NodeId]:

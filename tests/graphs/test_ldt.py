@@ -6,10 +6,13 @@ The load-bearing claims from the paper that we verify:
 - for k = 2 it is planar on random instances (the paper's justification
   for building it the way it does);
 - it preserves UDG connectivity (a spanner must not disconnect);
-- the node-local computation agrees with the global construction.
+- the node-local computation agrees with the global construction;
+- voting on demand, one node's links at a time through one memo, gives
+  each node the adjacency of the full vote, in any query order.
 """
 
 import math
+import random
 
 import pytest
 
@@ -17,6 +20,7 @@ from repro.geometry.primitives import Point
 from repro.graphs.connectivity import connected_components
 from repro.graphs.faces import is_planar_embedding
 from repro.graphs.ldt import (
+    LdtMemo,
     local_delaunay_edges_of,
     local_delaunay_graph,
     node_local_ldt_neighbors,
@@ -147,6 +151,83 @@ class TestLocalEdges:
         positions = {0: Point(0, 0), 1: Point(500, 0), 2: Point(505, 0)}
         udg = unit_disk_graph(positions, 50.0)
         assert node_local_ldt_neighbors(udg, 0, k=2) == set()
+
+
+def query_orders(nodes):
+    """Node order, reversed, and a seeded shuffle."""
+    shuffled = list(nodes)
+    random.Random(11).shuffle(shuffled)
+    return {
+        "forward": list(nodes),
+        "reversed": list(reversed(nodes)),
+        "shuffled": shuffled,
+    }
+
+
+def assert_on_demand_matches_full(positions, radius, k):
+    """Each node, asked alone through one memo, gets its full-vote
+    adjacency at once, in every query order; then the memo's graph is
+    the full graph."""
+    udg = unit_disk_graph(positions, radius)
+    full = local_delaunay_graph(positions, radius, k=k, udg=udg)
+    for order, nodes in query_orders(udg.nodes()).items():
+        memo = LdtMemo()
+        for node in nodes:
+            graph = local_delaunay_graph(
+                positions, radius, k=k, udg=udg, nodes=(node,), memo=memo
+            )
+            assert graph.neighbors(node) == full.neighbors(node), (
+                f"{order} order, node {node}"
+            )
+        assert graph.adjacency == full.adjacency, f"{order} order"
+
+
+#: The kernel's degenerate frames (tests/graphs/test_ldt_kernel.py):
+#: (positions, radius) for each.
+DEGENERATE = {
+    "collinear-chain": (
+        {i: Point(7.0 * i, 2.0 * 7.0 * i + 1.0) for i in range(8)},
+        500.0,
+    ),
+    # Every node in range of every other: one frame, the whole grid.
+    "cocircular-grid": (
+        {(i, j): Point(7.5 * i, 7.5 * j) for i in range(4) for j in range(4)},
+        75.0,
+    ),
+    # Unit squares and their diagonals in range: a frame per corner.
+    "cocircular-grid-local": (
+        {(i, j): Point(10.0 * i, 10.0 * j) for i in range(5) for j in range(5)},
+        15.0,
+    ),
+    "duplicate-points": (
+        {
+            0: Point(0.0, 0.0),
+            1: Point(40.0, 10.0),
+            2: Point(15.0, 45.0),
+            3: Point(40.0, 10.0),
+            4: Point(60.0, 50.0),
+        },
+        100.0,
+    ),
+    "two-point-frame": (
+        {0: Point(0.0, 0.0), 1: Point(30.0, 40.0), 2: Point(900.0, 0.0)},
+        100.0,
+    ),
+}
+
+
+class TestOnDemand:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("name", [1, 2, 3, "paper-density", "n400-density"])
+    def test_each_node_alone_matches_the_full_vote(self, name, k):
+        positions, radius = snapshot(name)
+        assert_on_demand_matches_full(positions, radius, k)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("case", sorted(DEGENERATE))
+    def test_degenerate_inputs_match_the_full_vote(self, case, k):
+        positions, radius = DEGENERATE[case]
+        assert_on_demand_matches_full(positions, radius, k)
 
 
 class TestAgainstRdgIntuition:

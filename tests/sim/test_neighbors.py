@@ -3,9 +3,11 @@
 import pytest
 
 from repro.geometry.primitives import Point
+from repro.graphs.ldt import local_delaunay_graph
 from repro.mobility.base import Region
 from repro.mobility.random_waypoint import RandomWaypointMobility
 from repro.mobility.static import StaticMobility
+from repro.sim import neighbors
 from repro.sim.engine import Simulator
 from repro.sim.neighbors import LocationRecord, NeighborService
 from repro.sim.radio import RadioConfig
@@ -175,6 +177,61 @@ class TestLdtCache:
         # query works after invalidation and reflects the new snapshot.
         assert second <= service.neighbors(0)
         assert isinstance(first, set)
+
+
+class TestLdtOnDemand:
+    """Each query votes its node's links into the epoch's memo."""
+
+    def build_rwp_service(self, n=30, seed=9):
+        region = Region(1000.0, 300.0)
+        sim = Simulator()
+        mobility = RandomWaypointMobility(list(range(n)), region, seed=seed)
+        service = NeighborService(
+            sim, mobility, RadioConfig(range_m=200.0), beacon_interval=1.0
+        )
+        return sim, service
+
+    def full_vote(self, service):
+        snapshot = service.snapshot_graph()
+        return local_delaunay_graph(
+            snapshot.positions, 200.0, k=service.ldt_k, udg=snapshot
+        )
+
+    def test_ldt_graph_after_partial_queries_equals_a_full_vote(self):
+        _, service = self.build_rwp_service()
+        for node in (4, 17, 4, 0):
+            service.ldt_neighbors(node)
+        graph = service.ldt_graph()
+        assert graph.adjacency == self.full_vote(service).adjacency
+        assert service.ldt_graph() is graph
+
+    def test_query_after_a_beacon_tick_sees_the_new_snapshot(self):
+        sim, service = self.build_rwp_service()
+        nodes = service.snapshot_graph().nodes()
+        stale = self.full_vote(service)
+        for node in nodes:
+            assert service.ldt_neighbors(node) == stale.neighbors(node)
+        sim.run(until=5.0)
+        fresh = self.full_vote(service)
+        assert fresh.adjacency != stale.adjacency
+        for node in nodes:
+            assert service.ldt_neighbors(node) == fresh.neighbors(node)
+
+    def test_one_vote_per_querying_node_per_epoch(self, monkeypatch):
+        calls = []
+
+        def counted(positions, radius, **kwargs):
+            calls.append(kwargs["nodes"])
+            return local_delaunay_graph(positions, radius, **kwargs)
+
+        monkeypatch.setattr(neighbors, "local_delaunay_graph", counted)
+        sim, service = self.build_rwp_service()
+        for node in (3, 3, 8, 3):
+            service.ldt_neighbors(node)
+        assert calls == [(3,), (8,)]
+        sim.run(until=1.5)
+        service.ldt_neighbors(3)
+        assert calls == [(3,), (8,), (3,)]
 
 
 class TestLocationTables:

@@ -14,6 +14,9 @@ REPO = Path(__file__).resolve().parent.parent
 #: Markdown inline links: [text](target).  Images share the syntax.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
+#: A markdown file named in code, such as ``docs/architecture.md``.
+_MD_NAME = re.compile(r"[\w./-]+\.md\b")
+
 
 class TestGeneratedDocs:
     def test_committed_docs_match_the_code(self):
@@ -83,3 +86,16 @@ def test_internal_links_resolve(doc):
         if not resolved.exists()
     ]
     assert broken == [], f"{doc}: broken internal links {broken}"
+
+
+def test_docs_named_in_code_exist():
+    """Every ``*.md`` file a module, bench or example names exists, at
+    the repository root or beside the file that names it."""
+    missing = [
+        f"{path.relative_to(REPO)}: {name}"
+        for folder in ("src", "benchmarks", "examples")
+        for path in sorted((REPO / folder).rglob("*.py"))
+        for name in _MD_NAME.findall(path.read_text(encoding="utf-8"))
+        if not (REPO / name).exists() and not (path.parent / name).exists()
+    ]
+    assert missing == [], f"docs named in code do not exist: {missing}"
