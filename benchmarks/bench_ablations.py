@@ -6,14 +6,8 @@ prints a comparison table; assertions pin the direction each mechanism
 is supposed to act in.
 """
 
-from repro.experiments.ablations import (
-    ablation_copies,
-    ablation_custody_timeout,
-    ablation_face_routing,
-    ablation_protocols,
-    ablation_spanner,
-)
 from repro.experiments.common import BENCH_EFFORT
+from repro.experiments.evaluation import run_artefact
 
 
 def _mean(cell: str) -> float:
@@ -21,8 +15,13 @@ def _mean(cell: str) -> float:
 
 
 def test_ablation_copies(run_once):
+    # None is Algorithm 1's adaptive decision.
     result = run_once(
-        ablation_copies, copy_counts=(1, 3), effort=BENCH_EFFORT, seed=1
+        run_artefact,
+        "ablation-copies",
+        BENCH_EFFORT,
+        seed=1,
+        values=(1, 3, None),
     )
     print()
     print(result.render())
@@ -34,7 +33,7 @@ def test_ablation_copies(run_once):
 
 
 def test_ablation_spanner(run_once):
-    result = run_once(ablation_spanner, effort=BENCH_EFFORT, seed=1)
+    result = run_once(run_artefact, "ablation-spanner", BENCH_EFFORT, seed=1)
     print()
     print(result.render())
     rows = {r[0]: r for r in result.rows}
@@ -44,7 +43,7 @@ def test_ablation_spanner(run_once):
 
 
 def test_ablation_face_routing(run_once):
-    result = run_once(ablation_face_routing, effort=BENCH_EFFORT, seed=1)
+    result = run_once(run_artefact, "ablation-face", BENCH_EFFORT, seed=1)
     print()
     print(result.render())
     rows = {r[0]: r for r in result.rows}
@@ -53,10 +52,11 @@ def test_ablation_face_routing(run_once):
 
 def test_ablation_custody_timeout(run_once):
     result = run_once(
-        ablation_custody_timeout,
-        timeouts=(2.0, 10.0),
-        effort=BENCH_EFFORT,
+        run_artefact,
+        "ablation-custody-timeout",
+        BENCH_EFFORT,
         seed=1,
+        values=(2.0, 10.0),
     )
     print()
     print(result.render())
@@ -65,7 +65,9 @@ def test_ablation_custody_timeout(run_once):
 
 
 def test_ablation_protocols(run_once):
-    result = run_once(ablation_protocols, effort=BENCH_EFFORT, seed=1)
+    result = run_once(
+        run_artefact, "ablation-protocols", BENCH_EFFORT, seed=1
+    )
     print()
     print(result.render())
     rows = {r[0]: r for r in result.rows}

@@ -7,14 +7,16 @@ almost impossible".
 """
 
 from repro.analysis.topology_art import render_topology
-from repro.experiments.figures import fig1_topology
+from repro.experiments.common import BENCH_EFFORT
+from repro.experiments.evaluation import run_artefact
 from repro.graphs.udg import unit_disk_graph
 from repro.mobility.base import Region
 from repro.mobility.static import uniform_random_positions
 
 
 def test_fig1_topology(run_once):
-    result = run_once(fig1_topology, runs=10, seed=1)
+    # Five static topologies per effort run: ten at bench effort.
+    result = run_once(run_artefact, "fig1", BENCH_EFFORT, seed=1)
     print()
     print(result.render())
     # Draw one sample topology per radius, as the paper's figure does.

@@ -8,14 +8,15 @@ interval and the control-traffic decrease.
 """
 
 from repro.experiments.common import BENCH_EFFORT
-from repro.experiments.figures import fig3_check_interval
+from repro.experiments.evaluation import run_artefact
 
 
 def test_fig3_check_interval(run_once):
     result = run_once(
-        fig3_check_interval,
-        intervals=(0.6, 1.0, 1.6),
-        effort=BENCH_EFFORT,
+        run_artefact,
+        "fig3",
+        BENCH_EFFORT,
+        values=(0.6, 1.0, 1.6),
         seed=1,
     )
     print()

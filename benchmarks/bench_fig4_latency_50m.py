@@ -3,25 +3,26 @@
 Paper: epidemic latency rises steeply with load (contention) up to
 ~170 s at ~2000 messages; GLR stays below it throughout.
 
-Reproduction status (no paper-vs-measured record is produced yet,
-ROADMAP.md item 5): our epidemic stays at its mobility-mixing floor at
-50 m because the abstract MAC has far less overhead than NS-2's
-802.11+IMEP stack at this node density, so the crossover does NOT
-appear at 50 m — it appears at 100 m (Figure 5).
+Reproduction status (no paper-vs-measured record is produced yet;
+ROADMAP.md, "Make the paper's evaluation one spec"): our epidemic stays
+at its mobility-mixing floor at 50 m because the abstract MAC has far
+less overhead than NS-2's 802.11+IMEP stack at this node density, so
+the crossover does NOT appear at 50 m — it appears at 100 m (Figure 5).
 What this bench asserts is the part of the figure that does reproduce:
 GLR's latency stays bounded (flat-ish) as load grows, i.e. controlled
 flooding does not degrade with the number of messages in transit.
 """
 
 from repro.experiments.common import BENCH_EFFORT
-from repro.experiments.figures import fig4_latency_vs_load
+from repro.experiments.evaluation import run_artefact
 
 
 def test_fig4_latency_vs_load_50m(run_once):
     result = run_once(
-        fig4_latency_vs_load,
-        loads=(60, 180),
-        effort=BENCH_EFFORT,
+        run_artefact,
+        "fig4",
+        BENCH_EFFORT,
+        values=(60, 180),
         seed=1,
     )
     print()

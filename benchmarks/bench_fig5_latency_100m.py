@@ -8,18 +8,19 @@ At bench scale we sweep a reduced load range; the asserted shape is
 with load, which is the contention mechanism the paper identifies.
 The full crossover (epidemic above GLR) appears at loads >= ~1200
 messages in spot runs; no paper-vs-measured record of them is produced
-yet (ROADMAP.md item 5).
+yet (ROADMAP.md, "Make the paper's evaluation one spec").
 """
 
 from repro.experiments.common import BENCH_EFFORT
-from repro.experiments.figures import fig5_latency_vs_load
+from repro.experiments.evaluation import run_artefact
 
 
 def test_fig5_latency_vs_load_100m(run_once):
     result = run_once(
-        fig5_latency_vs_load,
-        loads=(60, 240),
-        effort=BENCH_EFFORT,
+        run_artefact,
+        "fig5",
+        BENCH_EFFORT,
+        values=(60, 240),
         seed=1,
     )
     print()

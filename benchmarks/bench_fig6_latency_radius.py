@@ -8,14 +8,15 @@ connected) GLR is competitive with epidemic.
 """
 
 from repro.experiments.common import BENCH_EFFORT
-from repro.experiments.figures import fig6_latency_vs_radius
+from repro.experiments.evaluation import run_artefact
 
 
 def test_fig6_latency_vs_radius(run_once):
     result = run_once(
-        fig6_latency_vs_radius,
-        radii=(50.0, 150.0, 250.0),
-        effort=BENCH_EFFORT,
+        run_artefact,
+        "fig6",
+        BENCH_EFFORT,
+        values=(50.0, 150.0, 250.0),
         seed=1,
     )
     print()

@@ -9,7 +9,7 @@ so it tolerates much smaller stores than epidemic.
 """
 
 from repro.experiments.common import BENCH_EFFORT, Effort
-from repro.experiments.figures import fig7_delivery_vs_storage
+from repro.experiments.evaluation import run_artefact
 
 EFFORT = Effort(
     runs=BENCH_EFFORT.runs,
@@ -20,9 +20,10 @@ EFFORT = Effort(
 
 def test_fig7_delivery_vs_storage(run_once):
     result = run_once(
-        fig7_delivery_vs_storage,
-        limits=(10, 40, 160),
-        effort=EFFORT,
+        run_artefact,
+        "fig7",
+        EFFORT,
+        values=(10, 40, 160),
         seed=1,
     )
     print()

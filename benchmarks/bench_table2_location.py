@@ -8,7 +8,7 @@ flooding both reduce latency; no knowledge is the worst row.
 """
 
 from repro.experiments.common import BENCH_EFFORT, Effort
-from repro.experiments.tables import table2_location
+from repro.experiments.evaluation import run_artefact
 
 EFFORT = Effort(
     runs=BENCH_EFFORT.runs,
@@ -22,7 +22,7 @@ def _mean(cell: str) -> float:
 
 
 def test_table2_location(run_once):
-    result = run_once(table2_location, effort=EFFORT, seed=1)
+    result = run_once(run_artefact, "table2", EFFORT, seed=1)
     print()
     print(result.render())
 
@@ -34,7 +34,8 @@ def test_table2_location(run_once):
 
     # Oracle knowledge must beat no knowledge in latency, within the
     # noise floor of the 2-run bench effort (CIs at this scale overlap
-    # heavily; no spot-effort record is produced yet, ROADMAP.md item 5).
+    # heavily; no spot-effort record is produced yet: ROADMAP.md, "Make
+    # the paper's evaluation one spec").
     assert _mean(oracle[3]) <= _mean(none3[3]) * 1.15
     # Oracle-1copy must beat source-1copy (same copy count, strictly
     # more knowledge) — the cleanest pairwise comparison in the table.

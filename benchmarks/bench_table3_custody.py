@@ -7,7 +7,7 @@ messages that do arrive.
 """
 
 from repro.experiments.common import BENCH_EFFORT
-from repro.experiments.tables import table3_custody
+from repro.experiments.evaluation import run_artefact
 
 
 def _mean(cell: str) -> float:
@@ -15,7 +15,7 @@ def _mean(cell: str) -> float:
 
 
 def test_table3_custody(run_once):
-    result = run_once(table3_custody, effort=BENCH_EFFORT, seed=1)
+    result = run_once(run_artefact, "table3", BENCH_EFFORT, seed=1)
     print()
     print(result.render())
 

@@ -6,7 +6,7 @@ below the epidemic requirement (~ every message in transit).
 """
 
 from repro.experiments.common import BENCH_EFFORT
-from repro.experiments.tables import table4_storage_vs_load
+from repro.experiments.evaluation import run_artefact
 
 
 def _mean(cell: str) -> float:
@@ -16,7 +16,7 @@ def _mean(cell: str) -> float:
 def test_table4_storage_vs_load(run_once):
     loads = (60, 180)
     result = run_once(
-        table4_storage_vs_load, loads=loads, effort=BENCH_EFFORT, seed=1
+        run_artefact, "table4", BENCH_EFFORT, seed=1, values=loads
     )
     print()
     print(result.render())

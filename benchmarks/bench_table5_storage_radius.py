@@ -6,7 +6,7 @@ the smaller is the storage requirement").
 """
 
 from repro.experiments.common import BENCH_EFFORT
-from repro.experiments.tables import table5_storage_vs_radius
+from repro.experiments.evaluation import run_artefact
 
 
 def _mean(cell: str) -> float:
@@ -15,9 +15,10 @@ def _mean(cell: str) -> float:
 
 def test_table5_storage_vs_radius(run_once):
     result = run_once(
-        table5_storage_vs_radius,
-        radii=(250.0, 100.0, 50.0),
-        effort=BENCH_EFFORT,
+        run_artefact,
+        "table5",
+        BENCH_EFFORT,
+        values=(250.0, 100.0, 50.0),
         seed=1,
     )
     print()

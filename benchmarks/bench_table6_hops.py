@@ -7,7 +7,7 @@ positions change; epidemic messages ride their carriers).
 """
 
 from repro.experiments.common import BENCH_EFFORT
-from repro.experiments.tables import table6_hops
+from repro.experiments.evaluation import run_artefact
 
 
 def _mean(cell: str) -> float:
@@ -16,9 +16,10 @@ def _mean(cell: str) -> float:
 
 def test_table6_hops(run_once):
     result = run_once(
-        table6_hops,
-        radii=(250.0, 100.0, 50.0),
-        effort=BENCH_EFFORT,
+        run_artefact,
+        "table6",
+        BENCH_EFFORT,
+        values=(250.0, 100.0, 50.0),
         seed=1,
     )
     print()

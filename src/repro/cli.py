@@ -73,7 +73,6 @@ import time
 from pathlib import Path
 from typing import Callable
 
-from repro.experiments import ablations, figures, tables
 from repro.experiments.campaign import (
     CampaignSpec,
     TaskProgress,
@@ -81,6 +80,7 @@ from repro.experiments.campaign import (
     merge_caches,
     run_campaign,
 )
+from repro.experiments.evaluation import ARTEFACTS, run_artefact
 from repro.experiments.layout import RunLayout
 from repro.experiments.orchestrator import (
     OrchestratorError,
@@ -131,37 +131,6 @@ from repro.sim.adversary import (
     available_adversary_modes,
 )
 
-
-def _fig1_driver(
-    effort: Effort, seed: int, workers: int = 1, cache_dir=None, mobility=None
-):
-    # Figure 1 is a static-topology experiment; effort maps to run count
-    # and there is nothing to parallelise, cache, or move.
-    if mobility is not None:
-        raise ValueError("fig1 is a static-topology experiment; --mobility "
-                         "does not apply")
-    return figures.fig1_topology(runs=effort.runs * 5, seed=seed)
-
-
-#: Experiment name -> driver accepting (effort=..., seed=...).
-EXPERIMENTS: dict[str, Callable] = {
-    "fig1": _fig1_driver,
-    "fig3": figures.fig3_check_interval,
-    "fig4": figures.fig4_latency_vs_load,
-    "fig5": figures.fig5_latency_vs_load,
-    "fig6": figures.fig6_latency_vs_radius,
-    "fig7": figures.fig7_delivery_vs_storage,
-    "table2": tables.table2_location,
-    "table3": tables.table3_custody,
-    "table4": tables.table4_storage_vs_load,
-    "table5": tables.table5_storage_vs_radius,
-    "table6": tables.table6_hops,
-    "ablation-copies": ablations.ablation_copies,
-    "ablation-spanner": ablations.ablation_spanner,
-    "ablation-face": ablations.ablation_face_routing,
-    "ablation-custody-timeout": ablations.ablation_custody_timeout,
-    "ablation-protocols": ablations.ablation_protocols,
-}
 
 EFFORTS: dict[str, Effort] = {
     "bench": BENCH_EFFORT,
@@ -231,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     exp_p = sub.add_parser("experiment", help="regenerate a figure/table")
-    exp_p.add_argument("name", choices=sorted(EXPERIMENTS))
+    exp_p.add_argument("name", choices=sorted(ARTEFACTS))
     exp_p.add_argument("--effort", default="bench", choices=sorted(EFFORTS))
     exp_p.add_argument("--seed", type=int, default=1)
     exp_p.add_argument(
@@ -760,10 +729,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    driver = EXPERIMENTS[args.name]
-    effort = EFFORTS[args.effort]
-    result = driver(
-        effort=effort,
+    result = run_artefact(
+        args.name,
+        EFFORTS[args.effort],
         seed=args.seed,
         workers=args.workers,
         cache_dir=args.cache_dir,
@@ -1593,7 +1561,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_list(_: argparse.Namespace) -> int:
     print("experiments:")
-    for name in sorted(EXPERIMENTS):
+    for name in sorted(ARTEFACTS):
         print(f"  {name}")
     print("protocols:")
     for name in available_protocols():

@@ -1,5 +1,6 @@
-"""Experiment harness: scenarios, workloads, runners, and the drivers
-that regenerate every table and figure of the paper's evaluation.
+"""Experiment harness: scenarios, workloads, runners and the campaign
+engine.  :mod:`repro.experiments.evaluation` declares every table and
+figure of the paper's evaluation as data (import it directly).
 
 docs/architecture.md maps the package and its data flow; ``repro list``
 names every experiment.

@@ -1,8 +1,7 @@
-"""Shared helpers for the figure/table experiment drivers."""
+"""Simulation efforts and confidence-interval helpers."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,7 +16,7 @@ class Effort:
     The paper's evaluation uses 10 runs of full-length scenarios; the
     benches use a scaled-down effort so the whole suite finishes in
     minutes.  No record of which effort produced which numbers is
-    produced yet (ROADMAP.md item 5).
+    produced yet (ROADMAP.md, "Make the paper's evaluation one spec").
     """
 
     runs: int
@@ -41,21 +40,6 @@ BENCH_EFFORT = Effort(runs=2, sim_time=420.0, message_count=120)
 
 #: Middle ground for spot checks between the bench and paper efforts.
 SPOT_EFFORT = Effort(runs=3, sim_time=1200.0, message_count=400)
-
-
-def bench_workers(default: int = 1) -> int:
-    """Worker count for the benchmark drivers.
-
-    The benches stay serial by default so their timings keep measuring
-    the simulator; set ``REPRO_BENCH_WORKERS=N`` to fan the replicate
-    loops out over the campaign engine's process pool instead.
-    """
-    value = os.environ.get("REPRO_BENCH_WORKERS", "")
-    try:
-        workers = int(value)
-    except ValueError:
-        return default
-    return workers if workers >= 1 else default
 
 
 def ci_of(

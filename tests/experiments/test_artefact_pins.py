@@ -15,6 +15,7 @@ import hashlib
 import pytest
 
 from repro.experiments.common import Effort
+from repro.experiments.evaluation import run_artefact
 
 #: Two replicates, so every confidence interval has a half-width.
 MICRO = Effort(runs=2, sim_time=40.0, message_count=6)
@@ -94,26 +95,7 @@ DIGESTS = {
 
 
 def _render(name: str, values: tuple | None) -> str:
-    from repro.cli import EXPERIMENTS
-
-    sweep = {
-        "fig3": "intervals",
-        "fig4": "loads",
-        "fig5": "loads",
-        "fig6": "radii",
-        "fig7": "limits",
-        "table4": "loads",
-        "table5": "radii",
-        "table6": "radii",
-        "ablation-copies": "copy_counts",
-        "ablation-custody-timeout": "timeouts",
-    }
-    kwargs = {}
-    if values is not None:
-        if name == "ablation-copies":  # the driver appends Algorithm 1
-            values = tuple(v for v in values if v is not None)
-        kwargs[sweep[name]] = values
-    return EXPERIMENTS[name](effort=MICRO, seed=1, **kwargs).render()
+    return run_artefact(name, MICRO, seed=1, values=values).render()
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))

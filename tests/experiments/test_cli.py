@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import EFFORTS, EXPERIMENTS, main
+from repro.cli import EFFORTS, main
+from repro.experiments.evaluation import ARTEFACTS
 
 #: Flags for a campaign small enough that tests finish in seconds:
 #: 2 scenarios x 2 protocols x 2 replicates = 8 simulations.
@@ -49,7 +50,7 @@ class TestList:
             "table5",
             "table6",
         ):
-            assert name in EXPERIMENTS
+            assert name in ARTEFACTS
 
     def test_efforts_registered(self):
         assert set(EFFORTS) == {"bench", "spot", "paper"}

@@ -1,22 +1,23 @@
-"""Smoke tests for the figure/table experiment drivers.
+"""Smoke tests for the figure, table and ablation artefacts.
 
-Each driver runs at a tiny effort and must return well-formed,
+Each artefact runs at a tiny effort and must return well-formed,
 paper-comparable output.  Shape assertions (who wins) are reserved for
 the benchmarks, which run at higher effort; here we assert structure
-and basic sanity so the drivers stay correct under refactoring.
+and basic sanity so the artefacts stay correct under refactoring.
 """
 
 import pytest
 
-from repro.experiments import ablations, figures, tables
 from repro.experiments.common import Effort
+from repro.experiments.evaluation import run_artefact
 
 TINY = Effort(runs=1, sim_time=120.0, message_count=20)
 
 
 class TestFig1:
     def test_structure_and_story(self):
-        result = figures.fig1_topology(runs=3, seed=1)
+        # Five static topologies per effort run.
+        result = run_artefact("fig1", TINY, seed=1)
         assert result.xs == [250.0, 100.0]
         comp_250, comp_100 = result.series["components"]
         assert comp_250.mean < comp_100.mean  # 250 m far more connected
@@ -28,9 +29,7 @@ class TestFig1:
 class TestFig3:
     @pytest.mark.slow
     def test_returns_one_latency_per_interval(self):
-        result = figures.fig3_check_interval(
-            intervals=(0.6, 1.2), effort=TINY
-        )
+        result = run_artefact("fig3", TINY, values=(0.6, 1.2))
         assert result.xs == [0.6, 1.2]
         assert len(result.series["glr_latency_s"]) == 2
         for ci in result.series["glr_latency_s"]:
@@ -40,22 +39,20 @@ class TestFig3:
 class TestLoadFigures:
     @pytest.mark.slow
     def test_fig5_structure(self):
-        result = figures.fig5_latency_vs_load(loads=(10, 20), effort=TINY)
+        result = run_artefact("fig5", TINY, values=(10, 20))
         assert result.xs == [10.0, 20.0]
         assert set(result.series) == {"glr_latency_s", "epidemic_latency_s"}
 
     @pytest.mark.slow
     def test_fig4_uses_50m(self):
-        result = figures.fig4_latency_vs_load(loads=(10,), effort=TINY)
+        result = run_artefact("fig4", TINY, values=(10,))
         assert "50m" in result.title
 
 
 class TestFig6:
     @pytest.mark.slow
     def test_latency_decreases_with_radius(self):
-        result = figures.fig6_latency_vs_radius(
-            radii=(100.0, 250.0), effort=TINY
-        )
+        result = run_artefact("fig6", TINY, values=(100.0, 250.0))
         glr = result.series["glr_latency_s"]
         assert glr[1].mean <= glr[0].mean * 1.5  # broadly non-increasing
 
@@ -63,9 +60,7 @@ class TestFig6:
 class TestFig7:
     @pytest.mark.slow
     def test_delivery_ratios_in_range(self):
-        result = figures.fig7_delivery_vs_storage(
-            limits=(5, 50), effort=TINY
-        )
+        result = run_artefact("fig7", TINY, values=(5, 50))
         for series in result.series.values():
             for ci in series:
                 assert 0.0 <= ci.mean <= 1.0
@@ -74,7 +69,7 @@ class TestFig7:
 class TestTables:
     @pytest.mark.slow
     def test_table2_has_four_rows(self):
-        result = tables.table2_location(effort=TINY)
+        result = run_artefact("table2", TINY)
         assert len(result.rows) == 4
         rendered = result.render()
         assert "all nodes know" in rendered
@@ -82,25 +77,23 @@ class TestTables:
 
     @pytest.mark.slow
     def test_table3_custody_rows(self):
-        result = tables.table3_custody(effort=TINY)
+        result = run_artefact("table3", TINY)
         labels = [row[0] for row in result.rows]
         assert labels == ["without", "with"]
 
     @pytest.mark.slow
     def test_table4_rows_per_load(self):
-        result = tables.table4_storage_vs_load(loads=(10, 20), effort=TINY)
+        result = run_artefact("table4", TINY, values=(10, 20))
         assert [row[0] for row in result.rows] == ["10", "20"]
 
     @pytest.mark.slow
     def test_table5_rows_per_radius(self):
-        result = tables.table5_storage_vs_radius(
-            radii=(250.0, 100.0), effort=TINY
-        )
+        result = run_artefact("table5", TINY, values=(250.0, 100.0))
         assert [row[0] for row in result.rows] == ["250", "100"]
 
     @pytest.mark.slow
     def test_table6_has_both_protocols(self):
-        result = tables.table6_hops(radii=(150.0,), effort=TINY)
+        result = run_artefact("table6", TINY, values=(150.0,))
         assert result.headers == ["radius_m", "glr_hops", "epidemic_hops"]
         assert len(result.rows) == 1
 
@@ -108,16 +101,17 @@ class TestTables:
 class TestAblations:
     @pytest.mark.slow
     def test_copies_ablation_includes_algorithm1(self):
-        result = ablations.ablation_copies(copy_counts=(1,), effort=TINY)
+        # None is Algorithm 1's adaptive decision.
+        result = run_artefact("ablation-copies", TINY, values=(1, None))
         labels = [row[0] for row in result.rows]
         assert labels == ["1", "algorithm-1"]
 
     @pytest.mark.slow
     def test_spanner_ablation_rows(self):
-        result = ablations.ablation_spanner(effort=TINY)
+        result = run_artefact("ablation-spanner", TINY)
         assert [row[0] for row in result.rows] == ["ldt", "udg"]
 
     @pytest.mark.slow
     def test_protocol_comparison_covers_all(self):
-        result = ablations.ablation_protocols(effort=TINY)
+        result = run_artefact("ablation-protocols", TINY)
         assert len(result.rows) == 5
