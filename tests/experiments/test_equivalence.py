@@ -1000,6 +1000,64 @@ class TestPinnedIdentities:
             "31727df52f55d37aba93d99afd2176d38382625a3a8e855e45ea7f5149d479e7"
         )
 
+    #: Parameters on every axis, in every input form: mapping with
+    #: ``params``, inline mapping, integral float, hyphenated name,
+    #: alias, adversary string with parameters, adversary mapping, a
+    #: zero-fraction honest cell, and 0/1 for a bool protocol field.
+    EVERY_AXIS = CampaignSpec(
+        name="every-axis",
+        base=TINY,
+        grid=(
+            ("mobility", (
+                {"model": "rpgm", "params": {"n_groups": 2}},
+                {"model": "rpgm", "n_groups": 4.0},
+                {"model": "gauss-markov", "alpha": 0.75},
+                "grid",
+            )),
+            ("adversary", (
+                "selective_drop:0.3:drop_rate=0.8",
+                {"mode": "location_lying", "fraction": 0.2,
+                 "params": {"offset_m": 250.0}},
+                "blackhole:0",
+            )),
+        ),
+        protocols=(
+            {"protocol": "glr", "check_interval": 1.0, "custody": 1},
+            "epidemic",
+        ),
+        replicates=1,
+        buffer_limit=12,
+    )
+
+    def test_every_axis_spec_identities_are_pinned(self):
+        spec = self.EVERY_AXIS
+        assert campaign_spec_hash(spec) == (
+            "3cfb7a00cd47b3ca1d6dee869383247a1460fcb62672625d78e9855f9c0f25cb"
+        )
+        keys = [task_key(task) for cell in spec.specs() for task in cell.tasks()]
+        assert len(keys) == 24
+        assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == (
+            "a61c4a41b7beeac489b315eb922cbaf6ce2f746ed5959e75f25c9ac343b67448"
+        )
+        mobilities = (
+            "rpgm(n_groups=2)",
+            "rpgm(n_groups=4)",
+            "gauss_markov(alpha=0.75)",
+            "manhattan",
+        )
+        adversaries = (
+            "selective_drop:0.3:drop_rate=0.8",
+            "location_lying:0.2:offset_m=250",
+            "none",
+        )
+        protocols = ("glr(check_interval=1,custody=True)", "epidemic")
+        assert [label for label, _ in spec.cell_specs()] == [
+            (f"every-axis/mobility={mobility},adversary={adversary}", protocol)
+            for mobility in mobilities
+            for adversary in adversaries
+            for protocol in protocols
+        ]
+
     @pytest.mark.parametrize("where", ["base", "grid"])
     def test_spec_pinning_an_engine_is_rejected(self, where):
         document = self.SPEC.to_dict()
