@@ -103,52 +103,35 @@ class CellInfo:
 
 
 def _index_cells(spec: CampaignSpec) -> list[CellInfo]:
-    """Every spec cell with its filterable axis values resolved."""
-    # Rebuild the scenario-name -> grid-overrides map the same way
-    # CampaignSpec.scenarios() builds the names, so axis values stay the
-    # coerced objects (not strings parsed back out of the name).
-    import itertools
+    """Every spec cell with its filterable axis values resolved.
 
-    overrides_by_name: dict[str, tuple[tuple[str, object], ...]] = {}
-    if spec.grid:
-        fields = [fname for fname, _ in spec.grid]
-        axes = [values for _, values in spec.grid]
-        for combo in itertools.product(*axes):
-            overrides = dict(zip(fields, combo))
-            label = ",".join(
-                f"{k}={'none' if v is None else v}"
-                for k, v in overrides.items()
-            )
-            overrides_by_name[f"{spec.name}/{label}"] = tuple(
-                overrides.items()
-            )
+    The axis values come from :meth:`CampaignSpec.grid_points`, so they
+    stay the coerced objects, not strings parsed back out of the name.
+    """
     cells = []
-    for scenario, config in spec.cells():
-        name, label = spec.cell_label(scenario, config)
-        cells.append(
-            CellInfo(
-                scenario_name=name,
-                protocol_label=label,
-                protocol=config.protocol,
-                mobility=(
-                    scenario.mobility.model
-                    if scenario.mobility is not None
-                    else DEFAULT_MOBILITY
-                ),
-                adversary=(
-                    str(scenario.adversary)
-                    if scenario.adversary is not None
-                    else None
-                ),
-                adversary_mode=(
-                    scenario.adversary.mode
-                    if scenario.adversary is not None
-                    else None
-                ),
-                axes=overrides_by_name.get(name, ()),
-                scenario=scenario,
-            )
+    for axes, scenario in spec.grid_points():
+        mobility = (
+            scenario.mobility.model
+            if scenario.mobility is not None
+            else DEFAULT_MOBILITY
         )
+        adversary = scenario.adversary
+        for config in spec.protocols:
+            name, label = spec.cell_label(scenario, config)
+            cells.append(
+                CellInfo(
+                    scenario_name=name,
+                    protocol_label=label,
+                    protocol=config.protocol,
+                    mobility=mobility,
+                    adversary=None if adversary is None else str(adversary),
+                    adversary_mode=(
+                        None if adversary is None else adversary.mode
+                    ),
+                    axes=axes,
+                    scenario=scenario,
+                )
+            )
     return cells
 
 

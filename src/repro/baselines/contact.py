@@ -43,6 +43,8 @@ class ContactProtocol(Protocol):
         if tick_interval <= 0:
             raise ValueError("tick interval must be positive")
         self.buffer = MessageStore(capacity=buffer_limit)
+        self._uids: frozenset[int] = frozenset()
+        self._uids_version = self.buffer.version
         self.tick_interval = tick_interval
         self._known_neighbors: set[NodeId] = set()
         self._tick_task = None
@@ -76,8 +78,15 @@ class ContactProtocol(Protocol):
     # -- buffer helpers -----------------------------------------------------
 
     def buffer_uids(self) -> frozenset[int]:
-        """Uids of currently buffered messages."""
-        return frozenset(self.buffer.keys())
+        """Uids of currently buffered messages.
+
+        One frozenset per buffer version: summaries queued at the MAC
+        share it instead of each holding an O(buffer) copy.
+        """
+        if self._uids_version != self.buffer.version:
+            self._uids = frozenset(self.buffer)
+            self._uids_version = self.buffer.version
+        return self._uids
 
     def hold(self, message: Message, hops: int) -> None:
         """Insert a message into the buffer (FIFO-evicting when full)."""

@@ -52,10 +52,8 @@ from repro.baselines.spray_and_wait import (
     SprayAndWaitProtocol,
 )
 from repro.core.protocol import GLRConfig, GLRProtocol
-from repro.params import normalize_name
+from repro.params import Registry, bool_params, normalize_name
 from repro.sim.world import Protocol
-
-_normalize = normalize_name
 
 #: A builder maps (config, buffer_limit) to one node's protocol
 #: instance.  ``config`` is the entry's resolved config dataclass (with
@@ -77,9 +75,16 @@ class ProtocolEntry:
     buffer_field: str | None = None
     non_sweepable: frozenset[str] = frozenset()
 
+    def bool_fields(self) -> frozenset[str]:
+        """Config fields declared ``bool`` (0/1 canonicalise to bools)."""
+        if self.config_class is None:
+            return frozenset()
+        return bool_params(
+            (f.name, f.type) for f in dataclasses.fields(self.config_class)
+        )
 
-_REGISTRY: dict[str, ProtocolEntry] = {}
-_ALIASES: dict[str, str] = {}
+
+_PROTOCOLS: Registry[ProtocolEntry] = Registry("protocol")
 
 
 def register_protocol(
@@ -90,14 +95,8 @@ def register_protocol(
     non_sweepable: Sequence[str] = (),
     aliases: Sequence[str] = (),
 ) -> None:
-    """Register a protocol under ``name`` (and optional aliases).
-
-    Re-registering an existing name replaces it, so tests and user code
-    can shadow built-ins (direct names win over aliases).  Registrations
-    live in this process's registry only; campaign worker processes
-    inherit them on fork-based platforms — the same contract as
-    :func:`repro.mobility.registry.register_model`.
-    """
+    """Register a protocol under ``name`` (and optional aliases), by the
+    :class:`repro.params.Registry` contract."""
     if config_class is None and buffer_field is not None:
         raise ValueError("buffer_field requires a config_class")
     if buffer_field is not None and buffer_field not in {
@@ -107,55 +106,25 @@ def register_protocol(
             f"config class {config_class.__name__} has no field "
             f"{buffer_field!r}"
         )
-    canonical = _normalize(name)
-    _REGISTRY[canonical] = ProtocolEntry(
+    canonical = normalize_name(name)
+    entry = ProtocolEntry(
         name=canonical,
         builder=builder,
         config_class=config_class,
         buffer_field=buffer_field,
         non_sweepable=frozenset(non_sweepable),
     )
-    for alias in aliases:
-        _ALIASES[_normalize(alias)] = canonical
+    _PROTOCOLS.register(canonical, entry, aliases)
 
 
-def available_protocols() -> list[str]:
-    """Canonical names of every registered protocol."""
-    return sorted(_REGISTRY)
-
-
-def protocol_aliases(name: str) -> list[str]:
-    """Aliases resolving to ``name``, sorted (empty for most protocols).
-
-    The inverse view of the alias table, for documentation and
-    error-message surfaces; raises :class:`ValueError` for an unknown
-    protocol, like :func:`resolve_protocol`.
-    """
-    canonical = resolve_protocol(name)
-    return sorted(
-        alias for alias, target in _ALIASES.items() if target == canonical
-    )
-
-
-def resolve_protocol(name: str) -> str:
-    """Canonical registry name for ``name``; raises for unknown protocols.
-
-    Directly registered names win over aliases, matching the mobility
-    registry's shadowing rules.
-    """
-    normalized = _normalize(name)
-    if normalized not in _REGISTRY:
-        normalized = _ALIASES.get(normalized, normalized)
-    if normalized not in _REGISTRY:
-        raise ValueError(
-            f"unknown protocol {name!r}; choose from {available_protocols()}"
-        )
-    return normalized
-
-
-def protocol_entry(name: str) -> ProtocolEntry:
-    """The registry entry for ``name`` (resolving aliases)."""
-    return _REGISTRY[resolve_protocol(name)]
+#: Canonical names of every registered protocol.
+available_protocols = _PROTOCOLS.names
+#: Aliases resolving to a protocol name, sorted; raises for unknown ones.
+protocol_aliases = _PROTOCOLS.aliases_of
+#: Canonical registry name for a protocol name; raises for unknown ones.
+resolve_protocol = _PROTOCOLS.resolve
+#: The registry entry for a protocol name (resolving aliases).
+protocol_entry = _PROTOCOLS.__getitem__
 
 
 def resolve_config(

@@ -53,14 +53,14 @@ from concurrent.futures import (
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.analysis.aggregate import MetricSummary, summarize_cells
 from repro.analysis.render import render_table
 from repro.baselines.registry import resolve_config, resolve_protocol
 from repro.experiments.common import ci_of, fmt_ci
 from repro.experiments.protocols import ProtocolConfig, as_protocol_config
-from repro.experiments.runner import available_protocols, run_single
+from repro.experiments.runner import run_single
 from repro.experiments.scenarios import Scenario
 from repro.experiments.scheduler import (
     AssignmentIdleTimeout,
@@ -76,6 +76,7 @@ from repro.experiments.stream import (
 )
 from repro.mobility.registry import MobilityConfig, as_mobility_config
 from repro.mobility.traces import trace_file_digest
+from repro.params import params_text
 from repro.sim.adversary import AdversaryConfig, as_adversary_config
 from repro.seeding import replicate_seed, stable_shard
 from repro.sim.stats import SimulationMetrics
@@ -666,28 +667,20 @@ class CampaignSpec:
             # cells that silently overwrite each other in the result
             # map ("glr" and ProtocolConfig.of("glr") are the same).
             raise ValueError("protocol axis has duplicate variants")
-        known = available_protocols()
-        for config in self.protocols:
-            if config.protocol not in known:
-                raise ValueError(
-                    f"unknown protocol {config.protocol!r}; "
-                    f"choose from {known}"
-                )
-        if any(fname in ("mobility", "adversary") for fname, _ in self.grid):
-            # Coerce before validation so name strings / mappings
-            # dedupe against equivalent config values.  A zero-fraction
-            # adversary coerces to None — the honest cell — so a
-            # fraction sweep naturally includes its own control.
-            object.__setattr__(
-                self,
-                "grid",
-                tuple(
-                    (fname, tuple(_AXIS_COERCERS[fname](v) for v in values))
-                    if fname in _AXIS_COERCERS
-                    else (fname, values)
-                    for fname, values in self.grid
-                ),
-            )
+        # Coerce before validation so name strings / mappings dedupe
+        # against equivalent config values.  A zero-fraction adversary
+        # coerces to None — the honest cell — so a fraction sweep
+        # naturally includes its own control.
+        object.__setattr__(
+            self,
+            "grid",
+            tuple(
+                (fname, tuple(map(_AXIS_COERCERS[fname], values)))
+                if fname in _AXIS_COERCERS
+                else (fname, values)
+                for fname, values in self.grid
+            ),
+        )
         for fname, values in self.grid:
             if fname == "name" or fname not in _SCENARIO_FIELDS:
                 raise ValueError(f"unknown scenario grid field {fname!r}")
@@ -698,26 +691,34 @@ class CampaignSpec:
                 # that silently overwrite each other in the result map.
                 raise ValueError(f"grid field {fname!r} has duplicate values")
 
-    def scenarios(self) -> list[Scenario]:
-        """The scenario grid, in deterministic sweep order."""
+    def grid_points(
+        self,
+    ) -> Iterator[tuple[tuple[tuple[str, object], ...], Scenario]]:
+        """(grid overrides, scenario) per grid point, in sweep order.
+
+        The one place grid scenarios are named: ``<name>/<field>=<value>,...``
+        over the overrides, which are ``(field, value)`` pairs in grid
+        order (empty when there is no grid).
+        """
         if not self.grid:
-            return [self.base.but(name=self.name)]
+            yield (), self.base.but(name=self.name)
+            return
         fields = [fname for fname, _ in self.grid]
-        axes = [values for _, values in self.grid]
-        scenarios = []
-        for combo in itertools.product(*axes):
-            overrides = dict(zip(fields, combo))
+        for combo in itertools.product(*(values for _, values in self.grid)):
+            overrides = tuple(zip(fields, combo))
             # A coerced zero-fraction adversary is None (the honest
             # control cell); label it "none" so the cell name round-
             # trips through as_adversary_config.
-            label = ",".join(
-                f"{k}={'none' if v is None else v}"
-                for k, v in overrides.items()
+            label = params_text(
+                (k, "none" if v is None else v) for k, v in overrides
             )
-            scenarios.append(
-                self.base.but(name=f"{self.name}/{label}", **overrides)
+            yield overrides, self.base.but(
+                name=f"{self.name}/{label}", **dict(overrides)
             )
-        return scenarios
+
+    def scenarios(self) -> list[Scenario]:
+        """The scenario grid, in deterministic sweep order."""
+        return [scenario for _, scenario in self.grid_points()]
 
     def cells(self) -> list[tuple[Scenario, ProtocolConfig]]:
         """Every (scenario, protocol variant) cell, in sweep order."""
@@ -770,16 +771,13 @@ class CampaignSpec:
         base = dataclasses.asdict(self.base)
         region = base.pop("region")
         base["region"] = [region["width"], region["height"]]
-        base.pop("mobility")
-        if self.base.mobility is not None:
-            base["mobility"] = self.base.mobility.to_json()
-        # Unset adversary is omitted (like unset mobility) so spec
-        # hashes — and therefore existing stream headers — are unchanged
-        # from before the field existed; a set one is serialised via
-        # its own JSON form.
-        base.pop("adversary", None)
-        if self.base.adversary is not None:
-            base["adversary"] = self.base.adversary.to_json()
+        # An unset mobility or adversary is omitted so spec hashes — and
+        # therefore existing stream headers — are unchanged from before
+        # the field existed; a set one is serialised via its own JSON form.
+        for axis in ("mobility", "adversary"):
+            base.pop(axis)
+            if getattr(self.base, axis) is not None:
+                base[axis] = getattr(self.base, axis).to_json()
         return {
             "name": self.name,
             "base": base,

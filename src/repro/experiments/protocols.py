@@ -11,22 +11,14 @@ and the result cache can key on the resolved configuration.
 Validation happens at coercion time: parameter names are checked
 against the protocol's config dataclass and parameter values run
 through its ``__post_init__`` checks, so a bad campaign spec fails at
-spec load, not mid-campaign inside a worker process.
+spec load, not mid-campaign inside a worker process.  Values
+canonicalise as on every axis (:func:`repro.params.canonicalise_params`),
+the bool rule reading the dataclass's field types: ``custody=1`` reads
+``custody=True``.
 
-Sweepable parameters per protocol::
-
-    glr                 every scalar GLRConfig field (check_interval,
-                        custody, sparse_copies, face_routing, ...)
-    epidemic            EpidemicConfig fields (anti_entropy_interval,
-                        request_batch, tick_interval, buffer_limit)
-    epidemic_receipts   EpidemicConfig fields (the receipt mode itself
-                        is not sweepable)
-    spray_and_wait      SprayAndWaitConfig fields (initial_copies,
-                        buffer_limit)
-    direct              (none)
-    first_contact       (none)
-
-Enum-typed fields (``glr``'s ``location_mode``, the receipt mode) are
+Every protocol's sweepable parameters are listed in
+``docs/protocols.md``, which :mod:`repro.docgen` generates from the
+registry.  Enum-typed fields (``glr``'s ``location_mode``, the receipt mode) are
 *not* sweepable: config params are restricted to scalars so configs
 stay hashable and canonicalise cleanly into cache keys.  Sweep those
 through the Python API with a concrete config object instead.
@@ -48,14 +40,17 @@ from repro.baselines.registry import (
     protocol_entry,
     resolve_protocol,
 )
-from repro.params import ParamValue, canonicalise_params
+from repro.params import (
+    Params,
+    ParamValue,
+    canonicalise_params,
+    config_label,
+    split_config_mapping,
+)
 
-_resolve_protocol = resolve_protocol
 
-
-def sweepable_protocols() -> list[str]:
-    """Protocol names accepted by :class:`ProtocolConfig`."""
-    return available_protocols()
+#: Protocol names accepted by :class:`ProtocolConfig`: every registered one.
+sweepable_protocols = available_protocols
 
 
 def sweepable_params(protocol: str) -> list[str]:
@@ -70,22 +65,6 @@ def sweepable_params(protocol: str) -> list[str]:
     )
 
 
-def _bool_fields(protocol: str) -> frozenset[str]:
-    """Names of a protocol's bool-typed config fields.
-
-    Field annotations are strings under ``from __future__ import
-    annotations``, so both spellings are matched.
-    """
-    entry = protocol_entry(protocol)
-    if entry.config_class is None:
-        return frozenset()
-    return frozenset(
-        f.name
-        for f in dataclasses.fields(entry.config_class)
-        if f.type in ("bool", bool)
-    )
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """A declarative protocol variant: protocol name plus parameters.
@@ -97,39 +76,20 @@ class ProtocolConfig:
     """
 
     protocol: str
-    params: tuple[tuple[str, ParamValue], ...] = ()
+    params: Params = ()
 
     def __post_init__(self) -> None:
         if not self.protocol or not isinstance(self.protocol, str):
             raise ValueError("protocol name must be a non-empty string")
+        object.__setattr__(self, "protocol", resolve_protocol(self.protocol))
+        # The one canonical form (repro.params), with the bool rule
+        # driven by the config dataclass's declared field types.
+        flags = protocol_entry(self.protocol).bool_fields()
         object.__setattr__(
-            self, "protocol", _resolve_protocol(self.protocol)
+            self,
+            "params",
+            canonicalise_params(dict(self.params), flags, self.protocol),
         )
-        # Shared rules with MobilityConfig (repro.params): string
-        # names, scalar values, integral floats collapsed to ints so
-        # numerically equal configs canonicalise to one cache key.
-        items = canonicalise_params(dict(self.params))
-        # Python treats True == 1, so configs that compare (and hash)
-        # equal must not JSON-encode differently ("custody": true vs 1
-        # would split cache keys, labels, and spec hashes).  Normalise
-        # through the config dataclass's declared field types: 0/1 for
-        # a bool field becomes the bool (anything else — 2, 0.5, "no",
-        # which GLRConfig would silently treat as truthy — is
-        # rejected), and a bool for a numeric field becomes the int.
-        for key, value in items.items():
-            if key in _bool_fields(self.protocol):
-                if isinstance(value, bool):
-                    continue
-                if isinstance(value, int) and value in (0, 1):
-                    items[key] = bool(value)
-                else:
-                    raise ValueError(
-                        f"parameter {key!r} of {self.protocol!r} is "
-                        f"boolean; got {value!r}"
-                    )
-            elif isinstance(value, bool):
-                items[key] = int(value)
-        object.__setattr__(self, "params", tuple(sorted(items.items())))
         self.build()  # validate names and values at construction time
 
     @classmethod
@@ -190,10 +150,7 @@ class ProtocolConfig:
         return {"protocol": self.protocol, "params": self.params_dict()}
 
     def __str__(self) -> str:
-        if not self.params:
-            return self.protocol
-        inner = ",".join(f"{k}={v}" for k, v in self.params)
-        return f"{self.protocol}({inner})"
+        return config_label(self.protocol, self.params)
 
 
 def as_protocol_config(
@@ -210,23 +167,8 @@ def as_protocol_config(
     if isinstance(value, str):
         return ProtocolConfig(protocol=value)
     if isinstance(value, Mapping):
-        data = dict(value)
-        protocol = data.pop("protocol", None)
-        if protocol is None:
-            raise ValueError("protocol mapping needs a 'protocol' key")
-        params = data.pop("params", None)
-        if params is None:
-            params = data
-        elif data:
-            raise ValueError(
-                f"unexpected protocol keys {sorted(data)} next to 'params'"
-            )
-        elif not isinstance(params, Mapping):
-            raise ValueError(
-                f"protocol 'params' must be a mapping, got "
-                f"{type(params).__name__}"
-            )
-        return ProtocolConfig.of(str(protocol), **dict(params))
+        (protocol,), params = split_config_mapping(value, "protocol", "protocol")
+        return ProtocolConfig.of(str(protocol), **params)
     raise ValueError(
         f"cannot interpret {type(value).__name__} as a protocol config"
     )

@@ -16,7 +16,7 @@ or refused: the registry rejects a concrete config of the wrong class.
 
 from __future__ import annotations
 
-from repro.baselines.registry import available_protocols as _available_protocols
+from repro.baselines.registry import available_protocols  # noqa: F401 - re-exported
 from repro.baselines.registry import protocol_factory, resolve_protocol
 from repro.experiments.protocols import ProtocolConfig
 from repro.experiments.scenarios import Scenario
@@ -30,14 +30,6 @@ from repro.sim.mac import MacConfig
 from repro.sim.radio import RadioConfig
 from repro.sim.stats import SimulationMetrics
 from repro.sim.world import World, WorldConfig
-
-
-def available_protocols() -> list[str]:
-    """Names accepted by :func:`run_single`'s ``protocol`` argument.
-
-    Derived from the protocol registry; aliases resolve on use.
-    """
-    return _available_protocols()
 
 
 def resolve_run_config(

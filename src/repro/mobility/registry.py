@@ -23,18 +23,29 @@ Built-in models (aliases in parentheses)::
 
 Names are case-insensitive and hyphen/underscore-agnostic, so
 ``"gauss-markov"`` and ``"Gauss_Markov"`` resolve to the same model.
-Third-party models register with :func:`register_model`.
+Parameters canonicalise as on every axis
+(:func:`repro.params.canonicalise_params`), the bool rule reading the
+builder's signature.  Third-party models register with
+:func:`register_model`.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from repro.graphs.udg import NodeId
 from repro.mobility.base import MobilityModel, Region
-from repro.params import ParamValue, canonicalise_params, normalize_name
+from repro.params import (
+    Params,
+    ParamValue,
+    Registry,
+    canonicalise_params,
+    check_builder_params,
+    config_label,
+    normalize_name,
+    split_config_mapping,
+)
 from repro.mobility.gauss_markov import GaussMarkovMobility
 from repro.mobility.manhattan import ManhattanGridMobility
 from repro.mobility.random_walk import RandomWalkMobility
@@ -43,31 +54,45 @@ from repro.mobility.rpgm import ReferencePointGroupMobility
 from repro.mobility.static import StaticMobility
 from repro.mobility.traces import TraceMobility, parse_ns2_trace
 
-_normalize = normalize_name
+#: A builder maps (node_ids, region, seed, **params) to a live model.
+MobilityBuilder = Callable[..., MobilityModel]
+
+_MODELS: Registry[MobilityBuilder] = Registry("mobility model")
 
 
 @dataclass(frozen=True)
 class MobilityConfig:
     """A declarative movement pattern: model name plus parameters.
 
-    ``params`` is stored as a sorted tuple of ``(name, value)`` pairs so
-    equal configs hash equal regardless of construction order, and the
-    campaign cache key (which canonicalises dataclasses field-by-field)
-    is stable.  Use :meth:`of` for keyword construction.
+    ``params`` is stored in the canonical form of :mod:`repro.params`
+    (a sorted tuple of ``(name, value)`` pairs), so equal configs hash
+    equal regardless of construction order, and the campaign cache key
+    (which canonicalises dataclasses field-by-field) is stable.  Model
+    and parameter names are checked by :func:`as_mobility_config`, not
+    here; a registered model's builder only says which parameters are
+    ``bool``.  Use :meth:`of` for keyword construction.
     """
 
     model: str
-    params: tuple[tuple[str, ParamValue], ...] = ()
+    params: Params = ()
 
     def __post_init__(self) -> None:
         if not self.model or not isinstance(self.model, str):
             raise ValueError("mobility model name must be a non-empty string")
-        object.__setattr__(self, "model", _normalize(self.model))
-        # Shared rules with ProtocolConfig (repro.params): string
-        # names, scalar values, integral floats collapsed to ints so
-        # numerically equal configs canonicalise to one cache key.
-        items = canonicalise_params(dict(self.params))
-        object.__setattr__(self, "params", tuple(sorted(items.items())))
+        object.__setattr__(self, "model", normalize_name(self.model))
+        canonical = _MODELS.find(self.model)
+        flags = (
+            frozenset()
+            if canonical is None
+            else check_builder_params(
+                _MODELS.kind, canonical, _MODELS.entries[canonical]
+            )
+        )
+        object.__setattr__(
+            self,
+            "params",
+            canonicalise_params(dict(self.params), flags, self.model),
+        )
 
     @classmethod
     def of(cls, model: str, **params: ParamValue) -> "MobilityConfig":
@@ -83,109 +108,22 @@ class MobilityConfig:
         return {"model": self.model, "params": self.params_dict()}
 
     def __str__(self) -> str:
-        if not self.params:
-            return self.model
-        inner = ",".join(f"{k}={v}" for k, v in self.params)
-        return f"{self.model}({inner})"
-
-
-#: A builder maps (node_ids, region, seed, **params) to a live model.
-MobilityBuilder = Callable[..., MobilityModel]
-
-_REGISTRY: dict[str, MobilityBuilder] = {}
-_ALIASES: dict[str, str] = {}
+        return config_label(self.model, self.params)
 
 
 def register_model(
-    name: str,
-    builder: MobilityBuilder,
-    aliases: Sequence[str] = (),
+    name: str, builder: MobilityBuilder, aliases: Sequence[str] = ()
 ) -> None:
-    """Register ``builder`` under ``name`` (and optional aliases).
-
-    Re-registering an existing name replaces it, so tests and user code
-    can shadow built-ins (direct names win over aliases).
-
-    Registrations live in this process's registry only.  Campaign
-    worker processes inherit them on fork-based platforms (Linux);
-    under the ``spawn`` start method (macOS/Windows) workers re-import
-    with built-ins only, so custom models there must either be
-    registered at import time of a module the workers also import, or
-    run with ``workers=1``.
-    """
-    canonical = _normalize(name)
-    _REGISTRY[canonical] = builder
-    for alias in aliases:
-        _ALIASES[_normalize(alias)] = canonical
+    """Register ``builder`` under ``name`` (and optional aliases), by the
+    :class:`repro.params.Registry` contract: registering ``"grid"``
+    hides the Manhattan alias of that name."""
+    _MODELS.register(name, builder, aliases)
 
 
-def available_models() -> list[str]:
-    """Canonical names of every registered mobility model."""
-    return sorted(_REGISTRY)
-
-
-def resolve_model(name: str) -> str:
-    """Canonical registry name for ``name``; raises for unknown models.
-
-    Directly registered names win over aliases, so ``register_model``
-    can shadow a built-in alias (e.g. registering ``"grid"`` hides the
-    Manhattan alias of the same name).
-    """
-    normalized = _normalize(name)
-    if normalized not in _REGISTRY:
-        normalized = _ALIASES.get(normalized, normalized)
-    if normalized not in _REGISTRY:
-        raise ValueError(
-            f"unknown mobility model {name!r}; choose from "
-            f"{available_models()}"
-        )
-    return normalized
-
-
-#: How many leading builder parameters the runner supplies positionally
-#: (node_ids, region, seed) — see :func:`build_mobility`.
-_BUILDER_POSITIONALS = 3
-
-
-def validate_params(model: str, params: Mapping[str, object]) -> None:
-    """Check param names against the model builder's signature.
-
-    Catching typos (``alhpa``, ``n_group``) and missing required
-    parameters at config-coercion time means a bad campaign spec fails
-    at load, not mid-campaign inside a worker process.  The first
-    three builder parameters are runner-supplied positionally
-    (whatever their names), and builders taking ``*args``/``**kwargs``
-    skip the check.
-    """
-    canonical = resolve_model(model)
-    try:
-        signature = inspect.signature(_REGISTRY[canonical])
-    except (TypeError, ValueError):  # builtins/odd callables: trust them
-        return
-    accepted = set()
-    required = set()
-    for index, parameter in enumerate(signature.parameters.values()):
-        if parameter.kind in (
-            inspect.Parameter.VAR_KEYWORD,
-            inspect.Parameter.VAR_POSITIONAL,
-        ):
-            return
-        if index < _BUILDER_POSITIONALS:
-            continue
-        accepted.add(parameter.name)
-        if parameter.default is inspect.Parameter.empty:
-            required.add(parameter.name)
-    unknown = sorted(set(params) - accepted)
-    if unknown:
-        raise ValueError(
-            f"mobility model {canonical!r} does not accept parameters "
-            f"{unknown}; choose from {sorted(accepted)}"
-        )
-    missing = sorted(required - set(params))
-    if missing:
-        raise ValueError(
-            f"mobility model {canonical!r} requires parameters {missing}"
-        )
+#: Canonical names of every registered mobility model.
+available_models = _MODELS.names
+#: Canonical registry name for a model name; raises for unknown models.
+resolve_model = _MODELS.resolve
 
 
 def as_mobility_config(
@@ -205,32 +143,17 @@ def as_mobility_config(
     elif isinstance(value, str):
         config = MobilityConfig(model=value)
     elif isinstance(value, Mapping):
-        data = dict(value)
-        model = data.pop("model", None)
-        if model is None:
-            raise ValueError("mobility mapping needs a 'model' key")
-        params = data.pop("params", None)
-        if params is None:
-            params = data
-        elif data:
-            raise ValueError(
-                f"unexpected mobility keys {sorted(data)} next to 'params'"
-            )
-        elif not isinstance(params, Mapping):
-            raise ValueError(
-                f"mobility 'params' must be a mapping, got "
-                f"{type(params).__name__}"
-            )
-        config = MobilityConfig.of(str(model), **dict(params))
+        (model,), params = split_config_mapping(value, "mobility", "model")
+        config = MobilityConfig.of(str(model), **params)
     else:
         raise ValueError(
             f"cannot interpret {type(value).__name__} as a mobility config"
         )
-    config = MobilityConfig(
-        model=resolve_model(config.model), params=config.params
+    model = _MODELS.resolve(config.model)
+    check_builder_params(
+        _MODELS.kind, model, _MODELS.entries[model], config.params_dict()
     )
-    validate_params(config.model, config.params_dict())
-    return config
+    return MobilityConfig(model=model, params=config.params)
 
 
 def build_mobility(
@@ -240,10 +163,11 @@ def build_mobility(
     seed: int,
 ) -> MobilityModel:
     """Construct the model a config describes for a concrete population."""
-    canonical = resolve_model(config.model)
-    builder = _REGISTRY[canonical]
+    canonical = _MODELS.resolve(config.model)
     try:
-        return builder(node_ids, region, seed, **config.params_dict())
+        return _MODELS.entries[canonical](
+            node_ids, region, seed, **config.params_dict()
+        )
     except TypeError as exc:
         raise ValueError(
             f"bad parameters for mobility model {canonical!r}: {exc}"

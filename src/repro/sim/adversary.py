@@ -33,24 +33,39 @@ Built-in modes (aliases in parentheses)::
                               fresh — poisoning the location diffusion
                               geographic protocols steer by.
 
-Third-party modes register with :func:`register_adversary_mode`.
+Parameters canonicalise as on every axis
+(:func:`repro.params.canonicalise_params`), the bool rule reading the
+builder's signature.  Third-party modes register with
+:func:`register_adversary_mode`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from repro.geometry.primitives import Point
 from repro.graphs.udg import NodeId
-from repro.params import ParamValue, canonicalise_params, normalize_name
+from repro.params import (
+    Params,
+    ParamValue,
+    Registry,
+    canonicalise_params,
+    check_builder_params,
+    normalize_name,
+    params_text,
+    split_config_mapping,
+)
 from repro.seeding import derive_rng
 from repro.sim.messages import Frame, FrameKind, Message, MessageCopy
 from repro.sim.world import Protocol
 
-_normalize = normalize_name
+#: A mode builder maps (inner protocol, node_id, rng, **params) to the
+#: wrapped protocol instance for one compromised node.
+AdversaryBuilder = Callable[..., Protocol]
+
+_MODES: Registry[AdversaryBuilder] = Registry("adversary mode")
 
 
 @dataclass(frozen=True)
@@ -68,12 +83,12 @@ class AdversaryConfig:
 
     mode: str
     fraction: float
-    params: tuple[tuple[str, ParamValue], ...] = ()
+    params: Params = ()
 
     def __post_init__(self) -> None:
         if not self.mode or not isinstance(self.mode, str):
             raise ValueError("adversary mode must be a non-empty string")
-        object.__setattr__(self, "mode", resolve_adversary_mode(self.mode))
+        object.__setattr__(self, "mode", _MODES.resolve(self.mode))
         if isinstance(self.fraction, bool) or not isinstance(
             self.fraction, (int, float)
         ):
@@ -90,9 +105,13 @@ class AdversaryConfig:
             "fraction",
             int(fraction) if fraction.is_integer() else fraction,
         )
-        items = canonicalise_params(dict(self.params))
-        object.__setattr__(self, "params", tuple(sorted(items.items())))
-        validate_adversary_params(self.mode, dict(self.params))
+        params = dict(self.params)
+        flags = check_builder_params(
+            _MODES.kind, self.mode, _MODES.entries[self.mode], params
+        )
+        object.__setattr__(
+            self, "params", canonicalise_params(params, flags, self.mode)
+        )
 
     @classmethod
     def of(
@@ -118,91 +137,22 @@ class AdversaryConfig:
         # ("adversary=blackhole:0.2") are themselves valid axis values.
         text = f"{self.mode}:{self.fraction}"
         if self.params:
-            text += ":" + ",".join(f"{k}={v}" for k, v in self.params)
+            text += ":" + params_text(self.params)
         return text
 
 
-# ---------------------------------------------------------------------------
-# Mode registry
-# ---------------------------------------------------------------------------
-
-#: A mode builder maps (inner protocol, node_id, rng, **params) to the
-#: wrapped protocol instance for one compromised node.
-AdversaryBuilder = Callable[..., Protocol]
-
-_MODES: dict[str, AdversaryBuilder] = {}
-_MODE_ALIASES: dict[str, str] = {}
-
-
 def register_adversary_mode(
-    name: str,
-    builder: AdversaryBuilder,
-    aliases: Sequence[str] = (),
+    name: str, builder: AdversaryBuilder, aliases: Sequence[str] = ()
 ) -> None:
-    """Register an adversary mode (same contract as the other registries:
-    re-registering replaces, direct names win over aliases, and
-    registrations are per-process)."""
-    canonical = _normalize(name)
-    _MODES[canonical] = builder
-    for alias in aliases:
-        _MODE_ALIASES[_normalize(alias)] = canonical
+    """Register an adversary mode under ``name`` (and optional aliases),
+    by the :class:`repro.params.Registry` contract."""
+    _MODES.register(name, builder, aliases)
 
 
-def available_adversary_modes() -> list[str]:
-    """Canonical names of every registered adversary mode."""
-    return sorted(_MODES)
-
-
-def resolve_adversary_mode(name: str) -> str:
-    """Canonical mode name for ``name``; raises for unknown modes."""
-    normalized = _normalize(name)
-    if normalized not in _MODES:
-        normalized = _MODE_ALIASES.get(normalized, normalized)
-    if normalized not in _MODES:
-        raise ValueError(
-            f"unknown adversary mode {name!r}; choose from "
-            f"{available_adversary_modes()}"
-        )
-    return normalized
-
-
-#: Leading builder parameters supplied positionally by the plan
-#: (inner, node_id, rng) — mirrors the mobility registry's convention.
-_BUILDER_POSITIONALS = 3
-
-
-def validate_adversary_params(mode: str, params: Mapping[str, object]) -> None:
-    """Check param names against the mode builder's signature, so a bad
-    campaign spec fails at load, not mid-campaign inside a worker."""
-    canonical = resolve_adversary_mode(mode)
-    try:
-        signature = inspect.signature(_MODES[canonical])
-    except (TypeError, ValueError):  # builtins/odd callables: trust them
-        return
-    accepted = set()
-    required = set()
-    for index, parameter in enumerate(signature.parameters.values()):
-        if parameter.kind in (
-            inspect.Parameter.VAR_KEYWORD,
-            inspect.Parameter.VAR_POSITIONAL,
-        ):
-            return
-        if index < _BUILDER_POSITIONALS:
-            continue
-        accepted.add(parameter.name)
-        if parameter.default is inspect.Parameter.empty:
-            required.add(parameter.name)
-    unknown = sorted(set(params) - accepted)
-    if unknown:
-        raise ValueError(
-            f"adversary mode {canonical!r} does not accept parameters "
-            f"{unknown}; choose from {sorted(accepted)}"
-        )
-    missing = sorted(required - set(params))
-    if missing:
-        raise ValueError(
-            f"adversary mode {canonical!r} requires parameters {missing}"
-        )
+#: Canonical names of every registered adversary mode.
+available_adversary_modes = _MODES.names
+#: Canonical mode name for a mode name; raises for unknown modes.
+resolve_adversary_mode = _MODES.resolve
 
 
 def as_adversary_config(
@@ -224,7 +174,7 @@ def as_adversary_config(
         return value
     if isinstance(value, str):
         text = value.strip()
-        if _normalize(text) in ("", "none", "off"):
+        if normalize_name(text) in ("", "none", "off"):
             return None
         parts = text.split(":", 2)
         if len(parts) < 2:
@@ -258,28 +208,12 @@ def as_adversary_config(
             return None
         return AdversaryConfig.of(mode, fraction, **params)
     if isinstance(value, Mapping):
-        data = dict(value)
-        mode = data.pop("mode", None)
-        if mode is None:
-            raise ValueError("adversary mapping needs a 'mode' key")
-        fraction = data.pop("fraction", None)
-        if fraction is None:
-            raise ValueError("adversary mapping needs a 'fraction' key")
-        params = data.pop("params", None)
-        if params is None:
-            params = data
-        elif data:
-            raise ValueError(
-                f"unexpected adversary keys {sorted(data)} next to 'params'"
-            )
-        elif not isinstance(params, Mapping):
-            raise ValueError(
-                f"adversary 'params' must be a mapping, got "
-                f"{type(params).__name__}"
-            )
+        (mode, fraction), params = split_config_mapping(
+            value, "adversary", "mode", "fraction"
+        )
         if fraction == 0:
             return None
-        return AdversaryConfig.of(str(mode), fraction, **dict(params))
+        return AdversaryConfig.of(str(mode), fraction, **params)
     raise ValueError(
         f"cannot interpret {type(value).__name__} as an adversary config"
     )
@@ -320,7 +254,7 @@ class AdversaryPlan:
 
     def wrap(self, node_id: NodeId, protocol: Protocol) -> Protocol:
         """The wrapped (Byzantine) protocol instance for ``node_id``."""
-        builder = _MODES[self.config.mode]
+        builder = _MODES.entries[self.config.mode]
         rng = derive_rng(
             self.seed, "adversary", self.config.mode, repr(node_id)
         )

@@ -170,15 +170,6 @@ class Medium:
                 count += 1
         return count
 
-    def active_count(self) -> int:
-        """Transmissions on air right now (diagnostics)."""
-        self._purge()
-        return sum(
-            1
-            for t in self._active
-            if t.start_time <= self._sim.now < t.end_time
-        )
-
 
 class MacStats:
     """Counters one MAC instance accumulates (merged by the collector)."""

@@ -30,7 +30,10 @@ class MessageStore:
 
     Keys are arbitrary hashables (message uids or copy ids); values are
     the stored items.  Insertion order is preserved; eviction removes the
-    oldest entry.
+    oldest entry.  ``version`` counts changes to the set of keys (a new
+    key, a pop of a present key, ``pop_oldest``, an eviction), so a
+    snapshot of the keys stays valid until it moves; refreshing an
+    existing key's item does not move it.
     """
 
     def __init__(self, capacity: Optional[int] = None):
@@ -40,6 +43,7 @@ class MessageStore:
         self._items: "OrderedDict[Hashable, object]" = OrderedDict()
         self.peak_occupancy = 0
         self.evictions = 0
+        self.version = 0
         self._occupancy_time_product = 0.0
         self._last_sample_time = 0.0
 
@@ -85,19 +89,25 @@ class MessageStore:
                 raise StoreFullError(f"store at capacity {self.capacity}")
             _, old = self._items.popitem(last=False)
             self.evictions += 1
+            self.version += 1
             evicted.append(old)
         self._items[key] = item
+        self.version += 1
         self.peak_occupancy = max(self.peak_occupancy, len(self._items))
         return evicted
 
     def pop(self, key: Hashable) -> object | None:
         """Remove and return the item under ``key`` (None if absent)."""
-        return self._items.pop(key, None)
+        if key not in self._items:
+            return None
+        self.version += 1
+        return self._items.pop(key)
 
     def pop_oldest(self) -> object | None:
         """Remove and return the oldest item (None when empty)."""
         if not self._items:
             return None
+        self.version += 1
         _, item = self._items.popitem(last=False)
         return item
 

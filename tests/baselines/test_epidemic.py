@@ -8,6 +8,7 @@ from repro.experiments.scenarios import Scenario
 from repro.geometry.primitives import Point
 from repro.mobility.base import Region
 from repro.mobility.static import StaticMobility
+from repro.sim.messages import Message
 from repro.sim.radio import RadioConfig
 from repro.sim.world import World, WorldConfig
 
@@ -107,6 +108,26 @@ class TestExchange:
         world.run(until=4.0)
         # Receiver asked for at most 2 messages in its first request.
         assert world.protocols[1].storage_occupancy() <= 5
+
+
+class TestBufferUids:
+    def test_one_frozenset_per_buffer_version(self):
+        protocol = EpidemicProtocol(EpidemicConfig(buffer_limit=2))
+        empty = protocol.buffer_uids()
+        assert empty == frozenset() and protocol.buffer_uids() is empty
+        messages = [Message(uid, 0, 1, uid, 0.0) for uid in range(3)]
+        protocol.hold(messages[0], hops=0)
+        first = protocol.buffer_uids()
+        assert first == {0} and protocol.buffer_uids() is first
+        protocol.hold(messages[0], hops=1)  # a refresh keeps the snapshot
+        assert protocol.buffer_uids() is first
+        protocol.hold(messages[1], hops=0)
+        protocol.hold(messages[2], hops=0)  # evicts uid 0
+        assert protocol.buffer_uids() == {1, 2}
+        protocol.buffer.pop(1)
+        assert protocol.buffer_uids() == {2}
+        protocol.buffer.pop_oldest()
+        assert protocol.buffer_uids() == frozenset()
 
 
 class TestMobileEndToEnd:

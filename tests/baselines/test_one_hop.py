@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.one_hop import OneHopConfig, OneHopProtocol
+from repro.baselines.one_hop import OneHopConfig
 from repro.experiments.protocols import ProtocolConfig, sweepable_params
 from repro.experiments.runner import run_replicates, run_single
 from repro.experiments.scenarios import Scenario

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines.direct import DirectDeliveryProtocol
 from repro.baselines.epidemic import EpidemicConfig, EpidemicProtocol
-from repro.baselines.one_hop import OneHopConfig, OneHopProtocol
+from repro.baselines.one_hop import OneHopProtocol
 from repro.baselines.registry import (
     available_protocols,
     protocol_entry,
@@ -70,7 +70,7 @@ class TestRegistry:
             )
 
     def test_registration_makes_protocol_sweepable(self):
-        from repro.baselines.registry import _ALIASES, _REGISTRY
+        from repro.baselines.registry import _PROTOCOLS
 
         register_protocol(
             "test_proto",
@@ -86,8 +86,8 @@ class TestRegistry:
             config = ProtocolConfig.of("test_proto", tick_interval=2.0)
             assert isinstance(config.build(), EpidemicConfig)
         finally:
-            _REGISTRY.pop("test_proto", None)
-            _ALIASES.pop("tp", None)
+            _PROTOCOLS.entries.pop("test_proto", None)
+            _PROTOCOLS.aliases.pop("tp", None)
 
 
 class TestBufferFallback:

@@ -124,7 +124,7 @@ class TestAsMobilityConfig:
             with pytest.raises(ValueError, match="does not accept"):
                 as_mobility_config({"model": "oddly_named", "bogus": 1})
         finally:
-            registry._REGISTRY.pop("oddly_named", None)
+            registry._MODELS.entries.pop("oddly_named", None)
 
     def test_missing_required_params_fail_at_coercion_time(self):
         # trace without a path must die at spec load, not mid-campaign.
@@ -220,7 +220,7 @@ class TestBuildMobility:
         finally:
             from repro.mobility import registry
 
-            registry._REGISTRY.pop("pinned_test_model", None)
+            registry._MODELS.entries.pop("pinned_test_model", None)
 
     def test_registration_shadows_builtin_alias(self):
         """A direct registration under an alias name must win over the
@@ -239,7 +239,7 @@ class TestBuildMobility:
             )
             assert isinstance(model, Shadow)
         finally:
-            registry._REGISTRY.pop("grid", None)
+            registry._MODELS.entries.pop("grid", None)
         # With the shadow gone the alias resolves to manhattan again.
         assert as_mobility_config("grid").model == "manhattan"
 

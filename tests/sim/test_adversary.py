@@ -1,7 +1,5 @@
 """Tests for Byzantine adversary injection (repro.sim.adversary)."""
 
-import dataclasses
-
 import pytest
 
 from repro.experiments.runner import build_world, run_replicates, run_single
@@ -108,7 +106,7 @@ class TestAdversaryConfig:
         finally:
             from repro.sim import adversary as mod
 
-            mod._MODES.pop("test_noop", None)
+            mod._MODES.entries.pop("test_noop", None)
 
 
 class TestNodeSelection:

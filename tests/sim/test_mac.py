@@ -95,7 +95,99 @@ class TestMedium:
         sim.schedule_at(10.0, lambda: None)
         sim.run()
         assert medium.contention_at(Point(0, 0)) == 0
-        assert medium.active_count() == 0
+        # The record still overlaps [0, 1); only the purge hides it.
+        assert medium.interferers_at(Point(0, 0), 0.0, 1.0) == 0
+
+
+class _ScanMedium:
+    """Slow reference for :class:`Medium`: keep every record, filter on
+    each query.  On a monotone clock this is what purging lazily at
+    every call leaves: records that ended more than the grace ago are
+    gone, and sensing sees only records whose start time has passed."""
+
+    GRACE = 1.0
+
+    def __init__(self, clock, radio):
+        self.clock = clock
+        self.radio = radio
+        self.records = []
+
+    def register(self, sender, position, start_time, end_time):
+        self.records.append((sender, position, start_time, end_time))
+
+    def _kept(self, position, exclude):
+        horizon = self.clock.now - self.GRACE
+        return [
+            (start, end)
+            for sender, where, start, end in self.records
+            if end > horizon
+            and (exclude is None or sender != exclude)
+            and self.radio.in_carrier_sense_range(where, position)
+        ]
+
+    def _on_air(self, position, exclude):
+        now = self.clock.now
+        return [end for start, end in self._kept(position, exclude)
+                if start <= now < end]
+
+    def contention_at(self, position, exclude=None):
+        return len(self._on_air(position, exclude))
+
+    def busy_until(self, position, exclude=None):
+        return max([self.clock.now, *self._on_air(position, exclude)])
+
+    def interferers_at(self, position, start, end, exclude=None):
+        return sum(
+            1 for s, e in self._kept(position, exclude)
+            if e > start and s < end
+        )
+
+
+class TestMediumAgainstScan:
+    """Seeded differential test: :class:`Medium` answers every query as
+    the linear scan does, under random registrations and queries on a
+    monotone clock (including jumps past the purge grace)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_queries_match_the_scan(self, seed):
+        import random
+        from types import SimpleNamespace
+
+        rng = random.Random(seed)
+        clock = SimpleNamespace(now=0.0)
+        radio = RadioConfig(range_m=100.0)
+        medium = Medium(clock, radio)
+        reference = _ScanMedium(clock, radio)
+        senders = [f"n{i}" for i in range(8)]
+
+        def point():
+            return Point(rng.uniform(0, 600), rng.uniform(0, 600))
+
+        for _ in range(600):
+            roll = rng.random()
+            if roll < 0.1:
+                clock.now += rng.choice((0.0, 0.4, 1.0, 1.7))
+            elif roll < 0.45:
+                clock.now += rng.uniform(0.0, 0.02)
+                start = clock.now + rng.choice((0.0, rng.uniform(0, 0.05)))
+                end = start + rng.uniform(0.001, 0.6)
+                record = (rng.choice(senders), point(), start, end)
+                medium.register(*record)
+                reference.register(*record)
+            else:
+                where = point()
+                exclude = rng.choice((None, *senders))
+                assert medium.contention_at(where, exclude) == (
+                    reference.contention_at(where, exclude)
+                )
+                assert medium.busy_until(where, exclude) == (
+                    reference.busy_until(where, exclude)
+                )
+                start = clock.now - rng.uniform(0.0, 1.5)
+                end = start + rng.uniform(0.0, 1.0)
+                assert medium.interferers_at(where, start, end, exclude) == (
+                    reference.interferers_at(where, start, end, exclude)
+                )
 
 
 class _StaticPositions:

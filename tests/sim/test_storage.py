@@ -96,6 +96,24 @@ class TestMessageStore:
         store.add("a", 1)
         assert store.is_full
 
+    def test_version_counts_key_set_changes_only(self):
+        store = MessageStore(capacity=2)
+        store.add("a", 1)
+        assert store.version == 1  # a new key
+        store.add("a", 2)
+        assert store.version == 1  # refreshing a key is no change
+        store.add("b", 3)
+        store.add("c", 4)
+        assert store.version == 4  # an eviction and a new key
+        assert store.pop("missing") is None
+        assert store.version == 4
+        assert store.pop("b") == 3
+        assert store.version == 5
+        assert store.pop_oldest() == 4
+        assert store.version == 6
+        assert store.pop_oldest() is None
+        assert store.version == 6
+
 
 class TestDualStore:
     def test_store_then_cache_flow(self):
