@@ -1,7 +1,7 @@
 """Trade-off report: from a campaign stream to Pareto frontiers.
 
 Runs a small adversarial campaign (three protocols, honest vs
-blackhole cells), streams it to a run directory, then drives the
+blackhole cells), streams it to a temporary directory, then drives the
 analysis layer end to end: ingest the stream into a
 :class:`~repro.analysis.store.ResultStore`, query it, and render the
 markdown trade-off report — per-scenario Pareto frontiers over
@@ -17,6 +17,7 @@ Run:
 """
 
 import argparse
+import tempfile
 from pathlib import Path
 
 from repro.analysis.report import generate_report
@@ -52,14 +53,16 @@ def main() -> None:
     args = parser.parse_args()
 
     spec = build_spec()
-    stream = Path("tradeoff-demo.jsonl")
-    print(
-        f"campaign {spec.name}: {spec.total_tasks()} simulations "
-        f"-> {stream}"
-    )
-    run_campaign(spec, workers=4, stream_path=stream)
+    with tempfile.TemporaryDirectory(prefix="tradeoff-demo-") as tmp:
+        # A fresh stream every run: a leftover one would be resumed.
+        stream = Path(tmp) / "tradeoff-demo.jsonl"
+        print(
+            f"campaign {spec.name}: {spec.total_tasks()} simulations "
+            f"-> {stream}"
+        )
+        run_campaign(spec, workers=4, stream_path=stream)
+        store = ResultStore.open(stream)
 
-    store = ResultStore.open(stream)
     frontier_cells = store.select(adversary="blackhole")
     print(
         f"store: {len(store.records())} records, "

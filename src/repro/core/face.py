@@ -10,12 +10,16 @@ The implementation follows the GFG/GPSR recovery pattern:
 - **enter**: remember the distance to the destination at the local
   minimum and take the first edge counter-clockwise from the straight
   line toward the destination (right-hand rule start);
-- **step**: continue around the current face with the right-hand rule
-  (:func:`repro.graphs.faces.next_edge_on_face`);
+- **step**: continue around the current face with the right-hand rule:
+  the first neighbour counter-clockwise from the edge back to the
+  previous node;
 - **exit**: the walk ends as soon as the copy reaches a node strictly
   closer to the destination than where it entered face mode, resuming
   greedy forwarding — or gives up after a step budget (mobility will
   have changed the graph by the next check interval anyway).
+
+Both take the exact turn order of
+:func:`repro.geometry.predicates.first_by_turn`.
 
 The face walk happens hop-by-hop across *different nodes*; its state
 (previous node, entry distance, step count) travels inside the message
@@ -24,31 +28,9 @@ copy header, mirroring how the paper keeps tree flags in the packet.
 
 from __future__ import annotations
 
-import math
-
+from repro.geometry.predicates import first_by_turn
 from repro.geometry.primitives import Point
 from repro.graphs.udg import NodeId
-
-
-def _angle(origin: Point, target: Point) -> float:
-    return math.atan2(target.y - origin.y, target.x - origin.x)
-
-
-def _sweep(base: float, angle: float, clockwise: bool) -> float:
-    """Angular distance from ``base`` to ``angle`` in the walk direction.
-
-    Counter-clockwise is the right-hand rule (the paper's single-walk
-    recovery); clockwise is its mirror, used by the second walk of a
-    2FACE traversal.  A zero sweep means the full turn: the walk must
-    actually leave along an edge, not stand on the reference ray.
-    """
-    if clockwise:
-        delta = (base - angle) % (2.0 * math.pi)
-    else:
-        delta = (angle - base) % (2.0 * math.pi)
-    if delta == 0.0:
-        delta = 2.0 * math.pi
-    return delta
 
 
 def first_face_hop(
@@ -62,20 +44,13 @@ def first_face_hop(
     Right-hand rule entry: the first neighbour counter-clockwise from
     the ray ``node -> destination`` (or clockwise — the mirror-image
     left-hand walk — with ``clockwise=True``; 2FACE launches one of
-    each).  Returns None when the node has no routing-graph neighbours
+    each).  A neighbour on that ray comes last: the walk must actually
+    turn.  Returns None when the node has no routing-graph neighbours
     at all (isolated: store-and-forward is the only option).
     """
-    if not neighbor_positions:
-        return None
-    base = _angle(node_pos, dest_pos)
-    best: NodeId | None = None
-    best_delta = math.inf
-    for nbr, pos in neighbor_positions.items():
-        delta = _sweep(base, _angle(node_pos, pos), clockwise)
-        if delta < best_delta:
-            best_delta = delta
-            best = nbr
-    return best
+    return first_by_turn(
+        node_pos, dest_pos, neighbor_positions.items(), clockwise
+    )
 
 
 def next_face_hop(
@@ -98,18 +73,12 @@ def next_face_hop(
         clockwise: walk direction (both directions double back at dead
             ends the same way).
     """
-    if not neighbor_positions:
-        return None
-    base = _angle(node_pos, prev_pos)
-    best: NodeId | None = None
-    best_delta = math.inf
-    for nbr, pos in neighbor_positions.items():
-        if nbr == prev_id:
-            continue
-        delta = _sweep(base, _angle(node_pos, pos), clockwise)
-        if delta < best_delta:
-            best_delta = delta
-            best = nbr
+    best = first_by_turn(
+        node_pos,
+        prev_pos,
+        ((nbr, pos) for nbr, pos in neighbor_positions.items() if nbr != prev_id),
+        clockwise,
+    )
     if best is None and prev_id in neighbor_positions:
         return prev_id
     return best

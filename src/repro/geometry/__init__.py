@@ -3,8 +3,8 @@
 The paper's routing graph is a localized Delaunay triangulation; this
 package provides the geometric machinery it is built from:
 
-- :mod:`repro.geometry.primitives` — points, distances, angles, segments.
-- :mod:`repro.geometry.predicates` — orientation / in-circle predicates.
+- :mod:`repro.geometry.primitives` — points, distances, angles.
+- :mod:`repro.geometry.predicates` — exact orientation, in-circle, turns.
 - :mod:`repro.geometry.hull` — convex hulls (Andrew's monotone chain).
 - :mod:`repro.geometry.triangulation` — triangulation data structure.
 - :mod:`repro.geometry.delaunay` — Bowyer–Watson Delaunay triangulation,
@@ -19,6 +19,7 @@ from repro.geometry.predicates import (
     circumcircle,
     in_circle,
     orientation,
+    segments_intersect,
 )
 from repro.geometry.primitives import (
     Point,
@@ -27,7 +28,6 @@ from repro.geometry.primitives import (
     distance_sq,
     midpoint,
     polygon_area,
-    segments_intersect,
 )
 from repro.geometry.triangulation import Triangulation
 

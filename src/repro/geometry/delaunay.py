@@ -10,6 +10,9 @@ frames and its test oracle.  Frames are small (tens of points), so the
 straightforward O(n^2) implementation below is fast enough for that and
 keeps the code easy to audit against the textbook algorithm.
 
+Its signs are exact (:mod:`repro.geometry.predicates`).  A point on a
+circumcircle is not inside it, so insertion order settles exact ties.
+
 Degenerate inputs are handled explicitly:
 
 - fewer than 3 points, or all points collinear, yield a triangulation

@@ -1,19 +1,17 @@
 """Convex hulls via Andrew's monotone chain.
 
-The hull is used in two places: to bound the super-triangle of the
-Bowyer–Watson construction and, in the test suite, to validate that every
-Delaunay triangulation covers exactly the convex hull of its input.
+The test suite uses the hull to check Delaunay triangulations against
+Euler's formula.  (Bowyer–Watson's super triangle is sized from the
+bounding box, not from the hull.)  The chain's turns are exact
+(:func:`repro.geometry.predicates.orientation`).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from repro.geometry.predicates import Orientation, orientation, orientation_value
 from repro.geometry.primitives import Point
-
-
-def _cross(o: Point, a: Point, b: Point) -> float:
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
 
 
 def convex_hull(points: Iterable[Point]) -> list[Point]:
@@ -27,15 +25,16 @@ def convex_hull(points: Iterable[Point]) -> list[Point]:
     if len(unique) <= 2:
         return unique
 
+    ccw = Orientation.COUNTERCLOCKWISE
     lower: list[Point] = []
     for p in unique:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+        while len(lower) >= 2 and orientation(lower[-2], lower[-1], p) is not ccw:
             lower.pop()
         lower.append(p)
 
     upper: list[Point] = []
     for p in reversed(unique):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+        while len(upper) >= 2 and orientation(upper[-2], upper[-1], p) is not ccw:
             upper.pop()
         upper.append(p)
 
@@ -55,7 +54,7 @@ def hull_contains(hull: Sequence[Point], p: Point, tol: float = 1e-9) -> bool:
         return hull[0].distance_to(p) <= tol
     if n == 2:
         a, b = hull
-        cross = _cross(a, b, p)
+        cross = orientation_value(a, b, p)
         if abs(cross) > tol * (a.distance_to(b) + 1.0):
             return False
         dot = (p - a).dot(b - a)
@@ -63,6 +62,6 @@ def hull_contains(hull: Sequence[Point], p: Point, tol: float = 1e-9) -> bool:
     for i in range(n):
         a = hull[i]
         b = hull[(i + 1) % n]
-        if _cross(a, b, p) < -tol * (a.distance_to(b) + 1.0):
+        if orientation_value(a, b, p) < -tol * (a.distance_to(b) + 1.0):
             return False
     return True

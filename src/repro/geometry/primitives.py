@@ -5,9 +5,11 @@ module, so the conventions are worth stating once:
 
 - Coordinates are floats in metres; the plane is the standard Euclidean
   plane with x growing right and y growing up.
-- Angles are radians in ``(-pi, pi]`` as returned by :func:`math.atan2`.
 - ``Point`` is immutable and hashable so it can key dictionaries (node
   positions, triangulation vertices) safely.
+
+Signs (orientation, in-circle, segment intersection, turn order) are
+decided exactly in :mod:`repro.geometry.predicates`, not here.
 """
 
 from __future__ import annotations
@@ -82,62 +84,9 @@ def midpoint(a: Point, b: Point) -> Point:
 
 
 def angle_between(origin: Point, target: Point) -> float:
-    """Angle of the vector ``origin -> target`` in ``(-pi, pi]``."""
+    """Angle of the vector ``origin -> target`` in radians, in
+    ``(-pi, pi]`` as returned by :func:`math.atan2`."""
     return math.atan2(target.y - origin.y, target.x - origin.x)
-
-
-def segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
-    """Return True when closed segments ``p1p2`` and ``q1q2`` intersect.
-
-    Shared endpoints count as intersections; collinear overlap counts as
-    well.  Used by the planarity checks in the test suite to certify that
-    the LDTG construction really produces a planar graph.
-    """
-
-    def orient(a: Point, b: Point, c: Point) -> int:
-        value = (b - a).cross(c - a)
-        if value > 0:
-            return 1
-        if value < 0:
-            return -1
-        return 0
-
-    def on_segment(a: Point, b: Point, c: Point) -> bool:
-        return (
-            min(a.x, b.x) <= c.x <= max(a.x, b.x)
-            and min(a.y, b.y) <= c.y <= max(a.y, b.y)
-        )
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-
-    if d1 != d2 and d3 != d4:
-        return True
-    if d1 == 0 and on_segment(q1, q2, p1):
-        return True
-    if d2 == 0 and on_segment(q1, q2, p2):
-        return True
-    if d3 == 0 and on_segment(p1, p2, q1):
-        return True
-    if d4 == 0 and on_segment(p1, p2, q2):
-        return True
-    return False
-
-
-def segments_cross_interior(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
-    """Return True when the segments cross at a point interior to both.
-
-    Unlike :func:`segments_intersect`, sharing an endpoint does *not*
-    count.  This is the predicate that matters for planarity of a graph
-    drawing: edges of a planar straight-line graph may share endpoints but
-    never cross in their interiors.
-    """
-    shared = {p1, p2} & {q1, q2}
-    if shared:
-        return False
-    return segments_intersect(p1, p2, q1, q2)
 
 
 def polygon_area(points: Sequence[Point]) -> float:

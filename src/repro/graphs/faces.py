@@ -14,15 +14,10 @@ straight-line graph.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable
+from typing import Iterator
 
-from repro.geometry.primitives import Point, segments_cross_interior
+from repro.geometry.predicates import first_by_turn, segments_cross_interior
 from repro.graphs.udg import NodeId, SpatialGraph
-
-
-def _angle(origin: Point, target: Point) -> float:
-    return math.atan2(target.y - origin.y, target.x - origin.x)
 
 
 def next_edge_on_face(
@@ -34,34 +29,27 @@ def next_edge_on_face(
     """Next node after traversing ``prev -> cur`` along the current face.
 
     With ``clockwise=True`` this implements the right-hand rule (the
-    next edge is the first one counter-clockwise from ``cur -> prev``),
-    which traverses interior faces in clockwise orientation.  Returns
-    None for an isolated ``cur``; returns ``prev`` when ``cur`` has no
-    other neighbour (dead end — the walk doubles back, as face routing
+    next edge is the first one counter-clockwise from ``cur -> prev``,
+    in the exact turn order of
+    :func:`repro.geometry.predicates.first_by_turn`), which traverses
+    interior faces in clockwise orientation.  Returns None for an
+    isolated ``cur``; returns ``prev`` when ``cur`` has no other
+    neighbour (dead end — the walk doubles back, as face routing
     requires).
     """
     neighbors = graph.neighbors(cur)
     if not neighbors:
         return None
-    cur_pos = graph.positions[cur]
-    base = _angle(cur_pos, graph.positions[prev])
-    best_node: NodeId | None = None
-    best_key = math.inf
-    for nbr in neighbors:
-        if nbr == prev:
-            continue
-        ang = _angle(cur_pos, graph.positions[nbr])
-        delta = (ang - base) % (2.0 * math.pi)
-        if not clockwise:
-            delta = (2.0 * math.pi - delta) % (2.0 * math.pi)
-        if delta == 0.0:
-            delta = 2.0 * math.pi
-        if delta < best_key:
-            best_key = delta
-            best_node = nbr
-    if best_node is None:
+    positions = graph.positions
+    best = first_by_turn(
+        positions[cur],
+        positions[prev],
+        ((nbr, positions[nbr]) for nbr in neighbors if nbr != prev),
+        clockwise=not clockwise,  # a clockwise face turns counter-clockwise
+    )
+    if best is None:
         return prev  # dead end: only way onward is back along the edge
-    return best_node
+    return best
 
 
 def trace_face(
@@ -123,28 +111,10 @@ def enumerate_faces(graph: SpatialGraph) -> list[list[NodeId]]:
     return faces
 
 
-def is_planar_embedding(graph: SpatialGraph) -> bool:
-    """Certify that no two edges cross in their interiors.
-
-    O(e^2) sweep over edge pairs — an oracle for the test suite, used to
-    verify the paper's claim that the k-LDTG construction is planar.
-    """
-    edges = list(graph.edges())
-    for i in range(len(edges)):
-        u1, v1 = edges[i]
-        p1, p2 = graph.positions[u1], graph.positions[v1]
-        for j in range(i + 1, len(edges)):
-            u2, v2 = edges[j]
-            q1, q2 = graph.positions[u2], graph.positions[v2]
-            if segments_cross_interior(p1, p2, q1, q2):
-                return False
-    return True
-
-
 def crossing_edge_pairs(
     graph: SpatialGraph,
-) -> Iterable[tuple[tuple[NodeId, NodeId], tuple[NodeId, NodeId]]]:
-    """Yield the edge pairs that cross — diagnostic companion of the above."""
+) -> Iterator[tuple[tuple[NodeId, NodeId], tuple[NodeId, NodeId]]]:
+    """Yield the edge pairs that cross in their interiors (O(e^2))."""
     edges = list(graph.edges())
     for i in range(len(edges)):
         u1, v1 = edges[i]
@@ -154,3 +124,9 @@ def crossing_edge_pairs(
             q1, q2 = graph.positions[u2], graph.positions[v2]
             if segments_cross_interior(p1, p2, q1, q2):
                 yield edges[i], edges[j]
+
+
+def is_planar_embedding(graph: SpatialGraph) -> bool:
+    """Certify that no two edges cross in their interiors: the test
+    suite's oracle for the paper's claim that the k-LDTG is planar."""
+    return next(crossing_edge_pairs(graph), None) is None

@@ -31,8 +31,7 @@ frames within two hops of it.  An :class:`LdtMemo` carries the k-hop
 sets, the frames with their answers and the verdicts from one call to
 the next over the same snapshot, so each link is voted once however
 the queries arrive.  A frame's answers do not depend on the order in
-which links are asked, so the graph is the same in any query order,
-except on the near-cocircular frames described below.
+which links are asked, so the graph is the same in any query order.
 
 **The per-link kernel.**  The vote only ever asks "is link ``uv`` an
 edge of ``A(Nk(x))``?", so :func:`local_delaunay_graph` answers exactly
@@ -61,11 +60,10 @@ vertices" is exactly Bowyer–Watson's answer.
 
 A frame goes to Bowyer–Watson (:func:`local_delaunay_edges_of`) when
 it has fewer than 3 points or duplicate points, is thin (every
-collinear frame is) or under a metre across, or when a link's bounds
-nearly meet, a tie Bowyer–Watson settles by insertion order.
-Bowyer–Watson is also the test oracle.  It breaks down on a dozen
-points within ~1e-8 of one circle, where the two can differ; random
-positions do not produce such frames.
+collinear frame is), or when a link's bounds nearly meet.  Bowyer–Watson
+decides those near-ties exactly (:mod:`repro.geometry.predicates`), and
+settles exact ties, such as the diagonals of a cocircular square, by
+insertion order.  It is also the kernel's test oracle.
 """
 
 from __future__ import annotations
@@ -78,12 +76,10 @@ from repro.geometry.delaunay import delaunay_edges, super_triangle
 from repro.geometry.primitives import Point
 from repro.graphs.udg import NodeId, SpatialGraph, unit_disk_graph
 
-#: Bound comparisons closer than this, relative to the bounds' size,
-#: are near-ties and send the frame to Bowyer–Watson.  The in-circle
-#: predicate's 1e-12 band spans about 1e-12·t² in the centre parameter
-#: ``t``, so this stays clear of it up to t ≈ 1e6 (a link a million
-#: times shorter than the circle's radius); the smallest margin seen on
-#: random frames at paper and N=400 density was 2.9e-5.
+#: The width of the kernel's float band: bound comparisons closer than
+#: this, relative to the bounds' size, send the frame to Bowyer–Watson,
+#: which decides them exactly.  The smallest margin seen on random
+#: frames at paper and N=400 density was 2.9e-5.
 _TIE = 1e-6
 
 #: A frame whose points all lie within this fraction of its extent from
@@ -93,11 +89,6 @@ _TIE = 1e-6
 #: it), and no link between frame points has super-triangle vertices as
 #: both third corners; the proof needs a fraction above ~0.044.
 _THIN = 0.1
-
-#: Frames whose extent is under this many metres go to Bowyer–Watson:
-#: its predicates' tolerance has an absolute floor (the ``+ 1.0`` in
-#: their scale) that dominates in frames that small.
-_MIN_EXTENT = 1.0
 
 _by_y = operator.itemgetter(1)
 
@@ -128,10 +119,10 @@ def local_delaunay_edges_of(
 def _takes_kernel(points: list[tuple[float, float]]) -> bool:
     """Whether the per-link kernel agrees with Bowyer–Watson on a frame.
 
-    It needs at least 3 distinct points, an extent (the longer side of
-    the bounding box) of at least ``_MIN_EXTENT``, and a point farther
-    than ``_THIN`` extents from the line through the extreme points
-    along that side.  Every collinear frame fails the last test.
+    It needs at least 3 distinct points and a point farther than
+    ``_THIN`` extents (the longer side of the bounding box) from the
+    line through the extreme points along that side.  Every collinear
+    frame fails that test.
     """
     if len(points) < 3 or len(set(points)) < len(points):
         return False
@@ -141,8 +132,6 @@ def _takes_kernel(points: list[tuple[float, float]]) -> bool:
     if high[1] - low[1] > extent:
         a, b = low, high
         extent = b[1] - a[1]
-    if extent < _MIN_EXTENT:
-        return False
     ax, ay = a
     ex = b[0] - ax
     ey = b[1] - ay

@@ -162,7 +162,8 @@ def as_adversary_config(
 
     Accepts ``None`` / ``"none"`` / ``"off"`` (no adversary), a string
     of the form ``"mode:fraction"`` (optionally
-    ``"mode:fraction:key=value,key=value"``), a mapping with ``mode``
+    ``"mode:fraction:key=value,key=value"``, each value ``true`` or
+    ``false`` in any letter case, or a number), a mapping with ``mode``
     and ``fraction`` keys (parameters inline or under ``"params"``), or
     an existing config.  A fraction of zero — however spelled — returns
     ``None``: zero compromised nodes *is* the honest run, and must key
@@ -197,13 +198,15 @@ def as_adversary_config(
                         f"bad adversary parameter {item!r} in {value!r} "
                         "(expected key=value)"
                     )
+                flag = raw.strip().lower()
                 try:
-                    number = float(raw)
+                    params[key] = (
+                        flag == "true" if flag in ("true", "false") else float(raw)
+                    )
                 except ValueError as exc:
                     raise ValueError(
                         f"bad adversary parameter value {raw!r} in {value!r}"
                     ) from exc
-                params[key] = number
         if fraction == 0.0:
             return None
         return AdversaryConfig.of(mode, fraction, **params)

@@ -38,6 +38,18 @@ class TestFirstFaceHop:
             == "only"
         )
 
+    def test_exact_turn_breaks_an_atan2_tie(self):
+        # Both neighbours lie within 2e-16 rad of pi from the ray toward
+        # +x, so math.atan2 gives them the same angle; the exact turn
+        # order meets (-100, 2e-14) first, counter-clockwise.
+        neighbors = {"near": Point(-100, 1e-14), "far": Point(-100, 2e-14)}
+        assert first_face_hop(Point(0, 0), Point(1, 0), neighbors) == "far"
+        mirrored = {"near": Point(-100, -1e-14), "far": Point(-100, -2e-14)}
+        assert (
+            first_face_hop(Point(0, 0), Point(1, 0), mirrored, clockwise=True)
+            == "far"
+        )
+
 
 class TestNextFaceHop:
     def test_continues_around_face(self):

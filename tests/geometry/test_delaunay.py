@@ -6,6 +6,8 @@ an independent oracle, and (c) Euler-formula bookkeeping.
 """
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,53 @@ class TestDelaunayProperty:
         pts = random_points(15, seed)
         tri = delaunay_triangulation(pts)
         assert is_delaunay(tri)
+
+
+def near_cocircular(seed, n=12):
+    """``n`` points within 1e-10 to 1e-7 (relative) of one circle: the
+    centre uniform in 1000 x 300 m, the radius 20-100 m, uniform angles,
+    and each point pushed in or out by one relative size per set."""
+    rng = random.Random(seed)
+    cx, cy = rng.uniform(0, 1000), rng.uniform(0, 300)
+    radius = rng.uniform(20, 100)
+    size = 10 ** rng.uniform(-10, -7)
+    points = []
+    for _ in range(n):
+        angle = rng.uniform(0, 2 * math.pi)
+        r = radius * (1 + rng.choice((-1, 1)) * size)
+        points.append(Point(cx + r * math.cos(angle), cy + r * math.sin(angle)))
+    return points
+
+
+def points_strictly_inside_circumcircles(tri):
+    """(triangle, point) pairs violating the empty-circle property, with
+    each circumcircle's centre and radius computed in rational
+    arithmetic."""
+    exact = [(Fraction(p.x), Fraction(p.y)) for p in tri.points]
+    violations = []
+    for corners in tri.triangles:
+        (ax, ay), (bx, by), (cx, cy) = (exact[i] for i in corners)
+        a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+        d = 2 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+        ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
+        uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
+        radius_sq = (ax - ux) ** 2 + (ay - uy) ** 2
+        violations += [
+            (corners, i)
+            for i, (px, py) in enumerate(exact)
+            if i not in corners and (px - ux) ** 2 + (py - uy) ** 2 < radius_sq
+        ]
+    return violations
+
+
+class TestNearCocircular:
+    def test_a_dozen_points_near_one_circle(self):
+        # Every point is on the hull, so a triangulation has n - 2
+        # triangles; the near-ties are decided exactly.
+        for seed in range(20):
+            tri = delaunay_triangulation(near_cocircular(seed))
+            assert len(tri.triangles) == 10, f"seed {seed}"
+            assert points_strictly_inside_circumcircles(tri) == [], f"seed {seed}"
 
 
 class TestAgainstScipy:

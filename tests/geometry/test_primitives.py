@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.geometry.predicates import segments_cross_interior, segments_intersect
 from repro.geometry.primitives import (
     Point,
     angle_between,
@@ -15,8 +16,6 @@ from repro.geometry.primitives import (
     distance_sq,
     midpoint,
     polygon_area,
-    segments_cross_interior,
-    segments_intersect,
 )
 
 coords = st.floats(

@@ -62,6 +62,23 @@ class TestNextEdge:
         assert next_edge_on_face(g, 1, 2, clockwise=True) == 3
         assert next_edge_on_face(g, 1, 2, clockwise=False) == 0
 
+    def test_exact_turn_breaks_an_atan2_tie(self):
+        # Arriving at 0 from 1 (at +x), neighbours 2 and 3 lie within
+        # 2e-16 rad of pi from the reverse edge, so math.atan2 gives them
+        # the same angle; the right-hand rule's exact turn meets 3 first.
+        g = SpatialGraph()
+        coords = {
+            0: Point(0, 0),
+            1: Point(1, 0),
+            2: Point(-100, 1e-14),
+            3: Point(-100, 2e-14),
+        }
+        for n, p in coords.items():
+            g.add_node(n, p)
+        for v in (1, 2, 3):
+            g.add_edge(0, v)
+        assert next_edge_on_face(g, 1, 0, clockwise=True) == 3
+
 
 class TestTraceFace:
     def test_square_face_cycle(self):

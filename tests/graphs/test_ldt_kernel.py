@@ -105,13 +105,14 @@ class TestDegenerateFrames:
         assert_matches_oracle(positions, triangulations, radius=500.0)
         assert triangulations, "a thin frame must go to Bowyer–Watson"
 
-    def test_sub_metre_frame_takes_the_fallback(self, triangulations):
-        # Within a millimetre the predicates' absolute tolerance floor
-        # decides most of Bowyer–Watson's in-circle tests.
+    def test_sub_metre_frame_takes_the_kernel(self, triangulations):
+        # Within a millimetre: the kernel's bounds are scale-free, and
+        # Bowyer–Watson's exact predicates have no absolute floor, so
+        # the two agree without a fallback.
         rng = random.Random(0)
         positions = {i: Point(rng.uniform(0, 1e-3), rng.uniform(0, 1e-3)) for i in range(10)}
         assert_matches_oracle(positions, triangulations, radius=1.0)
-        assert triangulations
+        assert not triangulations
 
     def test_collinear(self, triangulations):
         positions = {i: Point(7.0 * i, 2.0 * 7.0 * i + 1.0) for i in range(8)}

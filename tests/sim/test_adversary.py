@@ -108,6 +108,29 @@ class TestAdversaryConfig:
 
             mod._MODES.entries.pop("test_noop", None)
 
+    def test_bool_params_round_trip(self):
+        from repro.cli import _build_parser
+        from repro.sim import adversary as mod
+
+        def loud_builder(inner, node_id, rng, loud: bool = False, rate: float = 0.5):
+            return inner
+
+        register_adversary_mode("test_loud", loud_builder)
+        try:
+            config = AdversaryConfig.of("test_loud", 0.5, loud=True, rate=0.25)
+            assert str(config) == "test_loud:0.5:loud=True,rate=0.25"
+            assert as_adversary_config(str(config)) == config
+            assert as_adversary_config(
+                "test_loud:0.5:loud=FALSE"
+            ) == AdversaryConfig.of("test_loud", 0.5, loud=False)
+            with pytest.raises(ValueError, match="bad adversary parameter value"):
+                as_adversary_config("test_loud:0.5:rate=fast")
+            spelled = "test_loud:0.5:loud=true,rate=0.25"
+            args = _build_parser().parse_args(["run", "--adversary", spelled])
+            assert as_adversary_config(args.adversary) == config
+        finally:
+            mod._MODES.entries.pop("test_loud", None)
+
 
 class TestNodeSelection:
     def test_fraction_scales_count(self):
