@@ -860,6 +860,46 @@ class TestHostedOrchestration:
         assert outcome.shards[0].attempts == 1
         assert outcome.result.metrics == serial_reference.metrics
 
+    def test_silent_worker_is_killed_as_stalled_until_the_run_aborts(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker that never writes its liveness record is declared
+        stalled, killed and relaunched, and the campaign gives up once
+        the slot has used every attempt."""
+        launched: list = []
+
+        class SilentTransport(LocalTransport):
+            def launch(self, command, stdout, env=None):
+                process = super().launch(
+                    [sys.executable, "-c", "import time; time.sleep(60)"],
+                    stdout,
+                    env,
+                )
+                launched.append(process)
+                return process
+
+        monkeypatch.setattr(orchestrator_module, "HEARTBEAT_EVERY_S", 0.1)
+        run_dir = tmp_path / "run"
+        with pytest.raises(OrchestratorError, match="kept failing"):
+            orchestrate_campaign(
+                SPEC,
+                run_dir=run_dir,
+                hosts=[SilentTransport(tmp_path / "h0", scheme="store")],
+                poll_interval=0.05,
+                stall_timeout=0.5,
+                max_attempts=2,
+            )
+        stalls = [
+            record
+            for record in load_events(
+                run_dir / "events.jsonl", quarantine=False
+            ).records
+            if record["type"] == "stall"
+        ]
+        assert [record["shard"] for record in stalls] == [0, 0]
+        assert len(launched) == 2
+        assert all(process.poll() is not None for process in launched)
+
     def test_join_of_bad_spec_burns_the_entry_not_the_run(
         self, tmp_path, serial_reference
     ):
