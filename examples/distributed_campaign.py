@@ -6,15 +6,15 @@ entirely on the local machine:
 1. define a campaign (a radius x protocol sweep);
 2. stand up two *pseudo-hosts* — ``store:`` directory roots (a
    ``LocalTransport`` each) that exercise the full remote protocol
-   (spec push, lease pushes, stream and heartbeat mirror pulls) with
+   (spec push, lease pushes, stream and event-log mirror pulls) with
    local directories standing in for the wire (on a real fleet you
    would pass ``user@host`` specs instead, which ride the same code
    path over ssh/scp);
 3. hand both to ``orchestrate_campaign(hosts=[...])``: each host gets
    the spec and a lease assignment, runs its worker against *its own*
    root, and the supervisor mirrors every stream back into the run dir
-   each tick — so watch, heartbeat stall detection, and merging all
-   run on the mirrors unchanged;
+   each tick — so watch, stall detection on each worker's event log,
+   and merging all run on the mirrors unchanged;
 4. inject a fault — host 0 is SIGKILLed at launch and its transport
    goes dark — and watch the supervisor declare the host lost, requeue
    its leases, and reclaim them onto the survivor;
@@ -53,55 +53,61 @@ def main() -> None:
         replicates=2,
     )
 
-    scratch = Path(tempfile.mkdtemp(prefix="distributed-campaign-"))
-    run_dir = scratch / "run"
-    hosts = [f"store:{scratch}/host-a", f"store:{scratch}/host-b"]
-    print(
-        f"campaign: {spec.total_tasks()} tasks over {len(hosts)} hosts "
-        f"({', '.join(hosts)})"
-    )
+    with tempfile.TemporaryDirectory(prefix="distributed-") as tmp:
+        scratch = Path(tmp)
+        run_dir = scratch / "run"
+        hosts = [f"store:{scratch}/host-a", f"store:{scratch}/host-b"]
 
-    # Mid-campaign elastic join: the moment the first shard launches,
-    # append a third host to hosts.json — the supervisor polls it each
-    # tick and registers the newcomer as a fresh slot.
-    joined = {"done": False}
+        def local(text: str) -> str:
+            # The scratch dir is gone once the example exits, so paths
+            # under it are printed relative to it.
+            return text.replace(f"{scratch}/", "")
 
-    def on_event(message: str) -> None:
-        print(f"  orchestrator: {message}")
-        if not joined["done"] and message.startswith("launched shard"):
-            joined["done"] = True
-            (run_dir / "hosts.json").write_text(
-                json.dumps({"join": [f"store:{scratch}/host-c"]}),
-                encoding="utf-8",
-            )
-
-    outcome = orchestrate_campaign(
-        spec,
-        run_dir=run_dir,
-        hosts=hosts,
-        poll_interval=0.1,
-        steal_threshold=1,
-        lease_batch=1,
-        on_event=on_event,
-        # Fault injection: host 0 is SIGKILLed at launch and vanishes;
-        # its leases reclaim onto the live hosts.
-        chaos_kill_host=0,
-        chaos_kill_after=0,
-    )
-
-    print()
-    print(outcome.result.render())
-    print(
-        f"hosts: {', '.join(outcome.hosts)}; "
-        f"requeues survived: {outcome.requeues}; "
-        f"leases stolen: {outcome.steals}; "
-        f"merged stream: {outcome.merged_stream}"
-    )
-    for status in outcome.shards:
         print(
-            f"  shard {status.index} [{status.host}]: {status.state}, "
-            f"{status.recorded} task(s) recorded"
+            f"campaign: {spec.total_tasks()} tasks over {len(hosts)} "
+            f"hosts ({', '.join(map(local, hosts))})"
         )
+
+        # Mid-campaign elastic join: the moment the first shard
+        # launches, append a third host to hosts.json — the supervisor
+        # polls it each tick and registers the newcomer as a fresh slot.
+        joined = {"done": False}
+
+        def on_event(message: str) -> None:
+            print(f"  orchestrator: {local(message)}")
+            if not joined["done"] and message.startswith("launched shard"):
+                joined["done"] = True
+                (run_dir / "hosts.json").write_text(
+                    json.dumps({"join": [f"store:{scratch}/host-c"]}),
+                    encoding="utf-8",
+                )
+
+        outcome = orchestrate_campaign(
+            spec,
+            run_dir=run_dir,
+            hosts=hosts,
+            poll_interval=0.1,
+            steal_threshold=1,
+            lease_batch=1,
+            on_event=on_event,
+            # Fault injection: host 0 is SIGKILLed at launch and
+            # vanishes; its leases reclaim onto the live hosts.
+            chaos_kill_host=0,
+            chaos_kill_after=0,
+        )
+
+        print()
+        print(outcome.result.render())
+        print(
+            f"hosts: {', '.join(map(local, outcome.hosts))}; "
+            f"requeues survived: {outcome.requeues}; "
+            f"leases stolen: {outcome.steals}"
+        )
+        for status in outcome.shards:
+            print(
+                f"  shard {status.index} [{local(status.host)}]: "
+                f"{status.state}, {status.recorded} task(s) recorded"
+            )
 
     reference = run_campaign(spec, workers=2)
     identical = outcome.result.render() == reference.render()

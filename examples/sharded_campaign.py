@@ -58,26 +58,30 @@ def main() -> None:
         f"{spec.replicates} replicates = {spec.total_tasks()} tasks"
     )
 
-    workdir = Path(tempfile.mkdtemp(prefix="sharded-campaign-"))
-    shard_streams = []
-    for index in range(SHARDS):
-        stream = workdir / f"shard{index}.jsonl"
-        shard_streams.append(stream)
-        result = run_campaign(
-            spec,
-            workers=2,
-            stream_path=stream,
-            shard_index=index,
-            shard_count=SHARDS,
-        )
-        ran = sum(len(runs) for runs in result.metrics.values())
-        print(f"shard {index + 1}/{SHARDS}: {ran} tasks -> {stream.name}")
+    with tempfile.TemporaryDirectory(prefix="sharded-campaign-") as tmp:
+        workdir = Path(tmp)
+        shard_streams = []
+        for index in range(SHARDS):
+            stream = workdir / f"shard{index}.jsonl"
+            shard_streams.append(stream)
+            result = run_campaign(
+                spec,
+                workers=2,
+                stream_path=stream,
+                shard_index=index,
+                shard_count=SHARDS,
+            )
+            ran = sum(len(runs) for runs in result.metrics.values())
+            print(
+                f"shard {index + 1}/{SHARDS}: {ran} tasks -> {stream.name}"
+            )
 
-    merged = workdir / "merged.jsonl"
-    info = merge_streams(merged, shard_streams)
-    print(f"merged: {len(info.records)} task records -> {merged.name}")
+        merged = workdir / "merged.jsonl"
+        info = merge_streams(merged, shard_streams)
+        print(f"merged: {len(info.records)} task records -> {merged.name}")
 
-    rebuilt = campaign_result_from_stream(merged)
+        rebuilt = campaign_result_from_stream(merged)
+
     print()
     print(rebuilt.render())
 

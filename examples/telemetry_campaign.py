@@ -58,30 +58,35 @@ def main() -> None:
         "profiler on, shard 0's first worker SIGKILLed at launch"
     )
 
-    run_dir = Path(tempfile.mkdtemp(prefix="telemetry-campaign-"))
     os.environ[PROFILE_ENV] = "1"  # inherited by the shard workers
     try:
-        outcome = orchestrate_campaign(
-            spec,
-            shards=2,
-            workers_per_shard=2,
-            run_dir=run_dir,
-            poll_interval=0.1,
-            chaos_kill_shard=0,
-            chaos_kill_after=0,
-        )
+        with tempfile.TemporaryDirectory(prefix="telemetry-") as tmp:
+            run_dir = Path(tmp)
+            outcome = orchestrate_campaign(
+                spec,
+                shards=2,
+                workers_per_shard=2,
+                run_dir=run_dir,
+                poll_interval=0.1,
+                chaos_kill_shard=0,
+                chaos_kill_after=0,
+            )
+            # The merged supervision history (what `repro campaign
+            # events` renders).  Read-only paths never quarantine-repair.
+            info = load_events(run_dir / "events.jsonl", quarantine=False)
+            records = load_stream(
+                run_dir / "campaign.jsonl", quarantine=False
+            ).records
     finally:
         del os.environ[PROFILE_ENV]
-    print(f"done: {outcome.requeues} requeue(s) survived -> {run_dir}")
+    print(f"done: {outcome.requeues} requeue(s) survived")
 
-    # The merged supervision history (what `repro campaign events`
-    # renders).  Read-only paths never quarantine-repair.
-    info = load_events(run_dir / "events.jsonl", quarantine=False)
     assert info.origin == "merged"
     assert unknown_event_types(info.records) == set()
     print(f"\nevent log: {len(info.records)} events")
     for record in info.records:
-        print(f"  {render_event(record)}")
+        # The run dir is gone by now: name its files relative to it.
+        print(f"  {render_event(record).replace(f'{run_dir}/', '')}")
 
     # The injected fault is a durable, queryable record.
     requeues = filter_events(info.records, type="requeue")
@@ -89,9 +94,6 @@ def main() -> None:
     print(f"\nrequeue events: {len(requeues)} (the chaos kill, survived)")
 
     # Where did the time go?  Fold phase_profile blocks per cell.
-    records = load_stream(
-        run_dir / "campaign.jsonl", quarantine=False
-    ).records
     cells = aggregate_phase_profiles(records)
     assert cells, "profiler was on: every record carries phase_profile"
     print("\nphase breakdown (exclusive seconds per cell):")

@@ -21,7 +21,7 @@ Subcommands:
   ``campaign merge`` unions shard streams; ``campaign aggregate``
   renders the summary table from a stream alone; ``campaign status``
   is a one-shot health report of a run directory (per-shard progress,
-  heartbeat staleness, supervision counts — from files alone);
+  worker silence, supervision counts — from files alone);
   ``campaign events`` prints the run's structured event log.
 - ``report`` — render a self-contained trade-off report (Pareto
   frontiers, bootstrap-CI rankings, dominance/regret, per-axis curves)
@@ -73,7 +73,10 @@ import time
 from pathlib import Path
 from typing import Callable
 
+from repro.analysis.aggregate import cell_coverage
+from repro.analysis.store import ResultStore
 from repro.experiments.campaign import (
+    CampaignResult,
     CampaignSpec,
     TaskProgress,
     campaign_result_from_stream,
@@ -83,10 +86,9 @@ from repro.experiments.campaign import (
 from repro.experiments.evaluation import ARTEFACTS, run_artefact
 from repro.experiments.layout import RunLayout
 from repro.experiments.orchestrator import (
+    STALL_TIMEOUT_S,
     OrchestratorError,
     orchestrate_campaign,
-    render_watch,
-    watch_view,
 )
 from repro.experiments.protocols import ProtocolConfig
 from repro.experiments.scheduler import (
@@ -267,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     orch_p.add_argument(
         "--dir",
         default=None,
-        help="run directory for spec/streams/heartbeats/logs and the "
+        help="run directory for spec/streams/event logs/logs and the "
         "merged stream (default: orchestrated-<name>; rerunning with "
         "the same dir resumes from its shard streams)",
     )
@@ -308,10 +310,12 @@ def _build_parser() -> argparse.ArgumentParser:
     orch_p.add_argument(
         "--stall-timeout",
         type=float,
-        default=600.0,
-        help="seconds without a heartbeat touch before a worker is "
-        "declared stalled, killed, and its shard requeued "
-        "(workers touch per finished task; default: 600)",
+        default=STALL_TIMEOUT_S,
+        help="seconds a worker's event log may go unwritten before the "
+        "worker is declared stalled, killed, and its shard requeued (a "
+        "worker writes it after finished tasks and while idle, at most "
+        f"every {HEARTBEAT_EVERY_S:g} s each, so this must be at least "
+        f"{2 * HEARTBEAT_EVERY_S:g}; default: {STALL_TIMEOUT_S:g})",
     )
     orch_p.add_argument(
         "--poll-interval",
@@ -390,28 +394,12 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="render one snapshot and exit (scripting/CI)",
     )
-    watch_p.add_argument(
-        "--stall-timeout",
-        type=float,
-        default=600.0,
-        metavar="SECONDS",
-        help="heartbeat age that earns a shard the stall warning marker "
-        "in the health panel (--dir only; default: 600)",
-    )
     status_p = camp_sub.add_parser(
         "status",
         help="one-shot health report of an orchestrated run directory, "
         "rebuilt from its files alone (works mid-run and after)",
     )
     status_p.add_argument("dir", help="orchestrator run directory")
-    status_p.add_argument(
-        "--stall-timeout",
-        type=float,
-        default=600.0,
-        metavar="SECONDS",
-        help="heartbeat age that earns a shard the stall warning marker "
-        "(default: 600)",
-    )
     status_p.add_argument(
         "--json",
         action="store_true",
@@ -501,9 +489,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="execute the explicit task-key list in this scheduler "
-        "assignment file, re-reading it after every finished task (the "
-        "orchestrator's worker mode; requires --stream, conflicts "
-        "with --shard-index/--shard-count)",
+        "assignment file, re-reading it after every finished task, and "
+        "log heartbeat events to shardN.events next to it, N being the "
+        "file's worker index (the orchestrator's worker mode; requires "
+        "--stream, conflicts with --shard-index/--shard-count)",
     )
     camp_p.add_argument(
         "--wait-timeout",
@@ -514,21 +503,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "long on an assignment file nobody touches or closes — a live "
         "supervisor freshens the file every tick, so a quiet file "
         "means it died; 0 waits forever (default: 600)",
-    )
-    camp_p.add_argument(
-        "--heartbeat",
-        default=None,
-        metavar="FILE",
-        help="touch this file at start and after every finished task "
-        "(the orchestrator's worker-liveness probe)",
-    )
-    camp_p.add_argument(
-        "--events",
-        default=None,
-        metavar="FILE",
-        help="append this worker's reasoned heartbeat events (task-done "
-        "vs idle-wait) to this event log; the orchestrator passes the "
-        "run dir's shard<i>.events and merges them at collection",
     )
     camp_p.add_argument(
         "--quiet", action="store_true", help="suppress per-task progress"
@@ -1078,8 +1052,8 @@ def _shard_indices(layout: RunLayout) -> list[int]:
     """Every shard slot with any artifact in the run dir.
 
     Streams alone under-count (a worker killed before its first record
-    has only a heartbeat/log), so the union over every ``shard<i>.*``
-    artifact is what status and the watch health panel iterate.
+    has only a log), so the union over every ``shard<i>.*`` artifact is
+    what the per-shard rows iterate.
     """
     indices: set[int] = set()
     for path in layout.root.glob("shard*"):
@@ -1090,28 +1064,95 @@ def _shard_indices(layout: RunLayout) -> list[int]:
     return sorted(indices)
 
 
-def _heartbeat_age(path: Path, now: float) -> float | None:
-    try:
-        return max(0.0, now - path.stat().st_mtime)
-    except OSError:
-        return None
+def _read_events(layout: RunLayout) -> tuple[list[dict], str | None, int]:
+    """The run's event records, origin and skipped-line count.
+
+    Read-only: a live supervisor may be mid-append on the last line, so
+    nothing is repaired.  A run dir without an event log (one that has
+    not started) reads as no events.
+    """
+    if not layout.events.exists():
+        return [], None, 0
+    info = load_events(layout.events, quarantine=False)
+    return info.records, info.origin, info.quarantined
 
 
-def _heartbeat_text(age: float | None, stall_timeout: float) -> str:
-    if age is None:
-        return "no heartbeat yet"
-    text = f"last beat {age:.0f}s ago"
-    if stall_timeout and age > stall_timeout:
-        text += " ⚠ stalled?"
-    return text
+def _stall_timeout(events: list[dict]) -> float:
+    """The stall threshold the run's supervisor kills on.
+
+    The latest ``run_start`` event records it; a log without one (a run
+    dir written before supervisors recorded it) gets the default.
+    """
+    recorded = [
+        record["payload"]["stall_timeout"]
+        for record in events
+        if record["type"] == "run_start"
+        and "stall_timeout" in record["payload"]
+    ]
+    return recorded[-1] if recorded else STALL_TIMEOUT_S
 
 
-def _render_health(
-    layout: RunLayout, stall_timeout: float
-) -> str:
-    """The per-shard liveness panel shared by watch and status."""
+def _stream_store(paths: list[Path]) -> ResultStore:
+    """One read-only result store over the given streams.
+
+    Streams load with ``quarantine=False``, so a tail a live worker is
+    mid-append on is skipped this time and read the next, never
+    repaired away.
+    """
+    store = ResultStore()
+    for path in paths:
+        store.ingest(path)
+    return store
+
+
+def _coverage(
+    store: ResultStore,
+) -> tuple[CampaignResult, int, int, int, int]:
+    """The store's aggregate, tasks done/total and cells complete/total."""
+    spec = store.spec
+    result = store.result()
+    complete, _ = cell_coverage(result.metrics, spec.replicates)
+    return (
+        result,
+        len(store.records()),
+        spec.total_tasks(),
+        complete,
+        len(spec.cells()),
+    )
+
+
+def _hosts(events: list[dict]) -> tuple[dict[int, str], set[int]]:
+    """Host slots that joined (slot -> host) and slots declared lost."""
+    joined = {
+        record["shard"]: record["host"]
+        for record in events
+        if record["type"] == "host_join"
+    }
+    lost = {
+        record["shard"] for record in events if record["type"] == "host_lost"
+    }
+    return joined, lost
+
+
+def _shard_rows(layout: RunLayout, events: list[dict]) -> list[dict]:
+    """One health row per shard slot, rebuilt from the run dir's files.
+
+    ``heartbeat_age_s`` is the supervisor's own reading,
+    :meth:`RunLayout.record_age`, floored at the slot's latest launch.
+    """
     now = time.time()
-    lines = []
+    summaries = {
+        record["shard"]: record
+        for record in events
+        if record["type"] == "shard_summary"
+    }
+    launched = {
+        record["shard"]: record["t_wall"]
+        for record in events
+        if record["type"] == "launch"
+    }
+    joined, lost = _hosts(events)
+    rows = []
     for index in _shard_indices(layout):
         stream = layout.stream(index)
         recorded = (
@@ -1119,86 +1160,12 @@ def _render_health(
             if stream.exists() and stream.stat().st_size > 0
             else 0
         )
-        age = _heartbeat_age(layout.heartbeat(index), now)
-        lines.append(
-            f"shard {index}: {recorded} task record(s), "
-            f"{_heartbeat_text(age, stall_timeout)}"
-        )
-    return "\n".join(lines)
-
-
-def _cmd_campaign_status(args: argparse.Namespace) -> int:
-    """Health report of a run dir, rebuilt from its files alone."""
-    layout = RunLayout(args.dir)
-    if not layout.root.is_dir():
-        raise ValueError(f"no run directory at {layout.root}")
-    now = time.time()
-    indices = _shard_indices(layout)
-
-    # The event log is optional input (a pre-telemetry run dir, or a
-    # run that has not started): everything stream/heartbeat-derived
-    # still renders without it.
-    events: list[dict] = []
-    origin = None
-    quarantined = 0
-    if layout.events.exists():
-        info = load_events(layout.events, quarantine=False)
-        events, origin, quarantined = (
-            info.records, info.origin, info.quarantined
-        )
-    by_type: dict[str, int] = {}
-    for record in events:
-        by_type[record["type"]] = by_type.get(record["type"], 0) + 1
-    summaries = {
-        record["shard"]: record
-        for record in events
-        if record["type"] == "shard_summary"
-    }
-    hosts_joined = {
-        record["shard"]: record["host"]
-        for record in events
-        if record["type"] == "host_join"
-    }
-    hosts_lost = {
-        record["shard"] for record in events
-        if record["type"] == "host_lost"
-    }
-    finished = by_type.get("run_end", 0) > 0
-
-    streams = [
-        path for path in layout.shard_streams()
-        if path.stat().st_size > 0
-    ]
-    done = total = complete_cells = total_cells = None
-    coverage_note = "no task records yet"
-    if streams:
-        try:
-            view = watch_view(streams)
-            done, total = view.done, view.total
-            complete_cells = view.complete_cells
-            total_cells = view.total_cells
-            coverage_note = (
-                f"{done}/{total} tasks recorded, "
-                f"{complete_cells}/{total_cells} cells complete"
-            )
-        except (StreamError, ValueError) as exc:
-            coverage_note = f"streams unreadable this tick: {exc}"
-
-    shard_rows = []
-    for index in indices:
-        stream = layout.stream(index)
-        recorded = (
-            stream_task_count(stream)
-            if stream.exists() and stream.stat().st_size > 0
-            else 0
-        )
-        age = _heartbeat_age(layout.heartbeat(index), now)
         summary = summaries.get(index)
         state = (
             summary["payload"].get("state")
             if summary is not None else None
         )
-        if index in hosts_lost:
+        if index in lost:
             state = "lost"
         leases = None
         closed = None
@@ -1216,18 +1183,77 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
             )
             for kind in ("requeue", "steal", "stall", "chaos")
         }
-        shard_rows.append(
+        rows.append(
             {
                 "shard": index,
-                "host": hosts_joined.get(index),
+                "host": joined.get(index),
                 "state": state,
                 "recorded": recorded,
-                "heartbeat_age_s": age,
+                "heartbeat_age_s": layout.record_age(
+                    index, now, launched.get(index)
+                ),
                 "leases": leases,
                 "assignment_closed": closed,
                 **counts,
             }
         )
+    return rows
+
+
+def _render_shard_row(row: dict, stall_timeout: float) -> str:
+    bits = []
+    if row["state"]:
+        bits.append(row["state"])
+    bits.append(f"{row['recorded']} task record(s)")
+    age = row["heartbeat_age_s"]
+    if age is None:
+        bits.append("no heartbeat yet")
+    else:
+        stalled = " ⚠ stalled?" if age > stall_timeout else ""
+        bits.append(f"last beat {age:.0f}s ago{stalled}")
+    if row["leases"] is not None:
+        closed = " [closed]" if row["assignment_closed"] else ""
+        bits.append(f"{row['leases']} leased key(s){closed}")
+    for kind in ("requeue", "steal", "stall", "chaos"):
+        if row[kind]:
+            bits.append(f"{row[kind]} {kind}(s)")
+    host = f" ({row['host']})" if row["host"] else ""
+    return f"  shard {row['shard']}{host}: " + ", ".join(bits)
+
+
+def _cmd_campaign_status(args: argparse.Namespace) -> int:
+    """Health report of a run dir, rebuilt from its files alone."""
+    layout = RunLayout(args.dir)
+    if not layout.root.is_dir():
+        raise ValueError(f"no run directory at {layout.root}")
+    # The event log is optional input (a pre-telemetry run dir, or a
+    # run that has not started): everything stream-derived still
+    # renders without it.
+    events, origin, quarantined = _read_events(layout)
+    by_type: dict[str, int] = {}
+    for record in events:
+        by_type[record["type"]] = by_type.get(record["type"], 0) + 1
+    finished = by_type.get("run_end", 0) > 0
+    stall_timeout = _stall_timeout(events)
+
+    streams = [
+        path for path in layout.shard_streams()
+        if path.stat().st_size > 0
+    ]
+    done = total = complete_cells = total_cells = None
+    coverage_note = "no task records yet"
+    if streams:
+        try:
+            _, done, total, complete_cells, total_cells = _coverage(
+                _stream_store(streams)
+            )
+            coverage_note = (
+                f"{done}/{total} tasks recorded, "
+                f"{complete_cells}/{total_cells} cells complete"
+            )
+        except (StreamError, ValueError) as exc:
+            coverage_note = f"streams unreadable this tick: {exc}"
+    shard_rows = _shard_rows(layout, events)
 
     if args.json:
         print(
@@ -1243,6 +1269,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
                     "events_origin": origin,
                     "events_quarantined": quarantined,
                     "event_counts": by_type,
+                    "stall_timeout_s": stall_timeout,
                     "shards": shard_rows,
                 },
                 sort_keys=True,
@@ -1271,28 +1298,12 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
             print(f"  supervision: {counts}")
     else:
         print("  event log: none yet")
-    if hosts_joined:
-        live = [
-            host for shard, host in sorted(hosts_joined.items())
-            if shard not in hosts_lost
-        ]
-        print(f"  hosts: {len(live)} live, {len(hosts_lost)} lost")
+    joined, lost = _hosts(events)
+    if joined:
+        live = [shard for shard in joined if shard not in lost]
+        print(f"  hosts: {len(live)} live, {len(lost)} lost")
     for row in shard_rows:
-        bits = []
-        if row["state"]:
-            bits.append(row["state"])
-        bits.append(f"{row['recorded']} task record(s)")
-        bits.append(
-            _heartbeat_text(row["heartbeat_age_s"], args.stall_timeout)
-        )
-        if row["leases"] is not None:
-            closed = " [closed]" if row["assignment_closed"] else ""
-            bits.append(f"{row['leases']} leased key(s){closed}")
-        for kind in ("requeue", "steal", "stall", "chaos"):
-            if row[kind]:
-                bits.append(f"{row[kind]} {kind}(s)")
-        host = f" ({row['host']})" if row["host"] else ""
-        print(f"  shard {row['shard']}{host}: " + ", ".join(bits))
+        print(_render_shard_row(row, stall_timeout))
     return 0
 
 
@@ -1348,7 +1359,8 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
             time.sleep(args.interval)
             continue
         try:
-            view = watch_view(ready)
+            store = _stream_store(ready)
+            result, done, total, complete, cells = _coverage(store)
         except StreamError as exc:
             if args.once:
                 raise
@@ -1357,17 +1369,30 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
             print(f"watch: {exc}", flush=True)
             time.sleep(args.interval)
             continue
-        print(render_watch(view), flush=True)
+        percent = 100.0 * done / total if total else 100.0
+        print(
+            f"campaign {result.spec.name}: {done}/{total} tasks recorded "
+            f"({percent:.1f}%), {complete}/{cells} cells complete"
+            + (
+                f" [{result.stream_damaged} in-flight/undecodable "
+                f"line(s) skipped this tick]"
+                if result.stream_damaged else ""
+            ),
+            flush=True,
+        )
+        print(
+            result.render() if result.metrics else "(no task records yet)",
+            flush=True,
+        )
         if args.dir:
-            # The liveness panel needs the run dir's heartbeat files,
-            # so it only renders in --dir mode (bare stream paths
-            # carry no heartbeat to read).
-            health = _render_health(
-                RunLayout(args.dir), args.stall_timeout
-            )
-            if health:
-                print(health, flush=True)
-        if args.once or view.finished:
+            # The per-shard rows need the run dir's event logs, so they
+            # only render in --dir mode.
+            layout = RunLayout(args.dir)
+            events = _read_events(layout)[0]
+            stall_timeout = _stall_timeout(events)
+            for row in _shard_rows(layout, events):
+                print(_render_shard_row(row, stall_timeout), flush=True)
+        if args.once or done >= total:
             return 0
         print(flush=True)
         time.sleep(args.interval)
@@ -1436,41 +1461,31 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         f"= {total} simulations ({args.workers} workers{shard})"
     )
 
-    heartbeat = Path(args.heartbeat) if args.heartbeat else None
-    if heartbeat is not None:
-        heartbeat.parent.mkdir(parents=True, exist_ok=True)
-        heartbeat.touch()
-
+    # A --tasks worker's event log sits next to its assignment file and
+    # is its liveness record: the supervisor's stall check reads its
+    # age, so every finished task and idle poll appends a throttled
+    # heartbeat event, whose reason tells a post-mortem whether the
+    # worker was computing or starved for leases.
     events_log: EventLog | None = None
-    shard_no = args.shard_index
-    if args.events:
-        events_path = Path(args.events)
-        if shard_no is None and events_path.stem.startswith("shard"):
-            # --tasks workers carry no --shard-index; the orchestrator
-            # names their event file shard<i>.events, so the slot index
-            # is recoverable from the path for event identity.
-            digits = events_path.stem[len("shard"):]
-            if digits.isdigit():
-                shard_no = int(digits)
-        events_log = EventLog(events_path, origin=events_path.stem)
+    worker = None
+    if args.tasks is not None:
+        worker = read_assignment(args.tasks).worker
+        events_log = EventLog(
+            RunLayout(Path(args.tasks).parent).shard_events(worker),
+            origin=f"shard{worker}",
+        )
 
     def beat(reason: str) -> None:
-        # The heartbeat *file* is the supervisor's liveness probe; the
-        # event is the durable, reasoned record of the same touch —
-        # task-done vs idle-wait tells a post-mortem whether the worker
-        # was computing or starved for leases.
         if events_log is not None:
             events_log.emit_throttled(
                 f"hb:{reason}",
                 HEARTBEAT_EVERY_S,
                 "heartbeat",
-                shard=shard_no,
+                shard=worker,
                 reason=reason,
             )
 
     def progress(event: TaskProgress) -> None:
-        if heartbeat is not None:
-            heartbeat.touch()
         beat("task-done")
         if args.quiet:
             return
@@ -1481,25 +1496,17 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"({source})"
         )
 
-    def on_wait() -> None:
-        # An idle --tasks worker polling for leases must still look
-        # alive, or the supervisor's stall detector would kill it.
-        if heartbeat is not None:
-            heartbeat.touch()
-        beat("idle-wait")
-
-    want_callbacks = heartbeat is not None or events_log is not None
     result = run_campaign(
         spec,
         workers=args.workers,
         cache_dir=args.cache_dir,
-        progress=None if args.quiet and not want_callbacks else progress,
+        progress=None if args.quiet and events_log is None else progress,
         stream_path=args.stream,
         shard_index=args.shard_index,
         shard_count=args.shard_count,
         tasks_file=args.tasks,
         wait_timeout=wait_timeout if wait_timeout else None,
-        on_wait=on_wait if want_callbacks else None,
+        on_wait=None if events_log is None else lambda: beat("idle-wait"),
     )
     print()
     print(result.render())
@@ -1509,10 +1516,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     """Render a trade-off report from a run dir or metrics stream."""
-    # Imported here, not at module top: the analysis stack imports the
-    # campaign engine, and most CLI invocations never need it.
+    # Imported here, not at module top: most CLI invocations never
+    # render a report.
     from repro.analysis.report import generate_report
-    from repro.analysis.store import ResultStore
 
     if args.resamples < 1:
         raise ValueError("--resamples must be >= 1")

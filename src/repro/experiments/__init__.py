@@ -23,7 +23,6 @@ from repro.experiments.orchestrator import (
     OrchestratorError,
     OrchestratorResult,
     orchestrate_campaign,
-    watch_view,
 )
 from repro.experiments.protocols import ProtocolConfig, as_protocol_config
 from repro.experiments.runner import (
@@ -80,5 +79,4 @@ __all__ = [
     "stream_task_count",
     "suite_description",
     "union_records",
-    "watch_view",
 ]

@@ -1013,13 +1013,13 @@ def run_campaign(
     supervisor reclaims (work stealing) are dropped before the worker
     reaches them and leases it grants mid-run are picked up.  When the
     file has no pending keys but is not ``closed``, the worker waits
-    (calling ``on_wait`` on each poll — the CLI touches its heartbeat
-    there) for more leases; a ``closed`` file with nothing pending ends
-    the run.  ``wait_timeout`` bounds that wait: a live
-    supervisor freshens the assignment file's mtime every supervision
-    tick, so a file that stays untouched for ``wait_timeout`` seconds
-    while the worker is idle means the supervisor died without closing
-    it — the worker raises
+    (calling ``on_wait`` on each poll — the CLI logs a throttled
+    heartbeat event there) for more leases; a ``closed`` file with
+    nothing pending ends the run.  ``wait_timeout`` bounds that wait: a
+    live supervisor freshens the assignment file's mtime every
+    supervision tick, so a file that stays untouched for
+    ``wait_timeout`` seconds while the worker is idle means the
+    supervisor died without closing it — the worker raises
     :class:`~repro.experiments.scheduler.AssignmentIdleTimeout` instead
     of polling forever as an orphan (``None``: wait indefinitely).
     Requires ``stream_path`` and conflicts with

@@ -1,7 +1,7 @@
 """Run-directory layout: the single authority for every artifact path.
 
 An orchestrated campaign's run dir holds one spec document, one
-stream/heartbeat/log/assignment file per shard slot, the merged output
+stream/event-log/log/assignment file per shard slot, the merged output
 stream, and (for multi-host runs) the elastic-membership hosts file.
 Before this module those names were spelled independently in
 ``orchestrator.py``, ``scheduler.py``, and the ``campaign`` CLI — the
@@ -65,11 +65,6 @@ class RunLayout:
         return f"shard{shard}.jsonl"
 
     @staticmethod
-    def heartbeat_name(shard: int) -> str:
-        """The file shard ``shard``'s worker touches per finished task."""
-        return f"shard{shard}.heartbeat"
-
-    @staticmethod
     def log_name(shard: int) -> str:
         """Shard ``shard``'s worker stdout/stderr log."""
         return f"shard{shard}.log"
@@ -88,7 +83,10 @@ class RunLayout:
     def shard_events_name(shard: int) -> str:
         """Shard ``shard``'s worker-side event log.
 
-        Deliberately **not** ``.jsonl`` — it must never match
+        It is also the worker's liveness record: the worker appends a
+        throttled ``heartbeat`` event per finished task and while it
+        idles, so the file's age is how long the worker has been
+        silent.  Deliberately **not** ``.jsonl`` — it must never match
         :data:`STREAM_GLOB`, or the merge would try to union events
         into the metric stream.
         """
@@ -114,9 +112,6 @@ class RunLayout:
     def stream(self, shard: int) -> Path:
         return self.root / self.stream_name(shard)
 
-    def heartbeat(self, shard: int) -> Path:
-        return self.root / self.heartbeat_name(shard)
-
     def log(self, shard: int) -> Path:
         return self.root / self.log_name(shard)
 
@@ -129,6 +124,25 @@ class RunLayout:
 
     def shard_events(self, shard: int) -> Path:
         return self.root / self.shard_events_name(shard)
+
+    def record_age(
+        self, shard: int, now: float, launched: float | None = None
+    ) -> float | None:
+        """Seconds shard ``shard``'s worker has been silent at ``now``.
+
+        The worker's liveness record is its event log, so this is the
+        log's age by its mtime.  A log older than the worker's
+        ``launched`` time (wall clock) was left by an earlier worker, so
+        the age counts from the launch at most.  ``None`` when neither
+        is known.  The supervisor's stall check and the ``campaign
+        status``/``watch`` panels all read a worker's age here.
+        """
+        ages = [] if launched is None else [now - launched]
+        try:
+            ages.append(now - self.shard_events(shard).stat().st_mtime)
+        except OSError:
+            pass
+        return max(0.0, min(ages)) if ages else None
 
     def shard_streams(self) -> list[Path]:
         """Every existing shard stream under the root, in shard order.

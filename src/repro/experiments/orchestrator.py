@@ -30,15 +30,16 @@ How it works:
   stall detection.
 - Every tick the supervisor runs one transport round per live slot: it
   freshens the slot's assignment file (an idle worker's sign that the
-  supervisor lives) and mirrors the worker's stream, heartbeat and
-  event file into the run dir (atomic replace, host mtime kept).  It
-  then folds newly streamed keys into the board
+  supervisor lives) and mirrors the worker's stream and event log into
+  the run dir (atomic replace, host mtime kept).  It then folds newly
+  streamed keys into the board
   (:class:`~repro.experiments.stream.StreamTailKeys` reads only the
-  appended bytes) and polls worker liveness (``Popen.poll``) and the
-  heartbeat each worker touches per finished task.  A dead or stalled
-  worker's slot is relaunched on the next free slot and resumes from
-  its stream; ``max_attempts`` failures of one slot abort the campaign
-  with that slot's log tail.
+  appended bytes) and polls worker liveness: ``Popen.poll`` for
+  death, and the age of the worker's event log, which gains a
+  throttled ``heartbeat`` event per finished task and while the worker
+  idles, for stalls.  A dead or stalled worker's slot is relaunched on
+  the next free slot and resumes from its stream; ``max_attempts``
+  failures of one slot abort the campaign with that slot's log tail.
 - Work stealing: when a worker sits idle while another still holds
   unstarted leases, the supervisor moves some of them over.  Requeue
   granularity is one task, which cuts tail latency on sweeps with
@@ -65,11 +66,9 @@ orchestrator smoke job proves the requeue path with it) or
 one worker's environment — a simulated slow machine, which the same
 job uses to force steals.
 
-:func:`watch_view` is the read side: it unions the (possibly still
-growing) shard streams in memory — ``quarantine=False`` throughout, so
-a live stream's in-flight tail is never repaired away — and rebuilds
-the partial per-cell aggregate with the honest ``runs`` column.
-``repro campaign watch`` re-renders it on an interval.
+The read side is :class:`~repro.analysis.store.ResultStore`: ``repro
+campaign watch`` and ``status`` ingest the (possibly still growing)
+shard streams into one, read-only, and render the partial aggregate.
 """
 
 from __future__ import annotations
@@ -84,12 +83,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.analysis.aggregate import cell_coverage
 from repro.experiments.campaign import (
     CHAOS_TASK_SLEEP_ENV,
     CampaignResult,
     CampaignSpec,
-    campaign_result_from_records,
     campaign_result_from_stream,
     campaign_spec_hash,
     task_key,
@@ -103,11 +100,9 @@ from repro.experiments.transport import (
     parse_host,
 )
 from repro.experiments.stream import (
-    StreamError,
     StreamTailKeys,
     load_stream,
     merge_streams,
-    union_records,
 )
 from repro.telemetry.events import (
     HEARTBEAT_EVERY_S,
@@ -116,14 +111,17 @@ from repro.telemetry.events import (
 )
 
 __all__ = [
+    "STALL_TIMEOUT_S",
     "OrchestratorError",
     "OrchestratorResult",
     "ShardStatus",
-    "WatchView",
     "orchestrate_campaign",
-    "render_watch",
-    "watch_view",
 ]
+
+#: Default seconds a worker's event log may stay unwritten before the
+#: worker is declared stalled; monitors fall back to it for a run whose
+#: event log does not record its own.
+STALL_TIMEOUT_S = 600.0
 
 #: Called with one human-readable line per supervision event (launch,
 #: death, requeue, completion, merge).  The CLI prints these; tests and
@@ -198,7 +196,6 @@ class ShardStatus:
 
     index: int
     stream: Path
-    heartbeat: Path
     log: Path
     #: Launch attempts so far (1 on first launch).
     attempts: int = 0
@@ -290,10 +287,6 @@ def _worker_command(
         str(layout.assignment(index)),
         "--stream",
         str(layout.stream(index)),
-        "--heartbeat",
-        str(layout.heartbeat(index)),
-        "--events",
-        str(layout.shard_events(index)),
         "--workers",
         str(workers_per_shard),
         "--quiet",
@@ -344,6 +337,7 @@ class _Worker:
     status: ShardStatus
     process: subprocess.Popen
     log_handle: object
+    #: Wall-clock launch time, the floor of the worker's record age.
     launched_at: float
 
     def kill(self) -> None:
@@ -378,7 +372,6 @@ def _shard_status(layout: RunLayout, index: int, host: str) -> ShardStatus:
     return ShardStatus(
         index=index,
         stream=layout.stream(index),
-        heartbeat=layout.heartbeat(index),
         log=layout.log(index),
         host=host,
     )
@@ -391,7 +384,7 @@ def orchestrate_campaign(
     workers_per_shard: int = 1,
     cache_dir: str | Path | None = None,
     poll_interval: float = 0.3,
-    stall_timeout: float = 600.0,
+    stall_timeout: float = STALL_TIMEOUT_S,
     max_attempts: int = 3,
     max_concurrent: int | None = None,
     on_event: EventCallback | None = None,
@@ -407,8 +400,8 @@ def orchestrate_campaign(
     """Fan a campaign out over supervised shard workers and collect it.
 
     ``run_dir`` holds everything: the spec document handed to workers
-    (``spec.json``), one assignment file + stream + heartbeat + log per
-    shard (``shard<i>.tasks.json`` / ``.jsonl`` / ``.heartbeat`` /
+    (``spec.json``), one assignment file + stream + event log + log per
+    shard (``shard<i>.tasks.json`` / ``.jsonl`` / ``.events`` /
     ``.log``), and the final merged stream (``campaign.jsonl``).
     Re-running with the same ``run_dir`` resumes: a task any stream
     already records is never leased again, so a killed orchestrator
@@ -426,13 +419,15 @@ def orchestrate_campaign(
     wall-clock shape, never the results.  A shard is done once every
     lease it holds is recorded in some stream.
 
-    A worker that dies (any nonzero exit) or stalls (no heartbeat
-    touch for ``stall_timeout`` seconds — workers touch per finished
-    task, so set this above your slowest single task; a heartbeat
-    older than the worker's launch counts from the launch) is killed
-    and its shard requeued onto the next free slot, up to
-    ``max_attempts`` launches per shard; after that the campaign
-    aborts with the shard's log tail.  ``max_concurrent`` caps
+    A worker that dies (any nonzero exit) or stalls (its event log
+    unwritten for ``stall_timeout`` seconds) is killed and its shard
+    requeued onto the next free slot, up to ``max_attempts`` launches
+    per shard; after that the campaign aborts with the shard's log
+    tail.  A worker writes a heartbeat event at most every
+    ``HEARTBEAT_EVERY_S`` seconds, after a finished task or while
+    idle, so ``stall_timeout`` must be at least twice that and should
+    exceed your slowest single task by that much; a log older than the
+    worker's launch counts from the launch.  ``max_concurrent`` caps
     simultaneous workers (default: no cap); the leases of a shard
     waiting for a slot are reclaimed onto idle workers.
 
@@ -532,8 +527,12 @@ def orchestrate_campaign(
         raise ValueError("max_attempts must be >= 1")
     if poll_interval <= 0:
         raise ValueError("poll_interval must be positive")
-    if stall_timeout <= 0:
-        raise ValueError("stall_timeout must be positive")
+    if stall_timeout < 2 * HEARTBEAT_EVERY_S:
+        raise ValueError(
+            f"stall_timeout must be at least {2 * HEARTBEAT_EVERY_S:g} s "
+            f"(twice an idle worker's heartbeat interval), got "
+            f"{stall_timeout:g}"
+        )
     if max_concurrent is not None and max_concurrent < 1:
         raise ValueError("max_concurrent must be >= 1")
     if lease_batch is not None and lease_batch < 1:
@@ -597,6 +596,7 @@ def orchestrate_campaign(
         shards=shards,
         total_tasks=total_tasks,
         hosts=[status.host for status in statuses if status.host],
+        stall_timeout=stall_timeout,
     )
     adversaries = _adversary_specs(spec)
     if adversaries:
@@ -861,7 +861,7 @@ def orchestrate_campaign(
         process, handle = _spawn_worker(
             transport, command, status.log, status.attempts, env
         )
-        worker = _Worker(status, process, handle, time.monotonic())
+        worker = _Worker(status, process, handle, time.time())
         running.append(worker)
         host_note = f" on {status.host}" if status.host else ""
         event.emit(
@@ -921,9 +921,8 @@ def orchestrate_campaign(
             # freshen the slot's assignment mtime, so an idle worker's
             # supervisor-death timeout (`repro campaign --tasks
             # --wait-timeout`) never fires while this loop runs, then
-            # pull the worker's stream, heartbeat and event file into
-            # the run dir —
-            # atomic replace with the host mtime kept, so the tail
+            # pull the worker's stream and event log into the run dir
+            # — atomic replace with the host mtime kept, so the tail
             # cursors, the stall clock and the endgame event merge read
             # the mirrors as if the worker were local.  Each pull is a
             # no-op until the worker first writes that file, and every
@@ -937,10 +936,6 @@ def orchestrate_campaign(
                     event.heartbeat(status.index, "supervisor-beacon")
                     transport.pull(
                         RunLayout.stream_name(status.index), status.stream
-                    )
-                    transport.pull(
-                        RunLayout.heartbeat_name(status.index),
-                        status.heartbeat,
                     )
                     transport.pull(
                         RunLayout.shard_events_name(status.index),
@@ -968,18 +963,12 @@ def orchestrate_campaign(
                 # The poll's exit code, or the one a chaos kill reaped.
                 return_code = worker.process.returncode
                 if return_code is None:
-                    try:
-                        beat_age = (
-                            time.time() - status.heartbeat.stat().st_mtime
-                        )
-                    except OSError:
-                        beat_age = float("inf")
-                    # A heartbeat older than this launch was left by an
+                    # An event log older than this launch was left by an
                     # earlier worker (an interrupted run of this run
                     # dir, or the one whose stall caused the relaunch),
                     # so the age counts from the launch at most.
-                    heartbeat_age = min(
-                        beat_age, time.monotonic() - worker.launched_at
+                    heartbeat_age = layout.record_age(
+                        status.index, time.time(), worker.launched_at
                     )
                     if heartbeat_age > stall_timeout:
                         event.emit(
@@ -1240,80 +1229,3 @@ def _collect(
         hosts=tuple(hosts),
     )
 
-
-# ---------------------------------------------------------------------------
-# Live watching (read-only incremental aggregation)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WatchView:
-    """One read-only snapshot of a campaign's (possibly live) streams."""
-
-    result: CampaignResult
-    #: Task records across the streams vs the spec's total task count.
-    done: int
-    total: int
-    #: Cells holding all / any replicates vs the grid's cell count.
-    complete_cells: int
-    started_cells: int
-    total_cells: int
-
-    @property
-    def finished(self) -> bool:
-        """Every task of the campaign is recorded."""
-        return self.done >= self.total
-
-
-def watch_view(stream_paths: Sequence[str | Path]) -> WatchView:
-    """Union (possibly growing) shard streams into a partial aggregate.
-
-    Strictly read-only: streams load with ``quarantine=False``, so an
-    in-flight tail some worker is mid-append on is skipped this tick
-    and picked up the next — never repaired away.  All streams must
-    carry one spec hash (they are shards of one campaign); records are
-    deduplicated by task key exactly as ``repro campaign merge`` would.
-    """
-    if not stream_paths:
-        raise StreamError("nothing to watch: no stream paths")
-    infos = [load_stream(path, quarantine=False) for path in stream_paths]
-    records = union_records(infos)
-    spec = CampaignSpec.from_dict(infos[0].header["spec"])
-    if campaign_spec_hash(spec) != infos[0].spec_hash:
-        raise ValueError(
-            f"stream {infos[0].path} header is inconsistent: its spec "
-            f"document does not hash to its spec_hash"
-        )
-    result = campaign_result_from_records(
-        spec,
-        records,
-        stream_damaged=sum(info.quarantined for info in infos),
-        source="live streams",
-    )
-    complete, started = cell_coverage(result.metrics, spec.replicates)
-    return WatchView(
-        result=result,
-        done=len(records),
-        total=spec.total_tasks(),
-        complete_cells=complete,
-        started_cells=started,
-        total_cells=len(spec.cells()),
-    )
-
-
-def render_watch(view: WatchView) -> str:
-    """The watcher's one-screen rendering: status line + partial table."""
-    spec = view.result.spec
-    percent = 100.0 * view.done / view.total if view.total else 100.0
-    status = (
-        f"campaign {spec.name}: {view.done}/{view.total} tasks recorded "
-        f"({percent:.1f}%), {view.complete_cells}/{view.total_cells} "
-        f"cells complete"
-    )
-    if view.result.stream_damaged:
-        status += (
-            f" [{view.result.stream_damaged} in-flight/undecodable "
-            f"line(s) skipped this tick]"
-        )
-    if not view.started_cells:
-        return f"{status}\n(no task records yet)"
-    return f"{status}\n{view.result.render()}"

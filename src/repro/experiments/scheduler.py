@@ -174,9 +174,12 @@ def read_assignment(path: str | Path) -> Assignment:
         raise SchedulerError(f"{target} has a malformed batch size")
     if not isinstance(document.get("spec_hash"), str):
         raise SchedulerError(f"{target} has a malformed spec hash")
+    worker = document.get("worker")
+    if not isinstance(worker, int) or isinstance(worker, bool) or worker < 0:
+        raise SchedulerError(f"{target} has a malformed worker index")
     return Assignment(
         path=target,
-        worker=int(document.get("worker", -1)),
+        worker=worker,
         spec_hash=document["spec_hash"],
         keys=tuple(keys),
         batch=batch,

@@ -1,7 +1,7 @@
 """Pluggable file transports: move campaign artifacts between hosts.
 
 The orchestrator's worker protocol is entirely file-based — spec,
-stream, heartbeat, and assignment files (see
+stream, event-log, and assignment files (see
 :class:`~repro.experiments.layout.RunLayout`) — so running a campaign
 across machines is a *transport* problem, not a protocol change.  This
 module is that transport seam: a small ABC over the six operations the
@@ -85,9 +85,9 @@ class Transport(ABC):
         """Mirror ``rel`` back into a local file (atomic replace).
 
         The mirror keeps the host file's mtime: the supervisor's stall
-        detector reads heartbeat ages off the pulled copy.  Returns
-        ``False`` — touching nothing — when the remote file does not
-        exist yet (a worker that has not started writing).
+        detector reads a worker's event-log age off the pulled copy.
+        Returns ``False`` — touching nothing — when the remote file does
+        not exist yet (a worker that has not started writing).
         """
 
     @abstractmethod
@@ -293,7 +293,7 @@ class SSHTransport(Transport):
 
     def scp_pull_argv(self, rel: str, local: str | Path) -> list[str]:
         # -p preserves the remote mtime, which the supervisor's stall
-        # detector reads off the mirrored heartbeat.
+        # detector reads off the mirrored event log.
         return [
             "scp", "-q", "-p", *self._options(),
             f"{self.target}:{self._remote_path(rel)}", str(local),

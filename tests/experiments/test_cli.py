@@ -693,27 +693,6 @@ class TestCampaignV2Cli:
         assert main(["list"]) == 0
         assert "mobility-x-protocol" in capsys.readouterr().out
 
-    def test_heartbeat_touched_per_task(self, capsys, tmp_path):
-        heartbeat = tmp_path / "hb"
-        args = [
-            "campaign",
-            "--node-counts",
-            "10",
-            "--protocols",
-            "glr",
-            "--replicates",
-            "1",
-            "--messages",
-            "2",
-            "--sim-time",
-            "15",
-            "--quiet",
-            "--heartbeat",
-            str(heartbeat),
-        ]
-        assert main(args) == 0
-        assert heartbeat.exists()
-
 
 class TestMobilityParamCli:
     """--mobility-param mirrors --protocol-param for movement models."""
@@ -1239,6 +1218,79 @@ class TestTasksCli:
         )
         assert code == 3
         assert "does not expand to" in capsys.readouterr().err
+
+    def test_worker_logs_heartbeats_next_to_its_assignment(
+        self, capsys, tmp_path
+    ):
+        """The worker's liveness record is ``shard<i>.events`` beside
+        its assignment file, ``i`` being the file's worker index."""
+        from repro.experiments.scheduler import write_assignment
+        from repro.telemetry.events import load_events
+
+        spec, spec_hash, keys = self._spec_and_keys()
+        spec_file = self._write_spec(tmp_path, spec)
+        tasks_file = tmp_path / "w3.tasks.json"
+        write_assignment(
+            tasks_file, 3, spec_hash, keys[:1], batch=1, closed=True
+        )
+        assert main(
+            self._run_args(spec_file, tasks_file, tmp_path / "w3.jsonl")
+        ) == 0
+        info = load_events(tmp_path / "shard3.events", quarantine=False)
+        assert info.origin == "shard3"
+        beats = [r for r in info.records if r["type"] == "heartbeat"]
+        assert {r["shard"] for r in beats} == {3}
+        assert "task-done" in {r["payload"]["reason"] for r in beats}
+        assert not list(tmp_path.glob("*.heartbeat"))
+
+    @pytest.mark.parametrize("worker", [None, "3", -1, True, 1.5])
+    def test_assignment_without_a_worker_index_exits_3(
+        self, capsys, tmp_path, worker
+    ):
+        import json as jsonlib
+
+        from repro.experiments.scheduler import write_assignment
+
+        spec, spec_hash, keys = self._spec_and_keys()
+        spec_file = self._write_spec(tmp_path, spec)
+        tasks_file = tmp_path / "w0.tasks.json"
+        write_assignment(
+            tasks_file, 0, spec_hash, keys[:1], batch=1, closed=True
+        )
+        document = jsonlib.loads(tasks_file.read_text())
+        if worker is None:
+            del document["worker"]
+        else:
+            document["worker"] = worker
+        tasks_file.write_text(jsonlib.dumps(document))
+        code = main(
+            self._run_args(spec_file, tasks_file, tmp_path / "w0.jsonl")
+        )
+        assert code == 3
+        assert "worker index" in capsys.readouterr().err
+        assert not (tmp_path / "w0.jsonl").exists()
+
+
+class TestRemovedLivenessFlags:
+    """The event log replaced the heartbeat file, the worker finds its
+    log through its assignment file, and monitors read the stall
+    threshold from the run: these flags are gone."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "--heartbeat=hb"],
+            ["campaign", "--events=shard0.events"],
+            ["campaign", "status", "--stall-timeout=5", "run"],
+            ["campaign", "watch", "--stall-timeout=5", "--dir", "run"],
+        ],
+    )
+    def test_flag_is_unrecognised(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        flag = next(arg for arg in argv if "=" in arg)
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestWatchCli:

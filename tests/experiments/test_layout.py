@@ -8,6 +8,7 @@ break, and this file is where that break gets caught.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from repro.experiments.layout import RunLayout
@@ -19,7 +20,6 @@ class TestFrozenNames:
         assert RunLayout.merged_name() == "campaign.jsonl"
         assert RunLayout.hosts_name() == "hosts.json"
         assert RunLayout.stream_name(0) == "shard0.jsonl"
-        assert RunLayout.heartbeat_name(3) == "shard3.heartbeat"
         assert RunLayout.log_name(7) == "shard7.log"
         assert RunLayout.assignment_name(12) == "shard12.tasks.json"
         assert RunLayout.events_name() == "events.jsonl"
@@ -33,7 +33,6 @@ class TestFrozenNames:
         assert layout.merged_stream == tmp_path / "campaign.jsonl"
         assert layout.hosts_file == tmp_path / "hosts.json"
         assert layout.stream(2) == tmp_path / "shard2.jsonl"
-        assert layout.heartbeat(2) == tmp_path / "shard2.heartbeat"
         assert layout.log(2) == tmp_path / "shard2.log"
         assert layout.assignment(2) == tmp_path / "shard2.tasks.json"
         assert layout.events == tmp_path / "events.jsonl"
@@ -59,7 +58,8 @@ class TestShardStreams:
     def test_matches_only_shard_streams(self, tmp_path):
         layout = RunLayout(tmp_path)
         layout.stream(0).write_text("x", encoding="utf-8")
-        # Neighbours that must NOT count as shard streams.
+        # Neighbours that must NOT count as shard streams (a
+        # ``.heartbeat`` file is an older release's leftover).
         for name in (
             "spec.json",
             "campaign.jsonl",
@@ -78,6 +78,40 @@ class TestShardStreams:
 
     def test_empty_dir_yields_nothing(self, tmp_path):
         assert RunLayout(tmp_path / "missing").shard_streams() == []
+
+
+class TestRecordAge:
+    """A worker's liveness reading: its event log's age, at most the
+    time since its launch."""
+
+    def _log(self, tmp_path, mtime):
+        layout = RunLayout(tmp_path)
+        layout.shard_events(0).write_text("x", encoding="utf-8")
+        os.utime(layout.shard_events(0), (mtime, mtime))
+        return layout
+
+    def test_unknown_without_a_log_or_a_launch(self, tmp_path):
+        assert RunLayout(tmp_path).record_age(0, 1000.0) is None
+
+    def test_age_of_the_event_log(self, tmp_path):
+        layout = self._log(tmp_path, 1000.0)
+        assert layout.record_age(0, 1030.0) == 30.0
+        assert layout.record_age(1, 1030.0) is None
+
+    def test_a_log_older_than_the_launch_counts_from_the_launch(
+        self, tmp_path
+    ):
+        layout = self._log(tmp_path, 1000.0)
+        assert layout.record_age(0, 5000.0, launched=4990.0) == 10.0
+        assert layout.record_age(0, 1030.0, launched=900.0) == 30.0
+
+    def test_a_launched_worker_without_a_log_counts_from_the_launch(
+        self, tmp_path
+    ):
+        assert RunLayout(tmp_path).record_age(0, 50.0, launched=20.0) == 30.0
+
+    def test_never_negative(self, tmp_path):
+        assert self._log(tmp_path, 1000.0).record_age(0, 990.0) == 0.0
 
 
 class TestEnsure:

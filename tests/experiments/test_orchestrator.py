@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.cli import main
 from repro.experiments import orchestrator as orchestrator_module
 from repro.experiments.campaign import (
     CampaignSpec,
@@ -27,13 +28,11 @@ from repro.experiments.campaign import (
 from repro.experiments.orchestrator import (
     OrchestratorError,
     orchestrate_campaign,
-    render_watch,
-    watch_view,
 )
 from repro.experiments.scenarios import Scenario
 from repro.experiments.stream import StreamError, load_stream, stream_task_count
 from repro.experiments.transport import LocalTransport, TransportError
-from repro.telemetry.events import load_events
+from repro.telemetry.events import EventLog, load_events
 
 TINY = Scenario(
     name="orch-tiny",
@@ -115,8 +114,9 @@ class TestOrchestratedRun:
         assert campaign_spec_hash(restored) == campaign_spec_hash(SPEC)
         for status in outcome.shards:
             assert status.stream.exists()
-            assert status.heartbeat.exists()
+            assert (run_dir / f"shard{status.index}.events").exists()
             assert status.log.exists()
+        assert not list(run_dir.glob("*.heartbeat"))
 
     def test_events_narrate_launch_and_completion(self, orchestrated):
         _, events, _ = orchestrated
@@ -396,10 +396,15 @@ class TestFailureHandling:
             orchestrate_campaign(
                 SPEC, shards=1, run_dir=tmp_path, poll_interval=0.0
             )
-        with pytest.raises(ValueError, match="stall_timeout"):
-            orchestrate_campaign(
-                SPEC, shards=1, run_dir=tmp_path, stall_timeout=0.0
-            )
+        # An idle worker writes its event log every HEARTBEAT_EVERY_S
+        # seconds, so a threshold under twice that would kill it.
+        floor = 2 * orchestrator_module.HEARTBEAT_EVERY_S
+        for stall_timeout in (0.0, floor - 1):
+            with pytest.raises(ValueError, match="stall_timeout"):
+                orchestrate_campaign(
+                    SPEC, shards=1, run_dir=tmp_path,
+                    stall_timeout=stall_timeout,
+                )
 
 
 class TestStealingScheduler:
@@ -563,7 +568,8 @@ class TestStealingScheduler:
 
 
 class TestWatch:
-    """watch_view over in-process shard streams (no subprocesses)."""
+    """``campaign watch`` over in-process shard streams (no
+    subprocesses): a read-only result store over the streams."""
 
     @pytest.fixture()
     def shard_streams(self, tmp_path):
@@ -579,57 +585,72 @@ class TestWatch:
             streams.append(stream)
         return streams
 
-    def test_partial_view_reports_honest_counts(self, shard_streams):
-        view = watch_view(shard_streams[:1])
-        assert view.total == SPEC.total_tasks()
-        assert 0 < view.done < view.total
-        assert not view.finished
-        assert view.total_cells == len(SPEC.cells())
-        rendered = render_watch(view)
-        assert f"{view.done}/{view.total} tasks recorded" in rendered
+    @staticmethod
+    def _watch(capsys, streams) -> str:
+        assert main(
+            ["campaign", "watch", *map(str, streams), "--once"]
+        ) == 0
+        return capsys.readouterr().out
+
+    def test_partial_view_reports_honest_counts(self, shard_streams, capsys):
+        out = self._watch(capsys, shard_streams[:1])
+        done, total = stream_task_count(shard_streams[0]), SPEC.total_tasks()
+        assert 0 < done < total
+        assert (
+            f"{done}/{total} tasks recorded ({100.0 * done / total:.1f}%)"
+            in out
+        )
+        assert f"/{len(SPEC.cells())} cells complete" in out
 
     def test_full_view_matches_live_aggregate(
-        self, shard_streams, serial_reference
+        self, shard_streams, serial_reference, capsys
     ):
-        view = watch_view(shard_streams)
-        assert view.finished
-        assert view.complete_cells == view.total_cells
-        assert view.result.render() == serial_reference.render()
+        total, cells = SPEC.total_tasks(), len(SPEC.cells())
+        assert self._watch(capsys, shard_streams) == (
+            f"campaign orch: {total}/{total} tasks recorded (100.0%), "
+            f"{cells}/{cells} cells complete\n"
+            f"{serial_reference.render()}\n"
+        )
 
-    def test_watching_never_mutates_a_live_stream(self, shard_streams):
+    def test_watching_never_mutates_a_live_stream(
+        self, shard_streams, capsys
+    ):
         # Simulate a worker mid-append: torn tail on one stream.
         with open(shard_streams[0], "a") as handle:
             handle.write('{"kind": "task", "key": "in-fli')
         before = [stream.read_bytes() for stream in shard_streams]
-        view = watch_view(shard_streams)
-        assert view.result.stream_damaged >= 1
-        assert "skipped" in render_watch(view)
+        out = self._watch(capsys, shard_streams)
+        assert "1 in-flight/undecodable line(s) skipped" in out
         assert [s.read_bytes() for s in shard_streams] == before
         for stream in shard_streams:
             sidecar = stream.with_name(stream.name + ".quarantined")
             assert not sidecar.exists()
 
-    def test_empty_cells_render_as_waiting(self, tmp_path):
+    def test_empty_cells_render_as_waiting(self, tmp_path, capsys):
         from repro.experiments.stream import init_stream
 
         stream = tmp_path / "fresh.jsonl"
         init_stream(stream, campaign_spec_hash(SPEC), SPEC.to_dict())
-        view = watch_view([stream])
-        assert view.done == 0 and not view.finished
-        assert "no task records yet" in render_watch(view)
+        out = self._watch(capsys, [stream])
+        assert f"0/{SPEC.total_tasks()} tasks recorded" in out
+        assert "no task records yet" in out
 
-    def test_mixed_campaign_streams_refused(self, shard_streams, tmp_path):
+    def test_mixed_campaign_streams_refused(
+        self, shard_streams, tmp_path, capsys
+    ):
         other_spec = CampaignSpec(
             name="other", base=TINY, protocols=("glr",), replicates=1
         )
         other = tmp_path / "other.jsonl"
         run_campaign(other_spec, stream_path=other)
-        with pytest.raises(StreamError, match="spec hash"):
-            watch_view([shard_streams[0], other])
+        argv = ["campaign", "watch", str(shard_streams[0]), str(other)]
+        assert main([*argv, "--once"]) == 2
+        assert "spec hash" in capsys.readouterr().err
 
-    def test_no_streams_refused(self):
-        with pytest.raises(StreamError, match="nothing to watch"):
-            watch_view([])
+    def test_no_streams_refused(self, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        assert main(["campaign", "watch", str(missing), "--once"]) == 2
+        assert "no campaign streams" in capsys.readouterr().err
 
 
 class TestSpawnLeakFix:
@@ -724,7 +745,7 @@ class TestHostedOrchestration:
 
     A pseudo-host is just a store root whose worker is a local
     subprocess — the full transport path (spec push, assignment push,
-    stream/heartbeat mirror pull, remote-root worker command) runs
+    stream/event-log mirror pull, remote-root worker command) runs
     exactly as it would against a real fleet, minus the network.
     """
 
@@ -830,18 +851,18 @@ class TestHostedOrchestration:
     def test_stale_heartbeat_from_an_earlier_worker_is_not_a_stall(
         self, tmp_path, serial_reference, slot
     ):
-        """A heartbeat left by an earlier worker (an interrupted run of
+        """An event log left by an earlier worker (an interrupted run of
         the same dir, or the worker whose stall caused a relaunch) must
-        not kill the new worker before its own startup touch.  A host
-        slot used to mirror the stale file over the launch-time touch
-        and lose every attempt to the stall check."""
+        not kill the new worker before its own first heartbeat.  A host
+        slot used to mirror the stale liveness file over the new
+        worker's and lose every attempt to the stall check."""
         run_dir = tmp_path / "run"
         root = tmp_path / "h0" if slot == "store-host" else run_dir
         root.mkdir()
-        heartbeat = root / "shard0.heartbeat"
-        heartbeat.touch()
+        earlier = EventLog(root / "shard0.events", origin="shard0")
+        earlier.emit("heartbeat", shard=0, reason="task-done")
         stale = time.time() - 3600
-        os.utime(heartbeat, (stale, stale))
+        os.utime(earlier.path, (stale, stale))
         placement = (
             {"hosts": [f"store:{root}"]} if slot == "store-host"
             else {"shards": 1}

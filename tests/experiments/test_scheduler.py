@@ -85,6 +85,9 @@ class TestAssignmentFile:
             ("keys", ["a", "a"]),
             ("batch", 0),
             ("spec_hash", None),
+            ("worker", None),
+            ("worker", "0"),
+            ("worker", -1),
         ):
             doc = dict(good)
             doc[field] = value

@@ -2,6 +2,8 @@
 
 import gc
 import json
+import os
+import re
 import time
 
 import pytest
@@ -535,6 +537,27 @@ class TestStatusCli:
         assert {row["shard"] for row in doc["shards"]} >= {0}
         assert doc["event_counts"].get("run_end") == 1
 
+    def test_status_json_reports_the_runs_stall_timeout(
+        self, cli_run_dir, capsys
+    ):
+        assert main(["campaign", "status", "--json", str(cli_run_dir)]) == 0
+        assert json.loads(capsys.readouterr().out)["stall_timeout_s"] == 600
+
+    def test_watch_dir_prints_the_status_rows(self, cli_run_dir, capsys):
+        def rows(argv):
+            assert main(argv) == 0
+            return [
+                re.sub(r"last beat \d+s ago", "last beat", line)
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  shard ")
+            ]
+
+        status = rows(["campaign", "status", str(cli_run_dir)])
+        assert status
+        assert rows(
+            ["campaign", "watch", "--dir", str(cli_run_dir), "--once"]
+        ) == status
+
     def test_status_missing_dir_exits_2(self, tmp_path, capsys):
         assert main(["campaign", "status", str(tmp_path / "nope")]) == 2
         assert capsys.readouterr().err
@@ -553,6 +576,53 @@ class TestStatusCli:
             ).exists()
         finally:
             events.write_bytes(before[: -len('{"kind": "event", "ty')])
+
+
+class TestStallMarker:
+    """``status`` marks a shard stalled by the supervisor's own rule:
+    its event log's age, floored at its latest launch, against the
+    stall timeout the run's ``run_start`` event records."""
+
+    def _run_dir(self, tmp_path, launch=False, **run_start):
+        layout = RunLayout(tmp_path)
+        supervisor = EventLog(layout.events, origin="supervisor")
+        supervisor.emit("run_start", shards=1, total_tasks=1, **run_start)
+        if launch:
+            supervisor.emit("launch", shard=0, attempt=1)
+        worker = EventLog(layout.shard_events(0), origin="shard0")
+        worker.emit("heartbeat", shard=0, reason="idle-wait")
+        quiet = time.time() - 100
+        os.utime(layout.shard_events(0), (quiet, quiet))
+        return tmp_path
+
+    def _status(self, run_dir, capsys, *flags):
+        assert main(["campaign", "status", *flags, str(run_dir)]) == 0
+        return capsys.readouterr().out
+
+    def test_recorded_stall_timeout_earns_the_marker(self, tmp_path, capsys):
+        run_dir = self._run_dir(tmp_path, stall_timeout=30.0)
+        assert "⚠ stalled?" in self._status(run_dir, capsys)
+        doc = json.loads(self._status(run_dir, capsys, "--json"))
+        assert doc["stall_timeout_s"] == 30.0
+        assert doc["shards"][0]["heartbeat_age_s"] >= 100
+
+    def test_a_log_without_one_falls_back_to_the_default(
+        self, tmp_path, capsys
+    ):
+        out = self._status(self._run_dir(tmp_path), capsys)
+        assert "last beat" in out
+        assert "⚠ stalled?" not in out
+        doc = json.loads(self._status(tmp_path, capsys, "--json"))
+        assert doc["stall_timeout_s"] == 600
+
+    def test_a_log_older_than_the_latest_launch_counts_from_it(
+        self, tmp_path, capsys
+    ):
+        run_dir = self._run_dir(tmp_path, launch=True, stall_timeout=30.0)
+        out = self._status(run_dir, capsys)
+        assert "⚠ stalled?" not in out
+        doc = json.loads(self._status(run_dir, capsys, "--json"))
+        assert doc["shards"][0]["heartbeat_age_s"] < 30
 
 
 class TestEventsCli:

@@ -141,7 +141,7 @@ class TestTransportProperties:
 
     def test_pull_preserves_mtime(self, transport, tmp_path):
         """Mirrors must keep the remote timestamp: the supervisor's
-        stall detector reads heartbeat ages off the pulled copy."""
+        stall detector reads event-log ages off the pulled copy."""
         transport.touch("hb")
         stamp = (transport.root / "hb").stat().st_mtime - 1234
         os.utime(transport.root / "hb", (stamp, stamp))
@@ -256,11 +256,11 @@ class TestSSHArgv:
 
     def test_pull_argv_preserves_mtime_and_targets_root(self):
         argv = SSHTransport("h1", root="runs/x", user="bob").scp_pull_argv(
-            "shard0.heartbeat", "/tmp/mirror"
+            "shard0.events", "/tmp/mirror"
         )
         assert argv[0] == "scp"
         assert "-p" in argv
-        assert "bob@h1:runs/x/shard0.heartbeat" in argv
+        assert "bob@h1:runs/x/shard0.events" in argv
         assert argv[-1] == "/tmp/mirror"
 
     def test_push_argv_is_atomic_on_the_remote_side(self):
