@@ -11,10 +11,7 @@ does the same for routing protocols.  A registry entry names:
 - which config field the shared ``buffer_limit`` falls back into
   (GLR calls it ``storage_limit``; the contact protocols call it
   ``buffer_limit``) — hoisted here so the fallback is implemented
-  exactly once instead of per ``if protocol ==`` branch;
-- which config fields are **not sweepable** through the declarative
-  :class:`~repro.experiments.protocols.ProtocolConfig` axis (enum-typed
-  fields that would not canonicalise into cache keys).
+  exactly once instead of per ``if protocol ==`` branch.
 
 Built-in protocols (aliases in parentheses)::
 
@@ -52,7 +49,7 @@ from repro.baselines.spray_and_wait import (
     SprayAndWaitProtocol,
 )
 from repro.core.protocol import GLRConfig, GLRProtocol
-from repro.params import Registry, bool_params, normalize_name
+from repro.params import Registry, normalize_name
 from repro.sim.world import Protocol
 
 #: A builder maps (config, buffer_limit) to one node's protocol
@@ -73,15 +70,6 @@ class ProtocolEntry:
     #: config leaves it unset (None = the builder takes ``buffer_limit``
     #: directly, as the parameterless contact protocols do).
     buffer_field: str | None = None
-    non_sweepable: frozenset[str] = frozenset()
-
-    def bool_fields(self) -> frozenset[str]:
-        """Config fields declared ``bool`` (0/1 canonicalise to bools)."""
-        if self.config_class is None:
-            return frozenset()
-        return bool_params(
-            (f.name, f.type) for f in dataclasses.fields(self.config_class)
-        )
 
 
 _PROTOCOLS: Registry[ProtocolEntry] = Registry("protocol")
@@ -92,7 +80,6 @@ def register_protocol(
     builder: ProtocolBuilder,
     config_class: type | None = None,
     buffer_field: str | None = None,
-    non_sweepable: Sequence[str] = (),
     aliases: Sequence[str] = (),
 ) -> None:
     """Register a protocol under ``name`` (and optional aliases), by the
@@ -112,7 +99,6 @@ def register_protocol(
         builder=builder,
         config_class=config_class,
         buffer_field=buffer_field,
-        non_sweepable=frozenset(non_sweepable),
     )
     _PROTOCOLS.register(canonical, entry, aliases)
 
@@ -192,7 +178,6 @@ register_protocol(
     lambda config, buffer_limit: GLRProtocol(config),
     config_class=GLRConfig,
     buffer_field="storage_limit",
-    non_sweepable=("location_mode",),
 )
 register_protocol(
     "epidemic",
@@ -205,7 +190,6 @@ register_protocol(
     lambda config, buffer_limit: ReceiptEpidemicProtocol(config),
     config_class=ReceiptEpidemicConfig,
     buffer_field="buffer_limit",
-    non_sweepable=("receipt_mode",),
 )
 register_protocol(
     "spray_and_wait",

@@ -311,10 +311,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--stall-timeout",
         type=float,
         default=STALL_TIMEOUT_S,
-        help="seconds a worker's event log may go unwritten before the "
+        help="seconds a worker's event log may go untouched before the "
         "worker is declared stalled, killed, and its shard requeued (a "
-        "worker writes it after finished tasks and while idle, at most "
-        f"every {HEARTBEAT_EVERY_S:g} s each, so this must be at least "
+        "worker touches it after every finished task and idle poll, so "
+        "this must exceed the slowest single task, and be at least "
         f"{2 * HEARTBEAT_EVERY_S:g}; default: {STALL_TIMEOUT_S:g})",
     )
     orch_p.add_argument(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from enum import Enum
 from pathlib import Path
 
 from repro.baselines.registry import (
@@ -37,6 +38,8 @@ GENERATED_MARK = (
 
 
 def _default_repr(field: dataclasses.Field) -> str:
+    if isinstance(field.default, Enum):  # a parameter takes its value
+        return repr(field.default.value)
     if field.default is not dataclasses.MISSING:
         return repr(field.default)
     if field.default_factory is not dataclasses.MISSING:  # type: ignore[misc]
@@ -80,10 +83,9 @@ def protocols_markdown() -> str:
         "",
         "## Configuration fields",
         "",
-        "Per-protocol config dataclasses, with defaults.  Fields marked"
-        " *(not sweepable)* cannot be swept through `--protocol-param`"
-        " (non-scalar types that would not canonicalise into cache"
-        " keys); set them in code instead.",
+        "Per-protocol config dataclasses, with defaults.  Every field is"
+        " a parameter: `--protocol-param`, `ProtocolConfig.of(...)` and"
+        " JSON specs take it.  An enum field takes its value string.",
         "",
     ]
     for name in available_protocols():
@@ -100,14 +102,7 @@ def protocols_markdown() -> str:
         lines.append("| field | default |")
         lines.append("| --- | --- |")
         for field in dataclasses.fields(entry.config_class):
-            marker = (
-                " *(not sweepable)*"
-                if field.name in entry.non_sweepable
-                else ""
-            )
-            lines.append(
-                f"| `{field.name}`{marker} | `{_default_repr(field)}` |"
-            )
+            lines.append(f"| `{field.name}` | `{_default_repr(field)}` |")
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
 

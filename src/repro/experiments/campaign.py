@@ -51,15 +51,18 @@ from concurrent.futures import (
     wait,
 )
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.analysis.aggregate import MetricSummary, summarize_cells
 from repro.analysis.render import render_table
-from repro.baselines.registry import resolve_config, resolve_protocol
+from repro.baselines.registry import resolve_protocol
 from repro.experiments.common import ci_of, fmt_ci
-from repro.experiments.protocols import ProtocolConfig, as_protocol_config
+from repro.experiments.protocols import (
+    ProtocolConfig,
+    as_protocol_config,
+    run_config,
+)
 from repro.experiments.runner import run_single
 from repro.experiments.scenarios import Scenario
 from repro.experiments.scheduler import (
@@ -120,27 +123,20 @@ CACHE_FORMAT = 3
 
 @dataclass(frozen=True)
 class ReplicateTask:
-    """One simulation leaf: a fully seeded scenario plus its protocol.
-
-    ``protocol_config`` is a declarative :class:`ProtocolConfig` or a
-    concrete instance of the protocol's config class.
-    """
+    """One simulation leaf: a fully seeded scenario plus its protocol."""
 
     scenario: Scenario
     protocol: str
     replicate: int
     buffer_limit: int | None = None
-    protocol_config: ProtocolConfig | object | None = None
+    protocol_config: ProtocolConfig | None = None
 
     @property
     def protocol_label(self) -> str:
         """The reporting label: ``glr`` or ``glr(custody=False)``."""
-        if (
-            isinstance(self.protocol_config, ProtocolConfig)
-            and self.protocol_config.params
-        ):
-            return str(self.protocol_config)
-        return self.protocol
+        if self.protocol_config is None:
+            return self.protocol
+        return str(self.protocol_config)
 
 
 @dataclass(frozen=True)
@@ -149,42 +145,28 @@ class ReplicateSpec:
 
     ``protocol`` is stored under its canonical registry name, so an
     alias (``snw``) and its canonical name share task keys and cache
-    entries.  ``protocol_config`` takes a protocol name, mapping or
-    :class:`ProtocolConfig` (the sweep axis), or a concrete instance
-    of the protocol's config class (for fields the axis cannot sweep,
-    such as ``GLRConfig(location_mode=...)``).
+    entries.  ``protocol_config`` takes a :class:`ProtocolConfig`, its
+    protocol name or its mapping form, and is stored as
+    :func:`~repro.experiments.protocols.run_config` leaves it: ``None``
+    for the bare protocol, so every spelling of a cell keys alike.
     """
 
     scenario: Scenario
     protocol: str
     runs: int = 10
     buffer_limit: int | None = None
-    protocol_config: ProtocolConfig | object | None = None
+    protocol_config: ProtocolConfig | str | Mapping | None = None
 
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise ValueError("need at least one run")
         object.__setattr__(self, "protocol", resolve_protocol(self.protocol))
-        config = self.protocol_config
-        if config is None:
-            return
-        # Catch config mismatches at spec build time rather than inside
-        # a worker mid-campaign: a config is applied or refused, never
-        # silently dropped.
-        if not isinstance(config, (ProtocolConfig, str, Mapping)):
-            resolve_config(self.protocol, config)  # wrong class raises
-            return
-        config = as_protocol_config(config)
-        if config.protocol != self.protocol:
-            raise ValueError(
-                f"protocol config {config} does not match spec "
-                f"protocol {self.protocol!r}"
-            )
-        # A paramless config IS the bare protocol; normalising to None
-        # keeps the cache key and stream identity identical whichever
-        # way the spec was written.
+        # Checked at spec build time rather than inside a worker
+        # mid-campaign.
         object.__setattr__(
-            self, "protocol_config", config if config.params else None
+            self,
+            "protocol_config",
+            run_config(self.protocol, self.protocol_config),
         )
 
     def tasks(self) -> list[ReplicateTask]:
@@ -214,8 +196,6 @@ def _canonical(value: object) -> object:
             f.name: _canonical(getattr(value, f.name))
             for f in dataclasses.fields(value)
         }
-    if isinstance(value, Enum):
-        return value.value
     if isinstance(value, Mapping):
         return {
             str(k): _canonical(v)
@@ -258,40 +238,28 @@ def _canonical_scenario(task: ReplicateTask) -> dict:
     return scenario
 
 
-#: Key slot of a concrete config, by protocol.  Before the single
-#: ``protocol_config`` field, concrete configs of these three protocols
-#: were passed (and keyed) under per-protocol fields; filling the same
-#: slot keeps their task keys, and so their cache entries, unchanged.
-#: Every other concrete config keys under ``protocol_config``.
-_CONCRETE_SLOTS = {
-    "glr": "glr_config",
-    "epidemic": "epidemic_config",
-    "spray_and_wait": "spray_config",
-}
-
-
 def task_payload(task: ReplicateTask) -> dict:
     """The code-relevant parameters a task's cache key is built from.
 
     The scenario's display ``name`` is excluded so renaming a sweep
-    does not invalidate its cached simulations.
+    does not invalidate its cached simulations.  The config is keyed in
+    its one form (:func:`~repro.experiments.protocols.run_config`), so
+    anything else, such as a concrete config dataclass, raises.
     """
-    config = task.protocol_config
-    slot = "protocol_config"
-    if config is not None and not isinstance(config, ProtocolConfig):
-        slot = _CONCRETE_SLOTS.get(task.protocol, slot)
-    payload = {
+    return {
         "format": CACHE_FORMAT,
         "scenario": _canonical_scenario(task),
         "protocol": task.protocol,
+        # Concrete configs of these three protocols once keyed here.
+        # Keeping the slots, always null, keeps every other task's key.
         "glr_config": None,
         "epidemic_config": None,
         "spray_config": None,
         "buffer_limit": task.buffer_limit,
-        "protocol_config": None,
+        "protocol_config": _canonical(
+            run_config(task.protocol, task.protocol_config)
+        ),
     }
-    payload[slot] = _canonical(config)
-    return payload
 
 
 def _payload_key(payload: dict) -> str:

@@ -19,6 +19,9 @@ benches run reduced workloads and the CLI runs paper-scale ones.
 The ablations go beyond the paper's evaluation: each isolates one
 mechanism the paper motivates qualitatively (the ``glr`` config fields
 they vary are listed in docs/protocols.md).
+
+Every cell's config is a ``ProtocolConfig``, so a cell keys the same
+written into a JSON campaign spec or swept by ``--protocol-param``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from repro.core.location import LocationMode
 from repro.core.protocol import GLRConfig
 from repro.experiments.campaign import ReplicateSpec, run_replicate_specs
 from repro.experiments.common import BENCH_EFFORT, Effort, ci_of, fmt_ci
+from repro.experiments.protocols import ProtocolConfig
 from repro.experiments.scenarios import Scenario
 from repro.graphs.connectivity import (
     connected_components,
@@ -174,15 +178,22 @@ _SITUATIONS = {
 }
 
 
+def _glr_cell(**fields: Any) -> dict:
+    """A GLR cell with ``fields`` set.  A field at its default is left
+    out, so a row at the defaults is the bare ``glr`` cell."""
+    defaults = GLRConfig()
+    params = {k: v for k, v in fields.items() if v != getattr(defaults, k)}
+    return {"protocol_config": ProtocolConfig.of("glr", **params)}
+
+
 def _situation(row: tuple[str, str]) -> dict:
     copies, mode = _SITUATIONS[row]
-    config = GLRConfig(copies_override=copies, location_mode=mode)
-    return {"protocol_config": config}
+    return _glr_cell(copies_override=copies, location_mode=mode)
 
 
 def _glr(name: str) -> Callable[[Any], dict]:
     """A sweep over one ``GLRConfig`` field."""
-    return lambda value: {"protocol_config": GLRConfig(**{name: value})}
+    return lambda value: _glr_cell(**{name: value})
 
 
 def _load(seconds_per_message: float, **fields: Any) -> Callable:
@@ -295,7 +306,7 @@ ARTEFACTS: dict[str, Artefact] = {
         "GLR storage requirement vs message count ({radius:.0f}m, "
         "3 copies)",
         values=(400, 600, 890, 1180, 1980),
-        cell=_load(1.5, protocol_config=GLRConfig(copies_override=3)),
+        cell=_load(1.5, **_glr_cell(copies_override=3)),
         columns=_PEAKS,
         radius=50.0,
         labels=("messages",),

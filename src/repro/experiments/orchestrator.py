@@ -118,7 +118,7 @@ __all__ = [
     "orchestrate_campaign",
 ]
 
-#: Default seconds a worker's event log may stay unwritten before the
+#: Default seconds a worker's event log may stay untouched before the
 #: worker is declared stalled; monitors fall back to it for a run whose
 #: event log does not record its own.
 STALL_TIMEOUT_S = 600.0
@@ -420,16 +420,17 @@ def orchestrate_campaign(
     lease it holds is recorded in some stream.
 
     A worker that dies (any nonzero exit) or stalls (its event log
-    unwritten for ``stall_timeout`` seconds) is killed and its shard
+    untouched for ``stall_timeout`` seconds) is killed and its shard
     requeued onto the next free slot, up to ``max_attempts`` launches
     per shard; after that the campaign aborts with the shard's log
-    tail.  A worker writes a heartbeat event at most every
-    ``HEARTBEAT_EVERY_S`` seconds, after a finished task or while
-    idle, so ``stall_timeout`` must be at least twice that and should
-    exceed your slowest single task by that much; a log older than the
-    worker's launch counts from the launch.  ``max_concurrent`` caps
-    simultaneous workers (default: no cap); the leases of a shard
-    waiting for a slot are reclaimed onto idle workers.
+    tail.  A worker touches its event log after every finished task
+    and idle poll (writing a heartbeat event at most every
+    ``HEARTBEAT_EVERY_S`` seconds), so ``stall_timeout`` must exceed
+    the slowest single task, and be at least twice that interval; a
+    log older than the worker's launch counts from the launch.
+    ``max_concurrent`` caps simultaneous workers (default: no cap); the
+    leases of a shard waiting for a slot are reclaimed onto idle
+    workers.
 
     ``chaos_kill_shard``/``chaos_kill_after`` are fault injection for
     tests and CI: SIGKILL that shard's *first* worker once its stream

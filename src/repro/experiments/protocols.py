@@ -1,30 +1,27 @@
-"""Declarative protocol configs for campaign sweeps.
+"""Declarative protocol configs: the one way to spell a protocol variant.
 
 The mobility registry made *movement patterns* sweepable values
 (:class:`~repro.mobility.registry.MobilityConfig`); this module does
 the same for *protocol configurations*.  A :class:`ProtocolConfig` is a
 pure value — protocol name plus scalar parameters, hashable and
 JSON-friendly — so campaign grids can enumerate protocol variants
-(hello/check intervals, custody on/off, copy budgets, queue policies)
-and the result cache can key on the resolved configuration.
+(hello/check intervals, custody on/off, copy budgets, who knows the
+destination's location) and the result cache can key on the resolved
+configuration.  It is the only form a run's ``protocol_config`` takes
+(:func:`run_config`): a concrete config dataclass is refused.
 
 Validation happens at coercion time: parameter names are checked
 against the protocol's config dataclass and parameter values run
 through its ``__post_init__`` checks, so a bad campaign spec fails at
 spec load, not mid-campaign inside a worker process.  Values
 canonicalise as on every axis (:func:`repro.params.canonicalise_params`),
-the bool rule reading the dataclass's field types: ``custody=1`` reads
-``custody=True``.
+the bool and enum rules reading the dataclass's field types:
+``custody=1`` reads ``custody=True``, and ``location_mode`` takes
+``LocationMode.ORACLE`` or ``"oracle"`` and stores ``"oracle"``.
 
-Every protocol's sweepable parameters are listed in
-``docs/protocols.md``, which :mod:`repro.docgen` generates from the
-registry.  Enum-typed fields (``glr``'s ``location_mode``, the receipt mode) are
-*not* sweepable: config params are restricted to scalars so configs
-stay hashable and canonicalise cleanly into cache keys.  Sweep those
-through the Python API with a concrete config object instead.
-
-Which protocols exist, their config dataclasses, and their
-non-sweepable fields all come from the protocol registry
+Every protocol's parameters are listed in ``docs/protocols.md``, which
+:mod:`repro.docgen` generates from the registry.  Which protocols exist
+and their config dataclasses come from the protocol registry
 (:mod:`repro.baselines.registry`) — registering a protocol there makes
 it sweepable here with no further wiring.
 """
@@ -46,6 +43,7 @@ from repro.params import (
     canonicalise_params,
     config_label,
     split_config_mapping,
+    typed_fields,
 )
 
 
@@ -58,11 +56,7 @@ def sweepable_params(protocol: str) -> list[str]:
     entry = protocol_entry(protocol)
     if entry.config_class is None:
         return []
-    return sorted(
-        f.name
-        for f in dataclasses.fields(entry.config_class)
-        if f.name not in entry.non_sweepable
-    )
+    return sorted(f.name for f in dataclasses.fields(entry.config_class))
 
 
 @dataclass(frozen=True)
@@ -82,13 +76,16 @@ class ProtocolConfig:
         if not self.protocol or not isinstance(self.protocol, str):
             raise ValueError("protocol name must be a non-empty string")
         object.__setattr__(self, "protocol", resolve_protocol(self.protocol))
-        # The one canonical form (repro.params), with the bool rule
-        # driven by the config dataclass's declared field types.
-        flags = protocol_entry(self.protocol).bool_fields()
+        # The one canonical form (repro.params), with the bool and enum
+        # rules driven by the config dataclass's declared field types.
+        config_class = protocol_entry(self.protocol).config_class
+        flags, enums = typed_fields(config_class) if config_class else ((), {})
         object.__setattr__(
             self,
             "params",
-            canonicalise_params(dict(self.params), flags, self.protocol),
+            canonicalise_params(
+                dict(self.params), flags, self.protocol, enums
+            ),
         )
         self.build()  # validate names and values at construction time
 
@@ -105,10 +102,10 @@ class ProtocolConfig:
         """The concrete config dataclass instance this value describes.
 
         ``None`` for protocols without a config class (``direct``,
-        ``first_contact``), which therefore accept no parameters.
-        Raises :class:`ValueError` for unknown or non-sweepable
-        parameter names and for parameter values the config's own
-        validation rejects.
+        ``first_contact``), which therefore accept no parameters.  An
+        enum field's stored value becomes its member again.  Raises
+        :class:`ValueError` for unknown parameter names and for
+        parameter values the config's own validation rejects.
         """
         entry = protocol_entry(self.protocol)
         params = self.params_dict()
@@ -119,13 +116,6 @@ class ProtocolConfig:
                     f"parameters, got {sorted(params)}"
                 )
             return None
-        blocked = sorted(set(params) & entry.non_sweepable)
-        if blocked:
-            raise ValueError(
-                f"protocol {self.protocol!r} parameters {blocked} are not "
-                f"sweepable (non-scalar fields); choose from "
-                f"{sweepable_params(self.protocol)}"
-            )
         config_class = entry.config_class
         accepted = {f.name for f in dataclasses.fields(config_class)}
         unknown = sorted(set(params) - accepted)
@@ -134,6 +124,9 @@ class ProtocolConfig:
                 f"protocol {self.protocol!r} does not accept parameters "
                 f"{unknown}; choose from {sweepable_params(self.protocol)}"
             )
+        for name, kind in typed_fields(config_class)[1].items():
+            if name in params:
+                params[name] = kind(params[name])
         try:
             return config_class(**params)
         except TypeError as exc:
@@ -170,5 +163,25 @@ def as_protocol_config(
         (protocol,), params = split_config_mapping(value, "protocol", "protocol")
         return ProtocolConfig.of(str(protocol), **params)
     raise ValueError(
-        f"cannot interpret {type(value).__name__} as a protocol config"
+        f"cannot interpret {type(value).__name__} as a protocol config; "
+        f"pass a ProtocolConfig, a protocol name or a mapping"
     )
+
+
+def run_config(
+    protocol: str, value: "ProtocolConfig | str | Mapping | None"
+) -> ProtocolConfig | None:
+    """``value`` (None or :func:`as_protocol_config`'s input) as the
+    config of a run of ``protocol``: a mismatch is refused, and a
+    config without parameters is the bare protocol, ``None``, so every
+    spelling of a cell keys and labels alike."""
+    if value is None:
+        return None
+    config = as_protocol_config(value)
+    canonical = resolve_protocol(protocol)
+    if config.protocol != canonical:
+        raise ValueError(
+            f"protocol config is for {config.protocol!r}, but the run "
+            f"requests {canonical!r}"
+        )
+    return config if config.params else None

@@ -7,18 +7,20 @@ the protocol registry (:mod:`repro.baselines.registry`): the runner
 never names a concrete protocol class, so registering a protocol makes
 it runnable here with no further wiring.
 
-``protocol_config`` is the single configuration argument: it accepts a
-declarative :class:`~repro.experiments.protocols.ProtocolConfig` (the
-campaign sweep axis) or a concrete config dataclass instance
-(``GLRConfig``, ``EpidemicConfig``, ...).  A config is either applied
-or refused: the registry rejects a concrete config of the wrong class.
+``protocol_config`` is the single configuration argument: a
+:class:`~repro.experiments.protocols.ProtocolConfig`, its protocol
+name or its mapping form, or ``None`` for the protocol's defaults.  A
+concrete config dataclass (``GLRConfig``, ...) is refused: it would be
+a second spelling of the same run.
 """
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from repro.baselines.registry import available_protocols  # noqa: F401 - re-exported
 from repro.baselines.registry import protocol_factory, resolve_protocol
-from repro.experiments.protocols import ProtocolConfig
+from repro.experiments.protocols import ProtocolConfig, run_config
 from repro.experiments.scenarios import Scenario
 from repro.experiments.workload import traffic_schedule
 from repro.mobility.base import MobilityModel
@@ -34,27 +36,16 @@ from repro.sim.world import World, WorldConfig
 
 def resolve_run_config(
     protocol: str,
-    protocol_config: "ProtocolConfig | object | None" = None,
+    protocol_config: "ProtocolConfig | str | Mapping | None" = None,
 ) -> object | None:
     """The concrete config a run of ``protocol`` uses (None: defaults).
 
-    A declarative :class:`ProtocolConfig` is validated against the
-    protocol and built into its concrete config dataclass; a concrete
-    config instance passes through (the registry type-checks it at
-    factory build time).
+    The config is validated against the protocol
+    (:func:`~repro.experiments.protocols.run_config`) and built into
+    its config dataclass.
     """
-    if isinstance(protocol_config, ProtocolConfig):
-        canonical = resolve_protocol(protocol)
-        # A declarative ProtocolConfig (campaign protocol axis) must
-        # name the protocol it configures; accepting a mismatch would
-        # make it ambiguous which one a run keyed on.
-        if protocol_config.protocol != canonical:
-            raise ValueError(
-                f"protocol config is for {protocol_config.protocol!r}, "
-                f"but the run requests {canonical!r}"
-            )
-        return protocol_config.build()
-    return protocol_config
+    config = run_config(protocol, protocol_config)
+    return None if config is None else config.build()
 
 
 def _build_scenario_mobility(
@@ -86,7 +77,7 @@ def build_world(
     scenario: Scenario,
     protocol: str,
     buffer_limit: int | None = None,
-    protocol_config: "ProtocolConfig | object | None" = None,
+    protocol_config: "ProtocolConfig | str | Mapping | None" = None,
     profiler=None,
 ) -> World:
     """Assemble a world for ``scenario`` running ``protocol`` everywhere.
@@ -125,7 +116,7 @@ def run_single(
     scenario: Scenario,
     protocol: str,
     buffer_limit: int | None = None,
-    protocol_config: "ProtocolConfig | object | None" = None,
+    protocol_config: "ProtocolConfig | str | Mapping | None" = None,
     profiler=None,
 ) -> SimulationMetrics:
     """Run one simulation to the scenario horizon.
@@ -152,7 +143,7 @@ def run_replicates(
     scenario: Scenario,
     protocol: str,
     runs: int = 10,
-    protocol_config: "ProtocolConfig | object | None" = None,
+    protocol_config: "ProtocolConfig | str | Mapping | None" = None,
     buffer_limit: int | None = None,
     workers: int = 1,
     cache_dir: str | None = None,
@@ -171,12 +162,11 @@ def run_replicates(
         raise ValueError("need at least one run")
     if workers == 1 and cache_dir is None:
         canonical = resolve_protocol(protocol)
-        config = resolve_run_config(canonical, protocol_config)
         return [
             run_single(
                 scenario.with_seed(replicate_seed(scenario.seed, i)),
                 canonical,
-                protocol_config=config,
+                protocol_config=protocol_config,
                 buffer_limit=buffer_limit,
             )
             for i in range(runs)

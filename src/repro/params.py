@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import functools
 import inspect
+import typing
+from enum import Enum
+from types import MappingProxyType
 from typing import Callable, Collection, Generic, Iterable, Mapping, TypeVar
 
 #: Parameter values a declarative config may carry: scalars only, so
@@ -96,6 +99,18 @@ def bool_params(declared: Iterable[tuple[str, object]]) -> frozenset[str]:
     )
 
 
+@functools.cache  # configs are rebuilt for every scenario copy
+def typed_fields(config_class: type) -> tuple[frozenset[str], Mapping]:
+    """A config dataclass's ``bool`` fields, and its enum fields' types."""
+    declared = typing.get_type_hints(config_class)
+    enums = {
+        name: kind
+        for name, kind in declared.items()
+        if isinstance(kind, type) and issubclass(kind, Enum)
+    }
+    return bool_params(declared.items()), MappingProxyType(enums)
+
+
 #: Leading builder parameters the caller supplies positionally —
 #: ``(node_ids, region, seed)`` for a mobility model, ``(inner, node_id,
 #: rng)`` for an adversary mode — whatever their names.
@@ -154,6 +169,7 @@ def canonicalise_params(
     params: Mapping[object, object],
     flags: Collection[str] = frozenset(),
     owner: str = "",
+    enums: Mapping[str, type[Enum]] = MappingProxyType({}),
 ) -> Params:
     """Validate a config's parameter mapping; return its canonical form.
 
@@ -163,12 +179,23 @@ def canonicalise_params(
     split cache keys, labels and spec hashes): a parameter in ``flags``
     (declared ``bool``) turns 0/1 into the bool and rejects anything
     else, such as 2 or ``"no"``, and any other parameter turns a bool
-    into the int.
+    into the int.  A parameter in ``enums`` takes a member of its enum
+    or the member's value, and stores the value.
     """
     items: dict[str, ParamValue] = {}
     for key, value in params.items():
         if not isinstance(key, str):
             raise ValueError(f"parameter name {key!r} must be a string")
+        if key in enums:
+            try:
+                items[key] = enums[key](value).value
+                continue
+            except ValueError:
+                choices = ", ".join(str(m.value) for m in enums[key])
+                raise ValueError(
+                    f"parameter {key!r} of {owner!r} is one of {choices}; "
+                    f"got {value!r}"
+                ) from None
         if not isinstance(value, (bool, int, float, str)):
             raise ValueError(
                 f"parameter {key!r} must be a scalar, got "

@@ -289,11 +289,15 @@ class EventLog:
 
         The throttle is per writer instance and per key — heartbeat
         touches use ``"hb:<shard>:<reason>"`` so each reason stays
-        independently visible without per-tick flooding.
+        independently visible without per-tick flooding.  A suppressed
+        call writes no line but still sets the log's mtime to now: the
+        stall check reads a worker's silence off that mtime, which
+        would otherwise lag the worker by up to ``min_interval_s``.
         """
         now = time.monotonic()
         last = self._last_emit.get(throttle_key)
         if last is not None and now - last < min_interval_s:
+            self.path.touch()
             return None
         self._last_emit[throttle_key] = now
         return self.emit(type, **kwargs)  # type: ignore[arg-type]

@@ -17,6 +17,7 @@ from repro.core.protocol import GLRConfig, GLRProtocol
 from repro.experiments.protocols import ProtocolConfig, sweepable_protocols
 from repro.experiments.runner import resolve_run_config, run_single
 from repro.experiments.scenarios import Scenario
+from tests.conftest import run_concrete
 
 SMALL = Scenario(
     n_nodes=12,
@@ -141,7 +142,6 @@ class TestFactory:
         entry = protocol_entry("glr")
         assert entry.config_class is GLRConfig
         assert entry.buffer_field == "storage_limit"
-        assert "location_mode" in entry.non_sweepable
 
 
 class TestLegacyShimParity:
@@ -179,7 +179,5 @@ class TestLegacyShimParity:
         # concrete config build the same world.
         entry = protocol_entry(protocol)
         if entry.config_class is not None:
-            explicit = run_single(
-                SMALL, protocol, protocol_config=entry.config_class()
-            )
+            explicit = run_concrete(SMALL, protocol, entry.config_class())
             assert explicit == metrics

@@ -55,3 +55,23 @@ def build_registry_mobility(name, node_ids, region, seed, tmp_path):
     save_ns2_trace(source, path, until=120.0)
     config = as_mobility_config({"model": "trace", "params": {"path": str(path)}})
     return build_mobility(config, node_ids, region, seed)
+
+
+def run_concrete(scenario, protocol, config, buffer_limit=None):
+    """Run ``scenario`` with protocols built from a concrete config.
+
+    The world is ``run_single``'s, except that its per-node factory
+    comes from ``protocol_factory(protocol, config, buffer_limit)`` with
+    ``config`` a config dataclass instance: the reference a
+    :class:`~repro.experiments.protocols.ProtocolConfig` run must match.
+    """
+    from unittest import mock
+
+    from repro.baselines.registry import protocol_factory
+    from repro.experiments import runner
+
+    factory = protocol_factory(protocol, config, buffer_limit)
+    with mock.patch.object(
+        runner, "protocol_factory", lambda *args, **kwargs: factory
+    ):
+        return runner.run_single(scenario, protocol, buffer_limit=buffer_limit)

@@ -21,7 +21,7 @@ import collections
 
 import pytest
 
-from repro.core.protocol import GLRConfig
+from repro.experiments.protocols import ProtocolConfig
 from repro.experiments.runner import build_world
 from repro.experiments.scenarios import Scenario
 from repro.graphs.trees import Branch
@@ -124,7 +124,7 @@ class TestStorageLimitInteraction:
         world = build_world(
             scenario,
             "glr",
-            protocol_config=GLRConfig(storage_limit=3),
+            protocol_config=ProtocolConfig.of("glr", storage_limit=3),
         )
         metrics = world.run(until=scenario.sim_time, protocol_name="glr")
         # Tight storage may drop messages (delivery < 1), but every

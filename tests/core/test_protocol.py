@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.location import LocationMode
 from repro.core.protocol import GLRConfig, GLRProtocol
+from repro.experiments.protocols import ProtocolConfig
 from repro.experiments.runner import build_world
 from repro.experiments.scenarios import Scenario
 from repro.geometry.primitives import Point
@@ -169,7 +170,9 @@ class TestEndToEnd:
             radius=100.0, message_count=20, sim_time=180.0, seed=5
         )
         world = build_world(
-            scenario, "glr", protocol_config=GLRConfig(custody=False)
+            scenario,
+            "glr",
+            protocol_config=ProtocolConfig.of("glr", custody=False),
         )
         metrics = world.run(until=scenario.sim_time, protocol_name="glr")
         # Without custody some messages may be lost, but the machinery
@@ -188,7 +191,7 @@ class TestEndToEnd:
             world = build_world(
                 scenario,
                 "glr",
-                protocol_config=GLRConfig(location_mode=mode),
+                protocol_config=ProtocolConfig.of("glr", location_mode=mode),
             )
             results[mode] = world.run(
                 until=scenario.sim_time, protocol_name="glr"

@@ -30,13 +30,14 @@ from repro.experiments.campaign import (
     task_payload,
 )
 from repro.experiments.protocols import ProtocolConfig
-from repro.experiments.runner import run_replicates
+from repro.experiments.runner import build_world, run_replicates
 from repro.experiments.scenarios import Scenario
 from repro.experiments.scheduler import write_assignment
 from repro.experiments.stream import load_stream
 from repro.mobility.registry import MobilityConfig
 from repro.sim.adversary import AdversaryConfig
 from repro.sim.world import World
+from tests.conftest import run_concrete
 
 #: Small enough that a full grid with replicates finishes in seconds.
 TINY = Scenario(
@@ -69,7 +70,10 @@ class TestTaskKey:
         assert task_key(base) != task_key(ReplicateTask(TINY, "epidemic", 0))
         assert task_key(base) != task_key(
             ReplicateTask(
-                TINY, "glr", 0, protocol_config=GLRConfig(custody=False)
+                TINY,
+                "glr",
+                0,
+                protocol_config=ProtocolConfig.of("glr", custody=False),
             )
         )
         assert task_key(base) != task_key(
@@ -83,7 +87,10 @@ class TestTaskKey:
 
     def test_payload_is_json_round_trippable(self):
         task = ReplicateTask(
-            TINY, "glr", 0, protocol_config=GLRConfig(copies_override=3)
+            TINY,
+            "glr",
+            0,
+            protocol_config=ProtocolConfig.of("glr", copies_override=3),
         )
         payload = task_payload(task)
         assert json.loads(json.dumps(payload)) == payload
@@ -151,7 +158,7 @@ class TestReplicateSpec:
             "spray_and_wait", initial_copies=4
         )
 
-    def test_concrete_config_is_applied(self):
+    def test_protocol_config_is_applied(self):
         default, limited = (
             ReplicateSpec(
                 scenario=TINY,
@@ -159,7 +166,10 @@ class TestReplicateSpec:
                 runs=1,
                 protocol_config=config,
             ).tasks()[0]
-            for config in (None, ReceiptEpidemicConfig(buffer_limit=1))
+            for config in (
+                None,
+                ProtocolConfig.of("epidemic_receipts", buffer_limit=1),
+            )
         )
         assert task_key(default) != task_key(limited)
         default_metrics, limited_metrics = execute_tasks([default, limited])
@@ -170,13 +180,26 @@ class TestReplicateSpec:
 
     @pytest.mark.parametrize(
         ("protocol", "config"),
-        [("direct", GLRConfig()), ("epidemic_receipts", EpidemicConfig())],
+        [
+            ("direct", GLRConfig()),
+            ("epidemic_receipts", EpidemicConfig()),
+            ("epidemic_receipts", ReceiptEpidemicConfig()),
+        ],
     )
-    def test_wrong_concrete_config_class_rejected(self, protocol, config):
-        with pytest.raises(ValueError, match="takes no config|expects a"):
+    def test_concrete_config_refused_at_spec_build(self, protocol, config):
+        with pytest.raises(ValueError, match="ProtocolConfig"):
             ReplicateSpec(
                 scenario=TINY, protocol=protocol, protocol_config=config
             )
+
+    def test_concrete_config_is_never_keyed_or_run(self):
+        config = GLRConfig(custody=False)
+        with pytest.raises(ValueError, match="ProtocolConfig"):
+            task_payload(ReplicateTask(TINY, "glr", 0, protocol_config=config))
+        with pytest.raises(ValueError, match="ProtocolConfig"):
+            build_world(TINY, "glr", protocol_config=config)
+        with pytest.raises(ValueError, match="ProtocolConfig"):
+            run_replicates(TINY, "glr", runs=1, protocol_config=config)
 
 
 class TestCache:
@@ -957,7 +980,6 @@ class TestProtocolAxis:
 
     def test_variant_metrics_match_explicit_config_runs(self):
         from repro.experiments.protocols import ProtocolConfig
-        from repro.experiments.runner import run_single
 
         spec = CampaignSpec(
             name="match",
@@ -967,9 +989,7 @@ class TestProtocolAxis:
         )
         result = run_campaign(spec)
         [[campaign_metrics]] = result.metrics.values()
-        direct = run_single(
-            TINY, "glr", protocol_config=GLRConfig(custody=False)
-        )
+        direct = run_concrete(TINY, "glr", GLRConfig(custody=False))
         assert metrics_fingerprint(campaign_metrics) == metrics_fingerprint(
             direct
         )

@@ -28,11 +28,6 @@ import json
 
 import pytest
 
-from repro.baselines.epidemic import EpidemicConfig
-from repro.baselines.receipts import ReceiptEpidemicConfig
-from repro.baselines.spray_and_wait import SprayAndWaitConfig
-from repro.core.location import LocationMode
-from repro.core.protocol import GLRConfig
 from repro.experiments.campaign import (
     CACHE_FORMAT,
     CampaignSpec,
@@ -46,6 +41,8 @@ from repro.experiments.campaign import (
     task_key,
     task_payload,
 )
+from repro.experiments.common import BENCH_EFFORT
+from repro.experiments.evaluation import ARTEFACTS, specs
 from repro.experiments.orchestrator import orchestrate_campaign
 from repro.experiments.protocols import ProtocolConfig
 from repro.experiments.runner import run_replicates, run_single
@@ -905,27 +902,6 @@ class TestPinnedIdentities:
         "blackhole": ReplicateTask(
             TINY.but(adversary="blackhole:0.2"), "epidemic", 0
         ),
-        # Concrete configs key in the slot of the per-protocol keyword
-        # they used to be passed as (glr_config / epidemic_config /
-        # spray_config), so these values predate protocol_config being
-        # the only config field.
-        "glr-concrete": ReplicateTask(
-            TINY, "glr", 0, protocol_config=GLRConfig(custody=False)
-        ),
-        "glr-concrete-oracle": ReplicateTask(
-            TINY, "glr", 0,
-            protocol_config=GLRConfig(
-                copies_override=3, location_mode=LocationMode.ORACLE
-            ),
-        ),
-        "epidemic-concrete": ReplicateTask(
-            TINY, "epidemic", 0,
-            protocol_config=EpidemicConfig(tick_interval=2.0),
-        ),
-        "spray-concrete": ReplicateTask(
-            TINY, "spray_and_wait", 0, buffer_limit=2,
-            protocol_config=SprayAndWaitConfig(initial_copies=4),
-        ),
     }
 
     @pytest.mark.parametrize(
@@ -940,10 +916,6 @@ class TestPinnedIdentities:
             ("gauss-markov", "d0914c7085ee4258a3e0bfdb6efca57783ec82d4d36c250a298e7c8955ac88fc"),
             ("manhattan-param", "1619db780fd45de9738e66f71912cc91f49224e0bafb788dd303dc4b8442d3c0"),
             ("blackhole", "0c81dcd82f4c7a7d33dc02e5b3648f777b37490373c673f4539725d9e13244a4"),
-            ("glr-concrete", "f070fd814c25f2c757a688e5c72445152b8550d0b4af5085a500dca99ec384ed"),
-            ("glr-concrete-oracle", "6fa6e35c733a296b24d9454d380ae40fc80a08b0ea51458e012e67c3cb12bcae"),
-            ("epidemic-concrete", "f2e55ada4a14563df5c0a9d6d820e2ad6a436f6c919a8e353af62186cfab0751"),
-            ("spray-concrete", "65fc41a9a16254a6928b41ed504fd389f495b2e37b2dad398fa1bb683d0bde4d"),
         ],
     )
     def test_axis_task_key_is_pinned(self, name, expected):
@@ -956,7 +928,9 @@ class TestPinnedIdentities:
         # hold default-config results.
         spec = ReplicateSpec(
             TINY, "epidemic_receipts", runs=1,
-            protocol_config=ReceiptEpidemicConfig(buffer_limit=1),
+            protocol_config=ProtocolConfig.of(
+                "epidemic_receipts", buffer_limit=1
+            ),
         )
         assert task_key(spec.tasks()[0]) != (
             "e382a43ab7591e0e7c010a29c61e3820909000d0504ba6cfc36516fd4fd3d5bc"
@@ -964,9 +938,12 @@ class TestPinnedIdentities:
 
     def test_driver_task_keys_are_pinned(self):
         """Every figure, table and ablation at its defaults, in the
-        order the per-artefact drivers produced them."""
-        from repro.experiments.evaluation import specs
+        order the per-artefact drivers produced them.
 
+        Every cell's config is a ProtocolConfig, and a row at GLR's
+        defaults is the bare ``glr`` cell, so it shares its tasks with
+        the plain-GLR cells of the same scenario: 134 distinct keys.
+        """
         names = (
             "fig3", "fig4", "fig5", "fig6", "fig7",
             "table2", "table3", "table4", "table5", "table6",
@@ -980,8 +957,9 @@ class TestPinnedIdentities:
             for task in spec.tasks()
         ]
         assert len(keys) == 178
+        assert len(set(keys)) == 134
         assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == (
-            "482666e7c53466d658ce3b9764ea8ec99c005c9b25eb9f74f012521ebdd7b5f4"
+            "903078846c55def301dfe21e9f315d4c18d918bd03da2c699b84390c7c25db4a"
         )
 
     def test_multi_axis_spec_hash_is_pinned(self):
@@ -1067,3 +1045,55 @@ class TestPinnedIdentities:
             document["grid"].append(["engine", ["reference"]])
         with pytest.raises(ValueError, match="engine"):
             CampaignSpec.from_dict(document)
+
+
+class TestOneSpellingOneIdentity:
+    """An artefact cell keys the same however it is written: as
+    ``evaluation.specs`` builds it, as a (JSON) campaign spec, or as
+    ``repro campaign --protocol-param`` flags."""
+
+    @staticmethod
+    def _keys(cell):
+        return [task_key(task) for task in cell.tasks()]
+
+    @pytest.mark.parametrize(
+        "name", [name for name, a in ARTEFACTS.items() if a.cell is not None]
+    )
+    def test_artefact_cell_as_a_campaign_spec(self, name):
+        for cell in specs(name):
+            spec = CampaignSpec(
+                name=name,
+                base=cell.scenario,
+                protocols=(cell.protocol_config or cell.protocol,),
+                replicates=cell.runs,
+                buffer_limit=cell.buffer_limit,
+            )
+            document = json.loads(json.dumps(spec.to_dict()))
+            for same in (spec, CampaignSpec.from_dict(document)):
+                [same_cell] = same.specs()
+                assert self._keys(same_cell) == self._keys(cell)
+
+    def test_table2_rows_through_protocol_params(self):
+        from repro.cli import _build_parser, _campaign_spec_from_args
+
+        args = _build_parser().parse_args(
+            [
+                "campaign",
+                "--protocol-param", "copies_override=1,3",
+                "--protocol-param", "location_mode=oracle,none",
+                "--replicates", str(BENCH_EFFORT.runs),
+                "--messages", str(BENCH_EFFORT.message_count),
+                "--sim-time", str(BENCH_EFFORT.sim_time),
+            ]
+        )
+        swept = {
+            label: self._keys(cell)
+            for (_, label), cell in _campaign_spec_from_args(args).cell_specs()
+        }
+        oracle, _, _, none = specs("table2")
+        assert swept["glr(copies_override=1,location_mode=oracle)"] == (
+            self._keys(oracle)
+        )
+        assert swept["glr(copies_override=3,location_mode=none)"] == (
+            self._keys(none)
+        )

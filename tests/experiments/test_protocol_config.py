@@ -15,9 +15,19 @@ import sys
 import pytest
 
 from repro.baselines.epidemic import EpidemicConfig
+from repro.baselines.receipts import ReceiptMode
 from repro.baselines.spray_and_wait import SprayAndWaitConfig
+from repro.cli import _build_parser, _campaign_spec_from_args, main
+from repro.core.location import LocationMode
 from repro.core.protocol import GLRConfig
-from repro.experiments.campaign import ReplicateTask, task_key, task_payload
+from repro.experiments import campaign as campaign_module
+from repro.experiments.campaign import (
+    CampaignSpec,
+    ReplicateTask,
+    campaign_spec_hash,
+    task_key,
+    task_payload,
+)
 from repro.experiments.protocols import (
     ProtocolConfig,
     as_protocol_config,
@@ -26,6 +36,7 @@ from repro.experiments.protocols import (
 )
 from repro.experiments.runner import available_protocols, run_single
 from repro.experiments.scenarios import Scenario
+from tests.conftest import run_concrete
 
 TINY = Scenario(
     name="tiny",
@@ -49,10 +60,6 @@ class TestRegistry:
         assert "initial_copies" in sweepable_params("spray_and_wait")
         assert sweepable_params("direct") == []
         assert sweepable_params("first_contact") == []
-
-    def test_non_sweepable_fields_not_advertised(self):
-        assert "location_mode" not in sweepable_params("glr")
-        assert "receipt_mode" not in sweepable_params("epidemic_receipts")
 
 
 class TestCoercion:
@@ -113,10 +120,6 @@ class TestValidationAtSpecLoad:
         with pytest.raises(ValueError, match="bad parameter value"):
             ProtocolConfig.of("epidemic", anti_entropy_interval="fast")
 
-    def test_non_sweepable_param_rejected(self):
-        with pytest.raises(ValueError, match="not\\s+sweepable"):
-            ProtocolConfig.of("glr", location_mode="source")
-
     def test_configless_protocols_take_no_params(self):
         with pytest.raises(ValueError, match="takes no config"):
             ProtocolConfig.of("direct", buffer_limit=5)
@@ -130,6 +133,91 @@ class TestValidationAtSpecLoad:
     def test_non_string_param_name_rejected(self):
         with pytest.raises(ValueError, match="must be a string"):
             ProtocolConfig(protocol="glr", params=((1, 2),))
+
+
+class TestEnumParams:
+    """An enum field takes a member or its value at every entry point
+    and stores the value.  Specs are built or parsed here; nothing
+    runs."""
+
+    CASES = pytest.mark.parametrize(
+        ("protocol", "field", "kind", "values"),
+        [
+            ("glr", "location_mode", LocationMode, ("oracle", "source", "none")),
+            ("epidemic_receipts", "receipt_mode", ReceiptMode,
+             ("active", "passive")),
+        ],
+    )
+
+    @CASES
+    def test_member_and_value_are_one_config(
+        self, protocol, field, kind, values
+    ):
+        for value in values:
+            by_member = ProtocolConfig.of(protocol, **{field: kind(value)})
+            by_value = ProtocolConfig.of(protocol, **{field: value})
+            assert by_member == by_value
+            assert by_member.params == ((field, value),)
+            assert self._key(by_member) == self._key(by_value)
+            assert getattr(by_value.build(), field) is kind(value)
+
+    @CASES
+    def test_cli_builds_labelled_variants(self, protocol, field, kind, values):
+        args = _build_parser().parse_args(
+            [
+                "campaign",
+                "--protocols",
+                protocol,
+                "--protocol-param",
+                f"{field}={values[0]},{values[-1]}",
+            ]
+        )
+        spec = _campaign_spec_from_args(args)
+        assert [str(config) for config in spec.protocols] == [
+            f"{protocol}({field}={values[0]})",
+            f"{protocol}({field}={values[-1]})",
+        ]
+
+    @CASES
+    def test_json_spec_round_trips(self, protocol, field, kind, values):
+        spec = CampaignSpec.from_dict(
+            {
+                "name": "enum",
+                "protocols": [
+                    {"protocol": protocol, "params": {field: values[-1]}}
+                ],
+            }
+        )
+        again = CampaignSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert again == spec
+        assert campaign_spec_hash(again) == campaign_spec_hash(spec)
+
+    @CASES
+    def test_unknown_value_exits_2_before_any_task(
+        self, protocol, field, kind, values, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(campaign_module, "run_single", refuse)
+        assert main(
+            [
+                "campaign",
+                "--protocols",
+                protocol,
+                "--protocol-param",
+                f"{field}=psychic",
+                "--quiet",
+            ]
+        ) == 2
+        err = capsys.readouterr().err
+        assert ", ".join(values) in err
+        assert "psychic" in err
+
+    def _key(self, config):
+        return task_key(
+            ReplicateTask(TINY, config.protocol, 0, protocol_config=config)
+        )
 
 
 class TestBuild:
@@ -272,9 +360,7 @@ class TestRunnerThreading:
             "glr",
             protocol_config=ProtocolConfig.of("glr", custody=False),
         )
-        via_config = run_single(
-            TINY, "glr", protocol_config=GLRConfig(custody=False)
-        )
+        via_config = run_concrete(TINY, "glr", GLRConfig(custody=False))
         assert via_axis == via_config
 
     def test_mismatched_protocol_rejected(self):
@@ -294,11 +380,9 @@ class TestRunnerThreading:
             ),
             buffer_limit=2,
         )
-        explicit = run_single(
+        explicit = run_concrete(
             TINY,
             "spray_and_wait",
-            protocol_config=SprayAndWaitConfig(
-                initial_copies=4, buffer_limit=2
-            ),
+            SprayAndWaitConfig(initial_copies=4, buffer_limit=2),
         )
         assert limited == explicit

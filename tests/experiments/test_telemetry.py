@@ -327,6 +327,21 @@ class TestThrottle:
         assert log.emit_throttled("k", 0.0, "heartbeat")
         assert log.emit_throttled("k", 0.0, "heartbeat")
 
+    def test_suppressed_call_freshens_the_stall_clock(self, tmp_path):
+        # A task finishing inside the throttle window writes no line,
+        # yet the worker is alive: the log's age (the stall check's
+        # reading) must restart, or a long task after a short one could
+        # read as a stall.
+        layout = RunLayout(tmp_path)
+        log = EventLog(layout.shard_events(0), origin="shard0")
+        assert log.emit_throttled("hb:task-done", 60.0, "heartbeat")
+        before = log.path.read_bytes()
+        stale = time.time() - 3600.0
+        os.utime(log.path, (stale, stale))
+        assert log.emit_throttled("hb:task-done", 60.0, "heartbeat") is None
+        assert log.path.read_bytes() == before
+        assert layout.record_age(0, time.time()) < 1.0
+
 
 class TestPhaseProfiler:
     def test_snapshot_always_carries_every_phase(self):
